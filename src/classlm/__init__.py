@@ -54,7 +54,6 @@ from .lm import (
 )
 from .ngrams import NGramTable, extract, load_table
 from .normalize import NU, normalize, nu_histogram, tokenize
-from .score import extension_available
 from .synth import SynthConfig, SynthWorld, generate_world
 from .vocab import ClassLexicon, load_lexicon
 
@@ -86,7 +85,6 @@ __all__ = [
     "classify_events",
     "coverage_curve",
     "export_model",
-    "extension_available",
     "extract",
     "frequency_overlap",
     "generate",

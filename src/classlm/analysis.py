@@ -14,7 +14,7 @@ import csv
 from dataclasses import dataclass
 from collections import Counter
 
-from .errors import CorpusError
+from .errors import CorpusError, DataError
 from .lm import PerplexityReport, perplexity, train
 from .ngrams import extract
 from .normalize import NU, normalize, nu_histogram
@@ -228,51 +228,41 @@ def frequency_overlap(
 # -- CSV output ---------------------------------------------------------------
 
 
-def _writer(fh, fmt: str):
+def write_csv(path, fmt: str, header, rows) -> None:
+    """Write a header and rows as CSV (``fmt="csv"``) or TSV (``fmt="tsv"``)."""
     if fmt not in ("csv", "tsv"):
-        raise CorpusError(f"unknown report format {fmt!r}")
-    return csv.writer(fh, delimiter="," if fmt == "csv" else "\t", lineterminator="\n")
+        raise DataError(f"unknown report format {fmt!r}")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        out = csv.writer(fh, delimiter="," if fmt == "csv" else "\t", lineterminator="\n")
+        out.writerow(header)
+        out.writerows(rows)
 
 
 def write_coverage_csv(path, curve: CoverageCurve, fmt: str = "csv") -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        out = _writer(fh, fmt)
-        out.writerow(["rank", "coverage"])
-        for rank, cov in curve.points:
-            out.writerow([rank, repr(cov)])
+    write_csv(path, fmt, ["rank", "coverage"],
+              [[rank, repr(cov)] for rank, cov in curve.points])
 
 
 def write_sweep_csv(path, rows, fmt: str = "csv") -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        out = _writer(fh, fmt)
-        out.writerow(["size", "group", "pp", "tokens", "oov"])
-        for size, per_group in rows:
-            for group in sorted(per_group):
-                report = per_group[group]
-                out.writerow(
-                    [size, group, repr(report.pp), report.token_count, report.oov_count]
-                )
+    write_csv(path, fmt, ["size", "group", "pp", "tokens", "oov"], [
+        [size, group, repr(report.pp), report.token_count, report.oov_count]
+        for size, per_group in rows
+        for group, report in sorted(per_group.items())
+    ])
 
 
 def write_saturation_csv(path, sizes, table: dict[str, list[int]], fmt: str = "csv") -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        out = _writer(fh, fmt)
-        out.writerow(["group"] + [str(s) for s in sizes])
-        for group in sorted(table):
-            out.writerow([group] + [str(v) for v in table[group]])
+    write_csv(path, fmt, ["group"] + [str(s) for s in sizes],
+              [[group] + [str(v) for v in table[group]] for group in sorted(table)])
 
 
 def write_overlap_csv(path, overlap: dict[str, float], fmt: str = "csv") -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        out = _writer(fh, fmt)
-        out.writerow(["group", "overlap"])
-        for group in sorted(overlap):
-            out.writerow([group, repr(overlap[group])])
+    write_csv(path, fmt, ["group", "overlap"],
+              [[group, repr(overlap[group])] for group in sorted(overlap)])
 
 
 def write_unseen_csv(path, split: UnseenSplit, fmt: str = "csv") -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        out = _writer(fh, fmt)
-        out.writerow(["part", "utterances", "nu_types"])
-        out.writerow(["seen", len(split.seen), split.seen_types])
-        out.writerow(["unseen", len(split.unseen), split.unseen_types])
+    write_csv(path, fmt, ["part", "utterances", "nu_types"], [
+        ["seen", len(split.seen), split.seen_types],
+        ["unseen", len(split.unseen), split.unseen_types],
+    ])

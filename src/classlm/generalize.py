@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .analysis import write_csv
 from .errors import DataError, TableError
 from .grammar import Grammar, SentenceSet, generate
 from .lm import ClassNGramLM, perplexity, train
@@ -253,33 +254,23 @@ def write_report(result: GeneralizationResult, out_dir, fmt: str = "csv") -> lis
     baseline/generalized perplexity per evaluation corpus, and ``curve`` the
     tuning curve when a grid search ran.
     """
-    import csv
     from pathlib import Path
 
-    if fmt not in ("csv", "tsv"):
-        raise DataError(f"unknown report format {fmt!r}")
-    delim = "," if fmt == "csv" else "\t"
     out_dir = Path(out_dir)
     written = []
 
-    def sink(name):
-        written.append(name)
-        return open(out_dir / name, "w", encoding="utf-8", newline="")
+    def sink(name, header, rows):
+        write_csv(out_dir / f"{name}.{fmt}", fmt, header, rows)
+        written.append(f"{name}.{fmt}")
 
     fields = result.report_fields()
-    with sink(f"report.{fmt}") as fh:
-        out = csv.writer(fh, delimiter=delim, lineterminator="\n")
-        out.writerow(["mode"] + list(fields))
-        out.writerow([result.mode] + [str(v) for v in fields.values()])
-    with sink(f"pp.{fmt}") as fh:
-        out = csv.writer(fh, delimiter=delim, lineterminator="\n")
-        out.writerow(["corpus", "pp_baseline", "pp_generalized"])
-        for label, (base_pp, gen_pp) in result.perplexities.items():
-            out.writerow([label, repr(base_pp), repr(gen_pp)])
+    sink("report", ["mode"] + list(fields),
+         [[result.mode] + [str(v) for v in fields.values()]])
+    sink("pp", ["corpus", "pp_baseline", "pp_generalized"], [
+        [label, repr(base_pp), repr(gen_pp)]
+        for label, (base_pp, gen_pp) in result.perplexities.items()
+    ])
     if result.balance_factor is not None and result.balance_factor.curve:
-        with sink(f"curve.{fmt}") as fh:
-            out = csv.writer(fh, delimiter=delim, lineterminator="\n")
-            out.writerow(["factor", "pp"])
-            for factor, pp in result.balance_factor.curve:
-                out.writerow([str(factor), repr(pp)])
+        sink("curve", ["factor", "pp"],
+             [[str(factor), repr(pp)] for factor, pp in result.balance_factor.curve])
     return written

@@ -68,12 +68,10 @@ class ClassNGramLM:
         }
         self._scorer: Scorer | None = None
 
-    def scorer(self, backend: str = "auto") -> Scorer:
-        if self._scorer is None or (
-            backend != "auto" and self._scorer.backend != backend
-        ):
+    def scorer(self) -> Scorer:
+        if self._scorer is None:
             self._scorer = Scorer(
-                self.order, self.probs10, self.bows10, self._emis10, backend
+                self.order, self.probs10, self.bows10, self._emis10, self.vocab
             )
         return self._scorer
 
@@ -92,18 +90,6 @@ class ClassNGramLM:
             f"ClassNGramLM(order={self.order}, grams={len(self.probs10)}, "
             f"vocab={len(self.vocab)})"
         )
-
-    def map_oov(self, nu: NU) -> tuple[tuple[str, ...], int]:
-        """Replace tokens outside the vocabulary with the unknown tag."""
-        mapped = []
-        oov = 0
-        for token in nu:
-            if token in self.vocab:
-                mapped.append(token)
-            else:
-                mapped.append(UNK)
-                oov += 1
-        return tuple(mapped), oov
 
     def score_nu(self, nu: NU, emission: bool = False) -> tuple[float, int, int]:
         """(total log10 prob, scored token count, oov count) for one NU."""
@@ -225,7 +211,11 @@ def export_model(model: ClassNGramLM, path) -> None:
 
 
 def import_model(path) -> ClassNGramLM:
-    """Read a model written by :func:`export_model`."""
+    """Read a model written by :func:`export_model`.
+
+    Raises :class:`ModelError` on malformed lines, non-finite values,
+    log-probs above 0, and a missing ``<s>``, ``</s>`` or ``<unk>`` unigram.
+    """
     header: dict[int, int] = {}
     probs10: dict[Gram, float] = {}
     bows10: dict[Gram, float] = {}
@@ -285,11 +275,17 @@ def import_model(path) -> ClassNGramLM:
                         f"{section}-gram section"
                     )
                 try:
-                    probs10[gram] = float(fields[0])
-                    if len(fields) == 3:
-                        bows10[gram] = float(fields[2])
+                    prob = float(fields[0])
+                    bow = float(fields[2]) if len(fields) == 3 else 0.0
                 except ValueError as exc:
                     raise ModelError(f"{path}:{lineno}: bad float") from exc
+                if not (math.isfinite(prob) and math.isfinite(bow)):
+                    raise ModelError(f"{path}:{lineno}: non-finite value")
+                if prob > 0:
+                    raise ModelError(f"{path}:{lineno}: log-prob {prob!r} above 0")
+                probs10[gram] = prob
+                if len(fields) == 3:
+                    bows10[gram] = bow
             else:
                 raise ModelError(f"{path}:{lineno}: content outside any section")
     if not saw_data:
@@ -305,4 +301,7 @@ def import_model(path) -> ClassNGramLM:
             raise ModelError(
                 f"{path}: header promises {expected} {k}-grams, found {actual}"
             )
+    missing = [tag for tag in (SENT_START, SENT_END, UNK) if (tag,) not in probs10]
+    if missing:
+        raise ModelError(f"{path}: missing unigram for {', '.join(missing)}")
     return ClassNGramLM(order, probs10, bows10, class_sizes)

@@ -5,7 +5,10 @@ is that every context can pay for its extensions::
 
     count(c) >= sum over w of count(c + (w,))
 
-Tables built by :func:`extract` satisfy it by construction. Grams added
+Every table built from counts (:func:`extract`, :func:`load_table`,
+:meth:`NGramTable.copy`) goes through :meth:`NGramTable.from_counts`, which
+stores the counts and computes the extension sums in one pass. Tables built
+by :func:`extract` satisfy the invariant by construction. Grams added
 artificially (:meth:`NGramTable.inject`) or rescaled (:meth:`NGramTable.scale`)
 get their prefixes repaired minimally: a violated context is raised exactly to
 the sum of its extensions, never higher, so the empirical distribution is
@@ -18,7 +21,7 @@ as ints.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Collection, Iterable, Iterator
+from collections.abc import Callable, Collection, Iterable, Iterator, Mapping
 from fractions import Fraction
 
 from .errors import TableError
@@ -52,6 +55,27 @@ class NGramTable:
         self._counts: dict[Gram, Count] = {}
         # context -> sum of extension counts, maintained incrementally
         self._ext: dict[Gram, Count] = {}
+
+    @classmethod
+    def from_counts(cls, order: int, counts: Mapping[Gram, Count]) -> "NGramTable":
+        """Table holding the non-zero ``counts``, in their iteration order.
+
+        Extension sums are computed in the same pass; no closure repair is
+        done, so callers holding outside data call :meth:`validate`.
+        """
+        table = cls(order)
+        stored = table._counts
+        ext: dict[Gram, Count] = {}
+        for gram, count in counts.items():
+            count = _exact(count)
+            if not count:
+                continue
+            stored[gram] = count
+            if len(gram) > 1:
+                prefix = gram[:-1]
+                ext[prefix] = ext.get(prefix, 0) + count
+        table._ext = {context: _exact(total) for context, total in ext.items() if total}
+        return table
 
     # -- basic access ------------------------------------------------------
 
@@ -93,10 +117,7 @@ class NGramTable:
         return sum(c for g, c in self._counts.items() if len(g) == length)
 
     def copy(self) -> "NGramTable":
-        dup = NGramTable(self.order)
-        dup._counts = dict(self._counts)
-        dup._ext = dict(self._ext)
-        return dup
+        return NGramTable.from_counts(self.order, self._counts)
 
     # -- mutation ----------------------------------------------------------
 
@@ -218,8 +239,11 @@ class NGramTable:
 
 
 def load_table(path, order: int | None = None) -> NGramTable:
-    """Read a table file; order defaults to the longest gram present."""
-    entries: list[tuple[Gram, Count]] = []
+    """Read a table file; order defaults to the longest gram present.
+
+    Counts of repeated grams are summed.
+    """
+    counts: dict[Gram, Count] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
@@ -235,16 +259,15 @@ def load_table(path, order: int | None = None) -> NGramTable:
             gram = tuple(gram_part.split())
             if not gram:
                 raise TableError(f"{path}:{lineno}: empty gram")
-            entries.append((gram, count))
+            counts[gram] = counts.get(gram, 0) + count
     if order is None:
-        if not entries:
+        if not counts:
             raise TableError(f"{path}: empty table, pass an explicit order")
-        order = max(len(g) for g, _ in entries)
-    table = NGramTable(order)
-    for gram, count in entries:
+        order = max(len(g) for g in counts)
+    for gram in counts:
         if len(gram) > order:
             raise TableError(f"{path}: gram {gram} longer than order {order}")
-        table._bump(gram, count)
+    table = NGramTable.from_counts(order, counts)
     table.validate()
     return table
 
@@ -256,10 +279,12 @@ def extract(corpus: Iterable[NU], n: int) -> NGramTable:
     position has a full-length context and closure holds with equality on
     interior contexts.
     """
-    table = NGramTable(n)
+    counts: dict[Gram, int] = {}
+    lead = (SENT_START,) * (n - 1)
     for nu in corpus:
-        padded = (SENT_START,) * (n - 1) + tuple(nu) + (SENT_END,)
+        padded = lead + tuple(nu) + (SENT_END,)
         for k in range(1, n + 1):
             for i in range(len(padded) - k + 1):
-                table._bump(padded[i : i + k], 1)
-    return table
+                gram = padded[i : i + k]
+                counts[gram] = counts.get(gram, 0) + 1
+    return NGramTable.from_counts(n, counts)

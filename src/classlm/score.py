@@ -1,158 +1,91 @@
-"""Backend selection for the backoff scoring loop.
+"""The backoff scoring pipeline.
 
-The compiled kernel (``classlm._scorer``, built from Cython) is used when it
-imported successfully, unless ``CLASSLM_PURE_PYTHON=1`` is set or the model
-cannot be packed into 64-bit keys; an explicit backend request overrides the
-environment default. The pure-Python kernel is the reference; both produce
-identical sums, bit for bit.
-
-A scorer owns the whole per-utterance pipeline (unknown-token substitution,
-boundary padding, kernel call) so the compiled path can run it over interned
-ids without repacking per call.
+A scorer owns the whole per-utterance pipeline: unknown-token substitution,
+boundary padding, and the backoff walk over the model's log10 tables.
 """
 
 from __future__ import annotations
 
-import os
-
-from . import _scorer_py
-from .vocab import SENT_END, SENT_START, UNK, Interner
-
-try:
-    from . import _scorer as _ext
-except ImportError:
-    _ext = None
+from .vocab import SENT_END, SENT_START, UNK
 
 
+# read by the benchmark manifest; there is no compiled kernel
 def extension_available() -> bool:
-    return _ext is not None
+    return False
 
 
-def _force_pure() -> bool:
-    return os.environ.get("CLASSLM_PURE_PYTHON", "") not in ("", "0")
+def score_padded(tokens, order, probs10, bows10, emis10, emission):
+    """Sum log10 probabilities of positions order-1 .. end of a padded tuple.
+
+    Every scored token must have a unigram entry in ``probs10``; the caller
+    maps out-of-vocabulary tokens to the unknown tag first.
+    """
+    total = 0.0
+    for i in range(order - 1, len(tokens)):
+        acc = 0.0
+        start = i - order + 1
+        while True:
+            gram = tokens[start : i + 1]
+            prob = probs10.get(gram)
+            if prob is not None:
+                total += acc + prob
+                break
+            if start == i:
+                # unigram miss: token outside the model vocabulary
+                raise KeyError(tokens[i])
+            bow = bows10.get(gram[:-1])
+            if bow is not None:
+                acc += bow
+            start += 1
+        if emission:
+            emit = emis10.get(tokens[i])
+            if emit is not None:
+                total += emit
+    return total
 
 
 class Scorer:
-    """Per-model scorer with the kernel chosen at construction.
+    """Scores utterances against one model's log10 tables."""
 
-    ``backend`` may be "auto", "python", or "cython"; "cython" raises if the
-    extension is missing or the model does not fit the packed-key layout.
-    """
+    # read by the benchmark manifest
+    backend = "python"
 
-    def __init__(self, order, probs10, bows10, emis10, backend="auto"):
+    def __init__(self, order, probs10, bows10, emis10, vocab):
         self.order = order
         self._probs10 = probs10
         self._bows10 = bows10
         self._emis10 = emis10
-        self.vocab = frozenset(g[0] for g in probs10 if len(g) == 1)
-        self._idmap = None
-        self._idmap_full = None
-        self._packed = None
-        if backend not in ("auto", "python", "cython"):
-            raise ValueError(f"unknown scorer backend {backend!r}")
-        # the env override changes the default; an explicit request wins
-        use_ext = _ext is not None and (
-            backend == "cython" or (backend == "auto" and not _force_pure())
-        )
-        if use_ext:
-            use_ext = self._build_packed()
-        if backend == "cython" and not use_ext:
-            raise RuntimeError("compiled scorer unavailable for this model")
-        self.backend = "cython" if use_ext else "python"
-
-    def _build_packed(self) -> bool:
-        # ids start at 1 so packed keys of different lengths never collide
-        interner = Interner()
-        interner.intern("")  # reserve id 0
-        full_map = {}
-        for gram in sorted(self._probs10):
-            for token in gram:
-                full_map[token] = interner.intern(token)
-        full_map.pop("", None)
-        max_id = len(interner) - 1
-        bits = max(1, max_id.bit_length())
-        if bits * self.order > 64:
-            return False
-        if not (SENT_START in full_map and SENT_END in full_map and UNK in full_map):
-            return False  # hand-built tables without boundary tags stay pure
-
-        def pack(gram) -> int:
-            key = 0
-            for slot, token in enumerate(gram):
-                key |= interner.id_of(token) << (bits * slot)
-            return key
-
-        probs = {pack(g): v for g, v in self._probs10.items()}
-        bows = {pack(g): v for g, v in self._bows10.items()}
-        emis = [0.0] * len(interner)
-        for token, value in self._emis10.items():
-            tid = interner.id_of(token)
-            if tid is not None:
-                emis[tid] = value
-        # substitution map mirrors the pure path: vocabulary tokens only,
-        # everything else becomes the unknown tag
-        self._idmap = {token: full_map[token] for token in self.vocab}
-        self._idmap_full = full_map
-        self._packed = _ext.PackedModel(
-            self.order, bits, probs, bows, emis,
-            full_map[SENT_START], full_map[SENT_END], full_map[UNK],
-        )
-        return True
-
-    # -- low-level entry (pre-padded, in-vocabulary tokens) -----------------
+        self.vocab = vocab
+        self._lead = (SENT_START,) * (order - 1)
 
     def logprob10_padded(self, padded: tuple[str, ...], emission: bool) -> float:
         """Total log10 probability of the scored positions of a padded tuple."""
-        if self._packed is not None:
-            idmap = self._idmap_full
-            ids = [idmap.get(t) for t in padded]
-            if None in ids:
-                raise KeyError(padded[ids.index(None)])
-            return self._packed.score_padded(ids, emission)
-        return _scorer_py.score_padded(
+        return score_padded(
             padded, self.order, self._probs10, self._bows10, self._emis10, emission
         )
 
-    # -- full pipeline: substitution, padding, scoring ------------------------
+    def map_oov(self, nu) -> tuple[tuple[str, ...], int]:
+        """Replace tokens outside the vocabulary with the unknown tag."""
+        vocab = self.vocab
+        mapped = tuple(t if t in vocab else UNK for t in nu)
+        oov = sum(1 for t in nu if t not in vocab) if UNK in mapped else 0
+        return mapped, oov
 
     def score_utterance(self, nu, emission: bool) -> tuple[float, int, int]:
         """(log10 total, scored token count, oov count) for one utterance."""
-        if self._packed is not None:
-            total10, oov = self._packed.score_utterance(list(nu), self._idmap, emission)
-            return total10, len(nu) + 1, oov
-        mapped, oov = self._map(nu)
-        total10 = _scorer_py.score_padded(
-            self._pad(mapped), self.order, self._probs10, self._bows10,
-            self._emis10, emission,
-        )
+        mapped, oov = self.map_oov(nu)
+        total10 = self.logprob10_padded(self._lead + mapped + (SENT_END,), emission)
         return total10, len(mapped) + 1, oov
 
+    # read by the benchmark's tracer, which wraps it by this name and signature
     def score_corpus(self, nus, emission: bool) -> tuple[float, int, int]:
         """Per-utterance totals summed in corpus order."""
-        if self._packed is not None:
-            return self._packed.score_nus([list(nu) for nu in nus], self._idmap, emission)
         total10 = 0.0
         tokens = 0
         oov = 0
-        vocab = self.vocab
-        lead = (SENT_START,) * (self.order - 1)
-        kernel = _scorer_py.score_padded
         for nu in nus:
-            mapped = tuple(t if t in vocab else UNK for t in nu)
-            if UNK in mapped:
-                oov += sum(1 for t in nu if t not in vocab)
-            total10 += kernel(
-                lead + mapped + (SENT_END,), self.order, self._probs10,
-                self._bows10, self._emis10, emission,
-            )
-            tokens += len(mapped) + 1
+            nu_total10, nu_tokens, nu_oov = self.score_utterance(nu, emission)
+            total10 += nu_total10
+            tokens += nu_tokens
+            oov += nu_oov
         return total10, tokens, oov
-
-    def _map(self, nu) -> tuple[tuple[str, ...], int]:
-        vocab = self.vocab
-        mapped = tuple(t if t in vocab else UNK for t in nu)
-        oov = sum(1 for t in nu if t not in vocab)
-        return mapped, oov
-
-    def _pad(self, mapped: tuple[str, ...]) -> tuple[str, ...]:
-        return (SENT_START,) * (self.order - 1) + mapped + (SENT_END,)

@@ -170,29 +170,3 @@ def load_lexicon(path) -> ClassLexicon:
     except LexiconError as exc:
         raise LexiconError(f"{path}: {exc}") from exc
 
-
-class Interner:
-    """Dense token-id interning; a bijection between ids and token strings."""
-
-    def __init__(self, tokens: Iterable[str] = ()):
-        self._ids: dict[str, int] = {}
-        self._surfaces: list[str] = []
-        for token in tokens:
-            self.intern(token)
-
-    def intern(self, token: str) -> int:
-        tid = self._ids.get(token)
-        if tid is None:
-            tid = len(self._surfaces)
-            self._ids[token] = tid
-            self._surfaces.append(token)
-        return tid
-
-    def id_of(self, token: str) -> int | None:
-        return self._ids.get(token)
-
-    def surface(self, tid: int) -> str:
-        return self._surfaces[tid]
-
-    def __len__(self) -> int:
-        return len(self._surfaces)

@@ -9,7 +9,7 @@ import pytest
 from classlm.analysis import label_nus, nus_of
 from classlm.generalize import build_generalized_lm
 from classlm.grammar import generate, parse_grammar_text
-from classlm.lm import train
+from classlm.lm import export_model, train
 from classlm.ngrams import extract
 from classlm.normalize import normalize
 from classlm.synth import SynthConfig, generate_world
@@ -75,6 +75,23 @@ def grammar_table(sentence_nus):
 @pytest.fixture(scope="session")
 def model_small(table_small, lexicon):
     return train(table_small, lexicon)
+
+
+@pytest.fixture()
+def model_file_without(tmp_path, model_small):
+    """Writer of model_small's file minus one unigram, header count adjusted."""
+
+    def write(token):
+        path = tmp_path / f"without-{token.strip('<>/')}.arpa"
+        export_model(model_small, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = [line for line in lines if line.split("\t")[1:2] != [token]]
+        lines = [f"ngram 1={int(line[8:]) - 1}" if line.startswith("ngram 1=") else line
+                 for line in lines]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return path
+
+    return write
 
 
 @pytest.fixture(scope="session")

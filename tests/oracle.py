@@ -1,8 +1,9 @@
-"""Independent naive scorers used to cross-check the fast evaluation path.
+"""Independent naive references used to cross-check the fast paths.
 
-These re-derive probabilities by the textbook chain rule, recursively, in
-the raw probability domain, reading only the model's stored tables. They
-deliberately share no code with the package's scoring loop.
+The scorers re-derive probabilities by the textbook chain rule, recursively,
+in the raw probability domain, reading only the model's stored tables. The
+counter enumerates every padded window gram by gram. They deliberately share
+no code with the package's scoring loop or table internals.
 """
 
 import math
@@ -49,3 +50,25 @@ def corpus_perplexity(model, corpus, emission=False):
 def context_prob_sum(model, context):
     """Sum of P(w | context) over the whole vocabulary, naive walk."""
     return sum(backoff_prob(model, context, word) for word in model.vocab)
+
+
+def naive_extract(corpus, n):
+    """gram -> count over every window of length 1..n of each padded NU."""
+    counts = {}
+    for nu in corpus:
+        padded = [SENT_START] * (n - 1) + list(nu) + [SENT_END]
+        for start in range(len(padded)):
+            for length in range(1, n + 1):
+                if start + length <= len(padded):
+                    gram = tuple(padded[start : start + length])
+                    counts[gram] = counts.get(gram, 0) + 1
+    return counts
+
+
+def naive_extension_sums(counts):
+    """context -> total count of the grams that extend it by one token."""
+    sums = {}
+    for gram, count in counts.items():
+        if len(gram) > 1:
+            sums[gram[:-1]] = sums.get(gram[:-1], 0) + count
+    return sums

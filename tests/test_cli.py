@@ -1,7 +1,12 @@
 import filecmp
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import classlm
 from classlm.cli import main
 
 
@@ -173,6 +178,23 @@ def test_missing_file_is_data_error(tmp_path, capsys):
     ])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_model_without_unk_is_data_error(tmp_path, model_file_without):
+    model = model_file_without("<unk>")
+    corpus = tmp_path / "oov.txt"
+    corpus.write_text("from zzyzx to rome\n", encoding="utf-8")
+    src = str(Path(classlm.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "classlm", "perplexity", "--model", str(model),
+         "--corpus", str(corpus)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert f"{model}: missing unigram for <unk>" in proc.stderr
 
 
 def test_malformed_lexicon_is_data_error(tmp_path, workspace, capsys):

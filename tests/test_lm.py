@@ -168,6 +168,30 @@ def test_import_rejects_header_mismatch(tmp_path, model_small):
         import_model(bad)
 
 
+@pytest.mark.parametrize("token", ["<s>", "</s>", UNK])
+def test_import_rejects_missing_reserved_unigram(model_file_without, token):
+    bad = model_file_without(token)
+    with pytest.raises(ModelError, match=f"{bad}: missing unigram for {token}"):
+        import_model(bad)
+
+
+@pytest.mark.parametrize("field,value", [
+    (0, "nan"), (0, "inf"), (0, "-inf"), (2, "nan"), (2, "inf"), (0, "0.25"),
+])
+def test_import_rejects_bad_values(tmp_path, model_small, field, value):
+    path = tmp_path / "model.arpa"
+    export_model(model_small, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    # the first line that carries a backoff weight
+    at = next(i for i, line in enumerate(lines) if line.count("\t") == 2)
+    fields = lines[at].split("\t")
+    fields[field] = value
+    lines[at] = "\t".join(fields)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ModelError, match=f"{path}:{at + 1}: "):
+        import_model(path)
+
+
 def test_imported_model_scores_identically(tmp_path, model_small, splits):
     path = tmp_path / "model.arpa"
     export_model(model_small, path)

@@ -7,6 +7,8 @@ from classlm.errors import TableError
 from classlm.ngrams import NGramTable, extract, load_table
 from classlm.vocab import SENT_END, SENT_START
 
+import oracle
+
 
 def test_extract_bigrams_by_hand():
     table = extract([("a", "b")], 2)
@@ -43,6 +45,31 @@ def test_extract_total_matches_naive_recount(splits):
     assert table.total(3) == expected
     assert expected == sum(len(nu) + 1 for nu in corpus)
     table.validate()
+
+
+def assert_matches_oracle(corpus, n):
+    table = extract(corpus, n)
+    counts = oracle.naive_extract(corpus, n)
+    sums = oracle.naive_extension_sums(counts)
+    assert dict(table) == counts
+    # every context with an extension is itself a counted gram
+    for gram in counts:
+        assert table.extension_sum(gram) == sums.get(gram, 0), gram
+    table.validate()
+
+
+@pytest.mark.parametrize("split", ["train", "tune", "test"])
+def test_extract_matches_naive_oracle(splits, split):
+    assert_matches_oracle(splits["nus"][split], 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.lists(st.sampled_from("abc"), max_size=5).map(tuple), max_size=6),
+    st.integers(min_value=1, max_value=4),
+)
+def test_extract_matches_naive_oracle_random(corpus, n):
+    assert_matches_oracle(corpus, n)
 
 
 def test_extract_order_independent(splits):
@@ -168,6 +195,15 @@ def test_load_errors(tmp_path):
     with pytest.raises(TableError):
         load_table(empty)
     assert load_table(empty, order=2).order == 2
+
+
+def test_load_sums_duplicate_lines(tmp_path):
+    path = tmp_path / "dup.tsv"
+    path.write_text("3/2\ta\n1\ta b\n2\tb\n3/2\ta\n1\tb\n", encoding="utf-8")
+    table = load_table(path)
+    assert dict(table) == {("a",): 3, ("a", "b"): 1, ("b",): 3}
+    assert isinstance(table.count(("a",)), int)
+    assert table.extension_sum(("a",)) == 1
 
 
 # -- randomized closure property ------------------------------------------------

@@ -1,60 +1,11 @@
-import random
-
 import pytest
 
-from classlm import score
-from classlm.score import Scorer
 from classlm.vocab import SENT_END, SENT_START
 
 
 def test_python_backend_always_available(model_small):
-    scorer = model_small.scorer("python")
+    scorer = model_small.scorer()
     assert scorer.backend == "python"
-
-
-needs_ext = pytest.mark.skipif(
-    not score.extension_available(), reason="compiled scorer not built"
-)
-
-
-@needs_ext
-def test_backends_agree_bitwise(model_small, splits):
-    pure = Scorer(model_small.order, model_small.probs10, model_small.bows10,
-                  model_small._emis10, backend="python")
-    fast = Scorer(model_small.order, model_small.probs10, model_small.bows10,
-                  model_small._emis10, backend="cython")
-    assert fast.backend == "cython"
-    rng = random.Random(11)
-    pool = splits["nus"]["test"]
-    for _ in range(100):
-        nu, _ = model_small.map_oov(rng.choice(pool))
-        padded = (SENT_START,) * 2 + nu + (SENT_END,)
-        for emission in (False, True):
-            assert pure.logprob10_padded(padded, emission) == fast.logprob10_padded(
-                padded, emission
-            )
-
-
-@needs_ext
-def test_env_var_forces_pure(model_small, monkeypatch):
-    monkeypatch.setenv("CLASSLM_PURE_PYTHON", "1")
-    scorer = Scorer(model_small.order, model_small.probs10, model_small.bows10,
-                    model_small._emis10)
-    assert scorer.backend == "python"
-
-
-def test_unpackable_model_falls_back():
-    # 40 slots of 2 bits each exceed the 64-bit key budget
-    probs = {("a",): -0.5, ("b",): -0.5}
-    scorer = Scorer(40, probs, {}, {})
-    assert scorer.backend == "python"
-    with pytest.raises(RuntimeError):
-        Scorer(40, probs, {}, {}, backend="cython")
-
-
-def test_unknown_backend_rejected(model_small):
-    with pytest.raises(ValueError):
-        Scorer(2, {("a",): -0.5}, {}, {}, backend="turbo")
 
 
 def test_out_of_vocab_token_raises(model_small):

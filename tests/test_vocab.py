@@ -1,7 +1,7 @@
 import pytest
 
 from classlm.errors import LexiconError
-from classlm.vocab import ClassLexicon, Interner, load_lexicon
+from classlm.vocab import ClassLexicon, load_lexicon
 
 
 def write(tmp_path, text):
@@ -121,13 +121,3 @@ def test_multiword_members(tiny_lexicon):
     assert tiny_lexicon.max_member_words == 2
     assert tiny_lexicon.class_of("new_york") == "CITY-NAME"
 
-
-def test_interner_bijection():
-    interner = Interner(["a", "b", "a"])
-    assert len(interner) == 2
-    assert interner.id_of("a") == 0
-    assert interner.surface(1) == "b"
-    assert interner.intern("c") == 2
-    assert interner.id_of("missing") is None
-    for token in ("a", "b", "c"):
-        assert interner.surface(interner.id_of(token)) == token
