@@ -14,10 +14,10 @@ import csv
 from dataclasses import dataclass
 from collections import Counter
 
-from .errors import CorpusError, DataError
+from .errors import CorpusError, DataError, open_text
 from .lm import PerplexityReport, perplexity, train
 from .ngrams import extract
-from .normalize import NU, normalize, nu_histogram
+from .normalize import NU, normalize, nu_histogram, reject_boundary_tags
 from .vocab import ClassLexicon
 
 GROUPS = ("City", "Date", "Time", "Other")
@@ -26,9 +26,9 @@ LabeledNUs = list[tuple[str, NU]]
 
 
 def read_labeled_corpus(path) -> list[tuple[str, str]]:
-    """(group, raw text) rows; validates the group column."""
+    """(group, raw text) rows; validates the group column and the text."""
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path, CorpusError) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip():
@@ -41,7 +41,10 @@ def read_labeled_corpus(path) -> list[tuple[str, str]]:
                     f"{path}:{lineno}: unknown request group {group!r} "
                     f"(expected one of {', '.join(GROUPS)})"
                 )
-            rows.append((group, text.strip()))
+            text = text.strip()
+            if ">" in text:
+                reject_boundary_tags(path, lineno, text)
+            rows.append((group, text))
     return rows
 
 

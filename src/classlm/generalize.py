@@ -9,10 +9,11 @@ Top-order n-grams are split into three event kinds:
   by the balance factor
 
 Lower orders start from the training table and are repaired by the minimal
-context-closure rule, so grammar sentences never contribute frequency mass
-beyond the once-per-unknown-gram rule. The balance factor is picked by grid
-search, minimizing perplexity on a tuning corpus (held out by default; tests
-may deliberately tune on their evaluation set to mirror older setups).
+context-closure rule of :meth:`classlm.ngrams.NGramTable.closed`, so grammar
+sentences never contribute frequency mass beyond the once-per-unknown-gram
+rule. The balance factor is picked by grid search, minimizing perplexity on a
+tuning corpus (held out by default; tests may deliberately tune on their
+evaluation set to mirror older setups).
 
 The known-bad alternative of appending the generated sentences to the
 training text is kept available as mode="naive-sentences" so its failure is
@@ -28,7 +29,7 @@ from .analysis import write_csv
 from .errors import DataError, TableError
 from .grammar import Grammar, SentenceSet, generate
 from .lm import ClassNGramLM, perplexity, train
-from .ngrams import Count, Gram, NGramTable, extract
+from .ngrams import Count, Gram, NGramTable, exact_count, extract
 from .normalize import NU, normalize
 from .vocab import ClassLexicon
 
@@ -44,8 +45,6 @@ class EventPartition:
     usual: frozenset[Gram]
     rare: frozenset[Gram]
     unknown: frozenset[Gram]
-    train_counts: dict[Gram, Count]
-    grammar_counts: dict[Gram, Count]
 
     def summary(self) -> dict[str, int]:
         return {
@@ -73,16 +72,11 @@ def classify_events(
         )
     train_grams = train_table.gram_set(n)
     grammar_grams = grammar_table.gram_set(n)
-    usual = train_grams & grammar_grams
-    rare = train_grams - grammar_grams
-    unknown = grammar_grams - train_grams
     return EventPartition(
         order=n,
-        usual=frozenset(usual),
-        rare=frozenset(rare),
-        unknown=frozenset(unknown),
-        train_counts={g: train_table.count(g) for g in train_grams},
-        grammar_counts={g: grammar_table.count(g) for g in grammar_grams},
+        usual=train_grams & grammar_grams,
+        rare=train_grams - grammar_grams,
+        unknown=grammar_grams - train_grams,
     )
 
 
@@ -98,18 +92,18 @@ def merge_tables(
     ``weight_unknown=False`` adds unknown grams with count 1 regardless of
     the factor.
     """
-    factor = Fraction(factor)
+    factor = exact_count(factor)  # an integral factor keeps int counts int
     if factor <= 0:
         raise DataError(f"balance factor must be positive, got {factor}")
     n = train_table.order
     partition = classify_events(train_table, grammar_table, n)
-    merged = train_table.copy()
-    if partition.usual:
-        merged.scale(factor, selector=partition.usual)
+    counts = dict(train_table)
+    for gram in partition.usual:
+        counts[gram] *= factor
     unknown_count = factor if weight_unknown else 1
     for gram in sorted(partition.unknown):
-        merged.inject(gram, unknown_count)
-    return merged
+        counts[gram] = unknown_count
+    return NGramTable.closed(n, counts)
 
 
 def tune_balance_factor(

@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass, field
 from collections.abc import Iterable
 
-from .errors import GrammarError
+from .errors import GrammarError, open_text
 from .normalize import NU
 
 
@@ -155,7 +155,7 @@ def parse_grammar_text(text: str, source: str = "<string>") -> Grammar:
 
 
 def parse_grammar(path) -> Grammar:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path, GrammarError) as fh:
         return parse_grammar_text(fh.read(), source=str(path))
 
 

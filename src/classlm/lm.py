@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ModelError
+from .errors import ModelError, open_text
 from .ngrams import Gram, NGramTable
 from .normalize import NU
 from .score import Scorer
@@ -214,7 +214,8 @@ def import_model(path) -> ClassNGramLM:
     """Read a model written by :func:`export_model`.
 
     Raises :class:`ModelError` on malformed lines, non-finite values,
-    log-probs above 0, and a missing ``<s>``, ``</s>`` or ``<unk>`` unigram.
+    log-probs above 0, a missing ``<s>``, ``</s>`` or ``<unk>`` unigram, and a
+    k-gram whose (k-1)-prefix is not stored.
     """
     header: dict[int, int] = {}
     probs10: dict[Gram, float] = {}
@@ -223,7 +224,7 @@ def import_model(path) -> ClassNGramLM:
     section = None
     saw_data = False
     saw_end = False
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path, ModelError) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             stripped = line.strip()
@@ -304,4 +305,8 @@ def import_model(path) -> ClassNGramLM:
     missing = [tag for tag in (SENT_START, SENT_END, UNK) if (tag,) not in probs10]
     if missing:
         raise ModelError(f"{path}: missing unigram for {', '.join(missing)}")
+    # an unstored context has no backoff weight: its distribution would not sum to 1
+    for gram in probs10:
+        if len(gram) > 1 and gram[:-1] not in probs10:
+            raise ModelError(f"{path}: {len(gram)}-gram {' '.join(gram)!r} has no stored prefix")
     return ClassNGramLM(order, probs10, bows10, class_sizes)

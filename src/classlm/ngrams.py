@@ -5,14 +5,13 @@ is that every context can pay for its extensions::
 
     count(c) >= sum over w of count(c + (w,))
 
-Every table built from counts (:func:`extract`, :func:`load_table`,
-:meth:`NGramTable.copy`) goes through :meth:`NGramTable.from_counts`, which
-stores the counts and computes the extension sums in one pass. Tables built
-by :func:`extract` satisfy the invariant by construction. Grams added
-artificially (:meth:`NGramTable.inject`) or rescaled (:meth:`NGramTable.scale`)
-get their prefixes repaired minimally: a violated context is raised exactly to
-the sum of its extensions, never higher, so the empirical distribution is
-perturbed as little as possible.
+Every table is built by :meth:`NGramTable.from_counts`, which stores the
+counts and computes the extension sums in one pass; :func:`extract` satisfies
+the invariant by construction. Every edit (:meth:`NGramTable.inject`,
+:meth:`NGramTable.scale`, :func:`classlm.generalize.merge_tables`) goes
+through the one repair rule, :meth:`NGramTable.closed`: a violated context is
+raised exactly to the sum of its extensions, never higher, so the empirical
+distribution is perturbed as little as possible.
 
 Counts are exact numbers (int, or Fraction after non-integer scaling), so
 rescaling experiments are reproducible bit for bit; integral values are kept
@@ -24,7 +23,7 @@ from __future__ import annotations
 from collections.abc import Callable, Collection, Iterable, Iterator, Mapping
 from fractions import Fraction
 
-from .errors import TableError
+from .errors import TableError, open_text
 from .normalize import NU
 from .vocab import SENT_END, SENT_START
 
@@ -32,12 +31,13 @@ Gram = tuple[str, ...]
 Count = int | Fraction
 
 
-def _exact(value) -> Count:
+def exact_count(value) -> Count:
     """Canonical exact count: int when integral, Fraction otherwise."""
     if isinstance(value, int):
         return value
-    frac = Fraction(value)
-    return frac.numerator if frac.denominator == 1 else frac
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 class NGramTable:
@@ -53,7 +53,7 @@ class NGramTable:
             raise TableError(f"order must be >= 1, got {order}")
         self.order = order
         self._counts: dict[Gram, Count] = {}
-        # context -> sum of extension counts, maintained incrementally
+        # context -> sum of extension counts, computed by from_counts
         self._ext: dict[Gram, Count] = {}
 
     @classmethod
@@ -67,15 +67,36 @@ class NGramTable:
         stored = table._counts
         ext: dict[Gram, Count] = {}
         for gram, count in counts.items():
-            count = _exact(count)
+            count = exact_count(count)
             if not count:
                 continue
             stored[gram] = count
             if len(gram) > 1:
                 prefix = gram[:-1]
                 ext[prefix] = ext.get(prefix, 0) + count
-        table._ext = {context: _exact(total) for context, total in ext.items() if total}
+        table._ext = {context: exact_count(total) for context, total in ext.items() if total}
         return table
+
+    @classmethod
+    def closed(cls, order: int, counts: Mapping[Gram, Count]) -> "NGramTable":
+        """Table of ``counts`` with the closure invariant restored.
+
+        Every context whose count falls short of the sum of its extensions
+        is raised exactly to that sum, never higher. Longest contexts go
+        first, so a raised k-gram feeds the sum of its own (k-1)-prefix.
+        """
+        # canonical counts first: summing Fractions that are integral is slow
+        counts = {gram: exact_count(count) for gram, count in counts.items()}
+        for k in range(order, 1, -1):
+            need: dict[Gram, Count] = {}
+            for gram, count in counts.items():
+                if len(gram) == k:
+                    context = gram[:-1]
+                    need[context] = need.get(context, 0) + count
+            for context, total in need.items():
+                if counts.get(context, 0) < total:
+                    counts[context] = exact_count(total)
+        return cls.from_counts(order, counts)
 
     # -- basic access ------------------------------------------------------
 
@@ -102,16 +123,8 @@ class NGramTable:
     def __repr__(self) -> str:
         return f"NGramTable(order={self.order}, grams={len(self._counts)})"
 
-    def grams(self, length: int | None = None) -> list[Gram]:
-        if length is None:
-            return sorted(self._counts)
-        return sorted(g for g in self._counts if len(g) == length)
-
     def gram_set(self, length: int) -> frozenset[Gram]:
         return frozenset(g for g in self._counts if len(g) == length)
-
-    def vocabulary(self) -> frozenset[str]:
-        return frozenset(g[0] for g in self._counts if len(g) == 1)
 
     def total(self, length: int) -> Count:
         return sum(c for g, c in self._counts.items() if len(g) == length)
@@ -121,58 +134,27 @@ class NGramTable:
 
     # -- mutation ----------------------------------------------------------
 
-    def _set(self, gram: Gram, value: Count) -> None:
-        value = _exact(value)
-        old = self._counts.get(gram, 0)
-        if value == old:
-            return
-        if value:
-            self._counts[gram] = value
-        else:
-            self._counts.pop(gram, None)
-        if len(gram) > 1:
-            prefix = gram[:-1]
-            ext = _exact(self._ext.get(prefix, 0) + (value - old))
-            if ext:
-                self._ext[prefix] = ext
-            else:
-                self._ext.pop(prefix, None)
-
-    def _bump(self, gram: Gram, delta: Count) -> None:
-        self._set(gram, self._counts.get(gram, 0) + delta)
-
-    def add_counts(self, other: "NGramTable") -> None:
-        """Pointwise count addition (shard merge), then one repair pass."""
-        if other.order > self.order:
-            raise TableError(
-                f"cannot merge order-{other.order} table into order-{self.order}"
-            )
-        for gram, cnt in sorted(other._counts.items()):
-            self._bump(gram, cnt)
-        self._repair_all()
-
     def inject(self, gram: Gram, count) -> None:
         """Add an artificial gram, incorporating any missing contexts.
 
         Every proper prefix whose closure would otherwise break is raised to
-        the minimal sufficient count. ``count == 0`` is a no-op.
+        the minimal sufficient count (see :meth:`closed`). ``count == 0`` is
+        a no-op.
         """
         gram = tuple(gram)
         if not 1 <= len(gram) <= self.order:
             raise TableError(
                 f"gram length {len(gram)} outside 1..{self.order}: {gram}"
             )
-        count = _exact(count)
+        count = exact_count(count)
         if count < 0:
             raise TableError(f"negative injection count {count} for {gram}")
         if count == 0:
             return
-        self._bump(gram, count)
-        for k in range(len(gram) - 1, 0, -1):
-            prefix = gram[:k]
-            need = self._ext.get(prefix, 0)
-            if self._counts.get(prefix, 0) < need:
-                self._set(prefix, need)
+        counts = dict(self._counts)
+        counts[gram] = counts.get(gram, 0) + count
+        table = NGramTable.closed(self.order, counts)
+        self._counts, self._ext = table._counts, table._ext
 
     def scale(self, factor, selector: Callable[[Gram], bool] | Collection[Gram] | None = None) -> None:
         """Multiply selected gram counts by a positive factor, then repair.
@@ -180,40 +162,19 @@ class NGramTable:
         ``selector`` may be a predicate, a collection of grams, or None for
         all grams.
         """
-        factor = _exact(factor)
+        factor = exact_count(factor)
         if factor <= 0:
             raise TableError(f"scale factor must be positive, got {factor}")
-        if selector is None:
-            chosen = list(self._counts)
-        elif callable(selector):
-            chosen = [g for g in self._counts if selector(g)]
-        else:
-            wanted = {tuple(g) for g in selector}
-            chosen = [g for g in self._counts if g in wanted]
+        if selector is not None and not callable(selector):
+            selector = {tuple(g) for g in selector}.__contains__
         if factor == 1:
             return
-        for gram in sorted(chosen):
-            self._set(gram, self._counts[gram] * factor)
-        self._repair_all()
-
-    def _repair_all(self) -> None:
-        # Longest contexts first: raising a k-gram feeds into the (k-1) pass.
-        for k in range(self.order - 1, 0, -1):
-            for context in [g for g in self._counts if len(g) == k]:
-                need = self._ext.get(context, 0)
-                if self._counts[context] < need:
-                    self._set(context, need)
+        counts = {g: c * factor if selector is None or selector(g) else c
+                  for g, c in self._counts.items()}
+        table = NGramTable.closed(self.order, counts)
+        self._counts, self._ext = table._counts, table._ext
 
     # -- validation --------------------------------------------------------
-
-    def closure_violations(self) -> list[tuple[Gram, Count, Count]]:
-        """Contexts with count < extension sum, as (context, count, needed)."""
-        bad = []
-        for context, need in sorted(self._ext.items()):
-            have = self._counts.get(context, 0)
-            if have < need:
-                bad.append((context, have, need))
-        return bad
 
     def validate(self) -> None:
         for gram, cnt in self._counts.items():
@@ -221,9 +182,10 @@ class NGramTable:
                 raise TableError(f"gram {gram} outside orders 1..{self.order}")
             if cnt < 0:
                 raise TableError(f"negative count {cnt} for {gram}")
-        bad = self.closure_violations()
+        bad = [(context, self._counts.get(context, 0), need)
+               for context, need in self._ext.items() if self._counts.get(context, 0) < need]
         if bad:
-            context, have, need = bad[0]
+            context, have, need = min(bad)
             raise TableError(
                 f"context closure violated at {context}: count {have} < "
                 f"extension sum {need} ({len(bad)} violations)"
@@ -244,7 +206,7 @@ def load_table(path, order: int | None = None) -> NGramTable:
     Counts of repeated grams are summed.
     """
     counts: dict[Gram, Count] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path, TableError) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip():
@@ -253,7 +215,7 @@ def load_table(path, order: int | None = None) -> NGramTable:
                 raise TableError(f"{path}:{lineno}: expected 'count<TAB>tokens'")
             count_part, _, gram_part = line.partition("\t")
             try:
-                count = _exact(Fraction(count_part))
+                count = exact_count(Fraction(count_part))
             except (ValueError, ZeroDivisionError) as exc:
                 raise TableError(f"{path}:{lineno}: bad count {count_part!r}") from exc
             gram = tuple(gram_part.split())

@@ -10,7 +10,8 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Sequence
 
-from .vocab import RESERVED, ClassLexicon
+from .errors import CorpusError, open_text
+from .vocab import RESERVED, SENT_END, SENT_START, ClassLexicon
 
 NU = tuple[str, ...]
 
@@ -60,19 +61,35 @@ def normalize(lexicon: ClassLexicon, utterance: str | Sequence[str]) -> NU:
     return tuple(out)
 
 
-def normalize_corpus(lexicon: ClassLexicon, utterances: Iterable[str | Sequence[str]]) -> list[NU]:
-    return [normalize(lexicon, u) for u in utterances]
-
-
 def nu_histogram(corpus: Iterable[NU]) -> Counter:
     """Occurrence count per distinct NU; total equals the corpus size."""
     return Counter(tuple(nu) for nu in corpus)
 
 
+def reject_boundary_tags(path, lineno: int, text: str) -> None:
+    """Raise :class:`CorpusError` if raw text spells ``<s>`` or ``</s>``.
+
+    :func:`normalize` would keep the tag, counting a boundary mid-utterance.
+    Readers call this only for text containing ">", so most lines cost one
+    character search; ``<unk>`` stays allowed.
+    """
+    tokens = {token.lower() for token in tokenize(text)}
+    for tag in (SENT_START, SENT_END):
+        if tag in tokens:
+            raise CorpusError(f"{path}:{lineno}: reserved tag {tag} in the text")
+
+
 def read_corpus(path) -> list[str]:
     """One utterance per line; blank lines are skipped."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return [line.strip() for line in fh if line.strip()]
+    utterances = []
+    with open_text(path, CorpusError) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if line:
+                if ">" in line:
+                    reject_boundary_tags(path, lineno, line)
+                utterances.append(line)
+    return utterances
 
 
 def write_nu_corpus(path, nus: Iterable[NU]) -> None:

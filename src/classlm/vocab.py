@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 
-from .errors import LexiconError
+from .errors import LexiconError, open_text
 
 SENT_START = "<s>"
 SENT_END = "</s>"
@@ -106,10 +106,6 @@ class ClassLexicon:
     def max_member_words(self) -> int:
         return self._max_member_words
 
-    def is_token(self, token: str) -> bool:
-        """True if the token is a tag, a plain word, or a reserved tag."""
-        return token in self.classes or token in self.plain_words or token in RESERVED
-
     def with_plain_words(self, words: Iterable[str]) -> "ClassLexicon":
         """New lexicon with additional plain (classless) words registered."""
         return ClassLexicon(self.classes, self.plain_words | frozenset(words))
@@ -141,7 +137,7 @@ def load_lexicon(path) -> ClassLexicon:
     """
     classes: dict[str, list[str]] = {}
     owner: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path, LexiconError) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -79,14 +79,15 @@ def model_small(table_small, lexicon):
 
 @pytest.fixture()
 def model_file_without(tmp_path, model_small):
-    """Writer of model_small's file minus one unigram, header count adjusted."""
+    """Writer of model_small's file minus one gram line, header count adjusted."""
 
-    def write(token):
-        path = tmp_path / f"without-{token.strip('<>/')}.arpa"
+    def write(gram):
+        k = len(gram.split())
+        path = tmp_path / f"without-{gram.strip('<>/').replace(' ', '_')}.arpa"
         export_model(model_small, path)
         lines = path.read_text(encoding="utf-8").splitlines()
-        lines = [line for line in lines if line.split("\t")[1:2] != [token]]
-        lines = [f"ngram 1={int(line[8:]) - 1}" if line.startswith("ngram 1=") else line
+        lines = [line for line in lines if line.split("\t")[1:2] != [gram]]
+        lines = [f"ngram {k}={int(line[8:]) - 1}" if line.startswith(f"ngram {k}=") else line
                  for line in lines]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         return path

@@ -72,3 +72,41 @@ def naive_extension_sums(counts):
         if len(gram) > 1:
             sums[gram[:-1]] = sums.get(gram[:-1], 0) + count
     return sums
+
+
+def naive_merge(train_counts, grammar_counts, n, factor, weight_unknown=True):
+    """gram -> count of the generalized table, by the definition.
+
+    Top-order grams: usual ones (also generated) are scaled by ``factor``,
+    rare ones kept, unknown ones (only generated) get ``factor``, or 1 when
+    ``weight_unknown`` is off. Every shorter gram is, recursively, the larger
+    of its training count and the sum of its merged extensions.
+    """
+    top = {g: c for g, c in train_counts.items() if len(g) == n}
+    for gram in top:
+        if gram in grammar_counts:
+            top[gram] = top[gram] * factor
+    for gram in grammar_counts:
+        if len(gram) == n and gram not in top:
+            top[gram] = factor if weight_unknown else 1
+    grams = set(train_counts) | set(top)
+    grams |= {gram[:k] for gram in list(grams) for k in range(1, len(gram))}
+    children = {}
+    for gram in grams:
+        if len(gram) > 1:
+            children.setdefault(gram[:-1], []).append(gram)
+
+    merged = {}
+
+    def count(gram):
+        if gram not in merged:
+            if len(gram) == n:
+                merged[gram] = top[gram]
+            else:
+                extensions = sum(count(child) for child in children.get(gram, []))
+                merged[gram] = max(train_counts.get(gram, 0), extensions)
+        return merged[gram]
+
+    for gram in grams:
+        count(gram)
+    return merged

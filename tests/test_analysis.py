@@ -41,6 +41,26 @@ def test_read_labeled_corpus_requires_tab(tmp_path):
         read_labeled_corpus(path)
 
 
+@pytest.mark.parametrize("text", ["hello <s> roma", "to </s>.", "back to <S>"])
+def test_read_labeled_corpus_rejects_boundary_tags(tmp_path, text):
+    path = tmp_path / "tags.tsv"
+    path.write_text(f"City\tto rome\nOther\t{text}\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match=f"{path}:2: reserved tag"):
+        read_labeled_corpus(path)
+
+
+def test_read_labeled_corpus_allows_unk_and_embedded_tags(tmp_path):
+    path = tmp_path / "unk.tsv"
+    path.write_text("Other\tfrom <unk> to a<s>b\n", encoding="utf-8")
+    assert read_labeled_corpus(path) == [("Other", "from <unk> to a<s>b")]
+
+
+def test_read_labeled_corpus_drops_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.tsv"
+    path.write_text("\ufeffCity\tto rome\n", encoding="utf-8")
+    assert read_labeled_corpus(path) == [("City", "to rome")]
+
+
 def test_coverage_single_repeated_nu():
     nu = ("a", "b")
     curve = coverage_curve([nu] * 7, [nu] * 7)

@@ -7,7 +7,14 @@ from pathlib import Path
 import pytest
 
 import classlm
+from classlm.analysis import read_labeled_corpus
 from classlm.cli import main
+from classlm.errors import CorpusError, GrammarError, LexiconError, ModelError, TableError
+from classlm.grammar import parse_grammar
+from classlm.lm import import_model
+from classlm.ngrams import load_table
+from classlm.normalize import read_corpus
+from classlm.vocab import load_lexicon
 
 
 @pytest.fixture(scope="module")
@@ -180,21 +187,78 @@ def test_missing_file_is_data_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_model_without_unk_is_data_error(tmp_path, model_file_without):
-    model = model_file_without("<unk>")
-    corpus = tmp_path / "oov.txt"
-    corpus.write_text("from zzyzx to rome\n", encoding="utf-8")
+def run_data_error(*argv):
+    """stderr of ``python -m classlm argv``, which must exit 1 without a traceback."""
     src = str(Path(classlm.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run(
-        [sys.executable, "-m", "classlm", "perplexity", "--model", str(model),
-         "--corpus", str(corpus)],
+        [sys.executable, "-m", "classlm", *map(str, argv)],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
-    assert f"{model}: missing unigram for <unk>" in proc.stderr
+    return proc.stderr
+
+
+def test_model_without_unk_is_data_error(tmp_path, model_file_without):
+    model = model_file_without("<unk>")
+    corpus = tmp_path / "oov.txt"
+    corpus.write_text("from zzyzx to rome\n", encoding="utf-8")
+    stderr = run_data_error("perplexity", "--model", model, "--corpus", corpus)
+    assert f"{model}: missing unigram for <unk>" in stderr
+
+
+def test_model_without_prefix_is_data_error(tmp_path, model_file_without, model_small):
+    trigram = min(g for g in model_small.probs10 if len(g) == 3)
+    model = model_file_without(" ".join(trigram[:2]))
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("from rome to naples\n", encoding="utf-8")
+    stderr = run_data_error("perplexity", "--model", model, "--corpus", corpus)
+    assert f"{model}: 3-gram" in stderr and "has no stored prefix" in stderr
+
+
+def test_boundary_tag_in_corpus_is_data_error(tmp_path, workspace):
+    corpus = tmp_path / "tags.txt"
+    corpus.write_text("to rome\nhello <s> roma\n", encoding="utf-8")
+    stderr = run_data_error(
+        "train", "--lexicon", workspace / "lexicon.lex", "--corpus", corpus,
+        "--out", tmp_path / "m.arpa",
+    )
+    assert f"{corpus}:2: reserved tag <s>" in stderr
+    assert not (tmp_path / "m.arpa").exists()
+
+
+def test_non_utf8_corpus_is_data_error(tmp_path, workspace):
+    corpus = tmp_path / "latin1.txt"
+    corpus.write_bytes("to rome\nto cefal\u00f9\n".encode("latin-1"))
+    stderr = run_data_error(
+        "train", "--lexicon", workspace / "lexicon.lex", "--corpus", corpus,
+        "--out", tmp_path / "m.arpa",
+    )
+    assert f"{corpus}: not UTF-8 text" in stderr
+
+
+@pytest.mark.parametrize("reader,error", [
+    (load_lexicon, LexiconError),
+    (read_corpus, CorpusError),
+    (read_labeled_corpus, CorpusError),
+    (parse_grammar, GrammarError),
+    (load_table, TableError),
+    (import_model, ModelError),
+])
+def test_every_reader_rejects_non_utf8(tmp_path, reader, error):
+    path = tmp_path / "input.bin"
+    path.write_bytes(b"first line\n\xff\xfe\n")
+    with pytest.raises(error, match=f"{path}: not UTF-8 text"):
+        reader(path)
+
+
+def test_read_corpus_rejects_boundary_tags(tmp_path):
+    path = tmp_path / "tags.txt"
+    path.write_text("from <unk> to rome\n\nback </s>\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match=f"{path}:3: reserved tag </s>"):
+        read_corpus(path)
 
 
 def test_malformed_lexicon_is_data_error(tmp_path, workspace, capsys):

@@ -18,6 +18,8 @@ from classlm.lm import export_model, perplexity, train
 from classlm.ngrams import NGramTable, extract
 from classlm.vocab import ClassLexicon
 
+import oracle
+
 
 def table_of(order, entries):
     table = NGramTable(order)
@@ -84,6 +86,36 @@ def test_merge_counts_and_closure(train_entries, gram_entries, factor):
         assert merged.count(gram) == train_t.count(gram)
     for gram in part.unknown:
         assert merged.count(gram) == factor
+
+
+def assert_merge_matches_oracle(train_t, gram_t, factor, weight_unknown):
+    merged = merge_tables(train_t, gram_t, factor, weight_unknown)
+    expected = oracle.naive_merge(
+        dict(train_t), dict(gram_t), train_t.order, factor, weight_unknown
+    )
+    assert dict(merged) == expected
+    sums = oracle.naive_extension_sums(expected)
+    for gram in expected:
+        assert merged.extension_sum(gram) == sums.get(gram, 0), gram
+    merged.validate()
+
+
+@pytest.mark.parametrize("weight_unknown", [True, False])
+@pytest.mark.parametrize("factor", DEFAULT_GRID)
+def test_merge_matches_naive_oracle(table_small, table_full, grammar_table, factor, weight_unknown):
+    for train_t in (table_small, table_full):
+        assert_merge_matches_oracle(train_t, grammar_table, factor, weight_unknown)
+
+
+_corpus_strategy = st.lists(st.lists(st.sampled_from("abc"), max_size=4).map(tuple), max_size=5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_corpus_strategy, _corpus_strategy, st.sampled_from(DEFAULT_GRID), st.booleans())
+def test_merge_matches_naive_oracle_random(train_corpus, gram_corpus, factor, weight_unknown):
+    assert_merge_matches_oracle(
+        extract(train_corpus, 3), extract(gram_corpus, 3), factor, weight_unknown
+    )
 
 
 def test_merge_documented_counts():

@@ -175,6 +175,13 @@ def test_import_rejects_missing_reserved_unigram(model_file_without, token):
         import_model(bad)
 
 
+def test_import_rejects_missing_prefix(model_file_without, model_small):
+    trigram = min(g for g in model_small.probs10 if len(g) == 3)
+    bad = model_file_without(" ".join(trigram[:2]))
+    with pytest.raises(ModelError, match=f"{bad}: 3-gram .* has no stored prefix"):
+        import_model(bad)
+
+
 @pytest.mark.parametrize("field,value", [
     (0, "nan"), (0, "inf"), (0, "-inf"), (2, "nan"), (2, "inf"), (0, "0.25"),
 ])
