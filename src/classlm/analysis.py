@@ -4,8 +4,9 @@ All functions are pure over their inputs and all CSV writers emit sorted,
 repr-formatted rows, so outputs are byte-identical across runs.
 
 Labeled corpus format: ``group<TAB>utterance text`` per line, with groups
-drawn from the closed set City, Date, Time, Other. Partial training sets are
-corpus prefixes, so corpus files must preserve acquisition order.
+drawn from the closed set City, Date, Time, Other (read by
+:func:`classlm.normalize.read_corpus`). Partial training sets are corpus
+prefixes, so corpus files must preserve acquisition order.
 """
 
 from __future__ import annotations
@@ -14,38 +15,18 @@ import csv
 from dataclasses import dataclass
 from collections import Counter
 
-from .errors import CorpusError, DataError, open_text
+from .errors import CorpusError, DataError
 from .lm import PerplexityReport, perplexity, train
 from .ngrams import extract
-from .normalize import NU, normalize, nu_histogram, reject_boundary_tags
+from .normalize import NU, normalize, nu_histogram, read_corpus
 from .vocab import ClassLexicon
-
-GROUPS = ("City", "Date", "Time", "Other")
 
 LabeledNUs = list[tuple[str, NU]]
 
 
 def read_labeled_corpus(path) -> list[tuple[str, str]]:
-    """(group, raw text) rows; validates the group column and the text."""
-    rows = []
-    with open_text(path, CorpusError) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            if "\t" not in line:
-                raise CorpusError(f"{path}:{lineno}: expected 'group<TAB>utterance'")
-            group, _, text = line.partition("\t")
-            if group not in GROUPS:
-                raise CorpusError(
-                    f"{path}:{lineno}: unknown request group {group!r} "
-                    f"(expected one of {', '.join(GROUPS)})"
-                )
-            text = text.strip()
-            if ">" in text:
-                reject_boundary_tags(path, lineno, text)
-            rows.append((group, text))
-    return rows
+    """(group, raw text) rows of a labeled corpus; see :func:`read_corpus`."""
+    return read_corpus(path, labeled=True)
 
 
 def write_labeled_corpus(path, rows) -> None:

@@ -18,7 +18,7 @@ from . import analysis, generalize, grammar as grammar_mod, synth
 from .errors import DataError
 from .lm import export_model, import_model, perplexity, train
 from .ngrams import extract
-from .normalize import normalize, read_corpus, write_nu_corpus
+from .normalize import read_corpus, write_nu_corpus
 from .vocab import load_lexicon
 
 DEFAULT_GRID_TEXT = "0.5,1,2,4,8,10,16"
@@ -82,15 +82,16 @@ def _resolve_sizes(sizes: list, corpus_len: int) -> list[int]:
     return sorted(resolved)
 
 
-def _load_rows(path, labeled: bool) -> list[tuple[str, str]]:
-    """(group, text) rows; plain corpora get an empty group."""
-    if labeled:
-        return analysis.read_labeled_corpus(path)
-    return [("", text) for text in read_corpus(path)]
+def _read_nus(path, labeled: bool, lexicon) -> analysis.LabeledNUs:
+    """(group, NU) rows; plain corpora get an empty group.
 
-
-def _load_nus(path, labeled: bool, lexicon):
-    return [normalize(lexicon, text) for _, text in _load_rows(path, labeled)]
+    Without a lexicon the text is taken as already normalized: normalizing
+    it again would lowercase its class tags.
+    """
+    rows = analysis.read_labeled_corpus(path) if labeled else read_corpus(path)
+    if lexicon is None:
+        return [(group, tuple(text.split())) for group, text in rows]
+    return analysis.label_nus(lexicon, rows)
 
 
 # -- commands -----------------------------------------------------------------
@@ -114,18 +115,17 @@ def cmd_synth(args) -> int:
 
 def cmd_normalize(args) -> int:
     lexicon = load_lexicon(args.lexicon)
-    rows = _load_rows(args.corpus, args.labeled)
-    nus = [(group, normalize(lexicon, text)) for group, text in rows]
+    labeled = _read_nus(args.corpus, args.labeled, lexicon)
     if args.labeled:
-        analysis.write_labeled_corpus(args.out, [(g, " ".join(nu)) for g, nu in nus])
+        analysis.write_labeled_corpus(args.out, labeled)
     else:
-        write_nu_corpus(args.out, [nu for _, nu in nus])
+        write_nu_corpus(args.out, analysis.nus_of(labeled))
     return 0
 
 
 def cmd_train(args) -> int:
     lexicon = load_lexicon(args.lexicon)
-    nus = _load_nus(args.corpus, args.labeled, lexicon)
+    nus = analysis.nus_of(_read_nus(args.corpus, args.labeled, lexicon))
     model = train(extract(nus, args.order), lexicon)
     export_model(model, args.out)
     print(f"trained order-{args.order} model on {len(nus)} utterances -> {args.out}")
@@ -137,20 +137,14 @@ def cmd_perplexity(args) -> int:
     # normalize raw text (already-normalized corpora score as-is)
     model = import_model(args.model)
     lexicon = load_lexicon(args.lexicon) if args.lexicon else None
-    rows = _load_rows(args.corpus, args.labeled)
-    nus = []
-    groups: dict[str, list] = {}
-    for group, text in rows:
-        nu = normalize(lexicon, text) if lexicon else tuple(text.split())
-        nus.append(nu)
-        if group:
-            groups.setdefault(group, []).append(nu)
-    report = perplexity(model, nus, args.emission)
+    labeled = _read_nus(args.corpus, args.labeled, lexicon)
+    report = perplexity(model, analysis.nus_of(labeled), args.emission)
     print(
         f"pp={report.pp:.4f} tokens={report.token_count} oov={report.oov_count}"
     )
-    for group in sorted(groups):
-        sub = perplexity(model, groups[group], args.emission)
+    groups = analysis.by_group(labeled) if args.labeled else {}
+    for group, nus in sorted(groups.items()):
+        sub = perplexity(model, nus, args.emission)
         print(f"pp[{group}]={sub.pp:.4f} tokens={sub.token_count} oov={sub.oov_count}")
     return 0
 
@@ -170,28 +164,24 @@ def cmd_generate(args) -> int:
 def cmd_generalize(args) -> int:
     config = RunConfig.from_args(args)
     lexicon = load_lexicon(args.lexicon)
-    train_nus = _load_nus(args.corpus, args.labeled, lexicon)
+
+    def read_nus(path):
+        return analysis.nus_of(_read_nus(path, args.labeled, lexicon)) if path else None
+
+    train_nus = read_nus(args.corpus)
     gram = grammar_mod.parse_grammar(args.grammar)
-    test_nus = (
-        _load_nus(args.test_corpus, args.labeled, lexicon)
-        if args.test_corpus
-        else None
-    )
+    test_nus = read_nus(args.test_corpus)
     if args.mode == generalize.MODE_INJECTION:
         if args.tune_on_test:
             if test_nus is None:
                 raise UsageError("--tune-on-test requires --test-corpus")
             tuning = test_nus
         elif args.tune_corpus:
-            tuning = _load_nus(args.tune_corpus, args.labeled, lexicon)
+            tuning = read_nus(args.tune_corpus)
         else:
             raise UsageError("need --tune-corpus or --tune-on-test for the factor search")
     else:
-        tuning = (
-            _load_nus(args.tune_corpus, args.labeled, lexicon)
-            if args.tune_corpus
-            else None
-        )
+        tuning = read_nus(args.tune_corpus)
     result = generalize.build_generalized_lm(
         train_nus,
         gram,
@@ -223,10 +213,8 @@ def cmd_generalize(args) -> int:
 def cmd_analyze(args) -> int:
     config = RunConfig.from_args(args)
     lexicon = load_lexicon(args.lexicon)
-    train_rows = analysis.read_labeled_corpus(args.corpus)
-    test_rows = analysis.read_labeled_corpus(args.test_corpus)
-    labeled_train = analysis.label_nus(lexicon, train_rows)
-    labeled_test = analysis.label_nus(lexicon, test_rows)
+    labeled_train = _read_nus(args.corpus, True, lexicon)
+    labeled_test = _read_nus(args.test_corpus, True, lexicon)
     train_nus = analysis.nus_of(labeled_train)
     test_nus = analysis.nus_of(labeled_test)
     sizes = _resolve_sizes(args.sizes, len(labeled_train))

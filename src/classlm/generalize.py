@@ -57,7 +57,6 @@ class EventPartition:
 @dataclass(frozen=True)
 class BalanceFactor:
     value: Count
-    provenance: str  # "grid-searched" or "user-fixed"
     objective_pp: float | None = None
     curve: tuple[tuple[Count, float], ...] = ()
 
@@ -140,7 +139,6 @@ def tune_balance_factor(
             best, best_pp = factor, pp
     return BalanceFactor(
         value=best,
-        provenance="grid-searched",
         objective_pp=best_pp,
         curve=tuple(curve),
     )

@@ -62,12 +62,6 @@ class SentenceSet:
     def __iter__(self):
         return iter(self.sentences)
 
-    def __contains__(self, sentence) -> bool:
-        return tuple(sentence) in set(self.sentences)
-
-    def as_set(self) -> frozenset[NU]:
-        return frozenset(self.sentences)
-
 
 _TOKEN_RE = re.compile(
     r'"(?P<quoted>[^"]*)"'
@@ -228,10 +222,7 @@ def nu_coverage(sentences, nus: Iterable[NU]) -> float:
     distinct = {tuple(nu) for nu in nus}
     if not distinct:
         return 1.0
-    pool = sentences.as_set() if isinstance(sentences, SentenceSet) else {
-        tuple(s) for s in sentences
-    }
-    return len(distinct & pool) / len(distinct)
+    return len(distinct & {tuple(s) for s in sentences}) / len(distinct)
 
 
 def write_sentences(path, sentences: SentenceSet) -> None:

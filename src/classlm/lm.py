@@ -91,10 +91,6 @@ class ClassNGramLM:
             f"vocab={len(self.vocab)})"
         )
 
-    def score_nu(self, nu: NU, emission: bool = False) -> tuple[float, int, int]:
-        """(total log10 prob, scored token count, oov count) for one NU."""
-        return self.scorer().score_utterance(tuple(nu), emission)
-
 
 def train(table: NGramTable, lexicon: ClassLexicon) -> ClassNGramLM:
     """Estimate a model from a closure-valid count table.
@@ -162,7 +158,7 @@ def train(table: NGramTable, lexicon: ClassLexicon) -> ClassNGramLM:
 
 def log_prob(model: ClassNGramLM, nu: NU, emission: bool = False) -> float:
     """Natural-log probability of an NU (end tag scored, start padding not)."""
-    total10, _, _ = model.score_nu(nu, emission)
+    total10, _, _ = model.scorer().score_utterance(nu, emission)
     return total10 * LN10
 
 

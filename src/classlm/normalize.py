@@ -3,6 +3,8 @@
 A normalized utterance (NU) is a token tuple in which every maximal run of
 tokens matching a class member has been replaced by the class tag. NUs are
 the unit of identity for all frequency analyses.
+
+Corpus files, plain and labeled, are read here too (:func:`read_corpus`).
 """
 
 from __future__ import annotations
@@ -14,6 +16,9 @@ from .errors import CorpusError, open_text
 from .vocab import RESERVED, SENT_END, SENT_START, ClassLexicon
 
 NU = tuple[str, ...]
+
+# request groups of a labeled corpus
+GROUPS = ("City", "Date", "Time", "Other")
 
 _PUNCT = str.maketrans({c: " " for c in ".,;:!?"})
 
@@ -79,17 +84,31 @@ def reject_boundary_tags(path, lineno: int, text: str) -> None:
             raise CorpusError(f"{path}:{lineno}: reserved tag {tag} in the text")
 
 
-def read_corpus(path) -> list[str]:
-    """One utterance per line; blank lines are skipped."""
-    utterances = []
+def read_corpus(path, labeled: bool = False) -> list[tuple[str, str]]:
+    """(group, text) rows, one per line; the group is ``""`` for plain corpora.
+
+    Labeled lines are ``group<TAB>text`` with a group from :data:`GROUPS`. In
+    both formats a row whose text is blank is skipped.
+    """
+    rows = []
     with open_text(path, CorpusError) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if line:
-                if ">" in line:
-                    reject_boundary_tags(path, lineno, line)
-                utterances.append(line)
-    return utterances
+        for lineno, line in enumerate(fh, start=1):
+            group = ""
+            if labeled and line.strip():
+                if "\t" not in line:
+                    raise CorpusError(f"{path}:{lineno}: expected 'group<TAB>utterance'")
+                group, _, line = line.partition("\t")
+                if group not in GROUPS:
+                    raise CorpusError(
+                        f"{path}:{lineno}: unknown request group {group!r} "
+                        f"(expected one of {', '.join(GROUPS)})"
+                    )
+            text = line.strip()
+            if text:
+                if ">" in text:
+                    reject_boundary_tags(path, lineno, text)
+                rows.append((group, text))
+    return rows
 
 
 def write_nu_corpus(path, nus: Iterable[NU]) -> None:

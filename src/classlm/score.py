@@ -1,7 +1,8 @@
-"""The backoff scoring pipeline.
+"""Backoff scoring of normalized utterances against a model's log10 tables.
 
-A scorer owns the whole per-utterance pipeline: unknown-token substitution,
-boundary padding, and the backoff walk over the model's log10 tables.
+:meth:`Scorer.score_utterance` is the one scoring path: it maps tokens
+outside the vocabulary to the unknown tag, pads the utterance with start
+tags and an end tag, and walks the backoff tables position by position.
 """
 
 from __future__ import annotations
@@ -12,36 +13,6 @@ from .vocab import SENT_END, SENT_START, UNK
 # read by the benchmark manifest; there is no compiled kernel
 def extension_available() -> bool:
     return False
-
-
-def score_padded(tokens, order, probs10, bows10, emis10, emission):
-    """Sum log10 probabilities of positions order-1 .. end of a padded tuple.
-
-    Every scored token must have a unigram entry in ``probs10``; the caller
-    maps out-of-vocabulary tokens to the unknown tag first.
-    """
-    total = 0.0
-    for i in range(order - 1, len(tokens)):
-        acc = 0.0
-        start = i - order + 1
-        while True:
-            gram = tokens[start : i + 1]
-            prob = probs10.get(gram)
-            if prob is not None:
-                total += acc + prob
-                break
-            if start == i:
-                # unigram miss: token outside the model vocabulary
-                raise KeyError(tokens[i])
-            bow = bows10.get(gram[:-1])
-            if bow is not None:
-                acc += bow
-            start += 1
-        if emission:
-            emit = emis10.get(tokens[i])
-            if emit is not None:
-                total += emit
-    return total
 
 
 class Scorer:
@@ -58,24 +29,42 @@ class Scorer:
         self.vocab = vocab
         self._lead = (SENT_START,) * (order - 1)
 
-    def logprob10_padded(self, padded: tuple[str, ...], emission: bool) -> float:
-        """Total log10 probability of the scored positions of a padded tuple."""
-        return score_padded(
-            padded, self.order, self._probs10, self._bows10, self._emis10, emission
-        )
+    def score_utterance(self, nu, emission: bool) -> tuple[float, int, int]:
+        """(log10 total, scored token count, oov count) for one utterance.
 
-    def map_oov(self, nu) -> tuple[tuple[str, ...], int]:
-        """Replace tokens outside the vocabulary with the unknown tag."""
+        The end tag is scored, the start padding is not. Raises
+        :class:`KeyError` for a token without a unigram, which only a model
+        lacking the ``<unk>`` unigram can reach.
+        """
         vocab = self.vocab
         mapped = tuple(t if t in vocab else UNK for t in nu)
         oov = sum(1 for t in nu if t not in vocab) if UNK in mapped else 0
-        return mapped, oov
-
-    def score_utterance(self, nu, emission: bool) -> tuple[float, int, int]:
-        """(log10 total, scored token count, oov count) for one utterance."""
-        mapped, oov = self.map_oov(nu)
-        total10 = self.logprob10_padded(self._lead + mapped + (SENT_END,), emission)
-        return total10, len(mapped) + 1, oov
+        tokens = self._lead + mapped + (SENT_END,)
+        order = self.order
+        probs10, bows10, emis10 = self._probs10, self._bows10, self._emis10
+        total = 0.0
+        for i in range(order - 1, len(tokens)):
+            acc = 0.0
+            start = i - order + 1
+            while True:
+                gram = tokens[start : i + 1]
+                prob = probs10.get(gram)
+                if prob is not None:
+                    total += acc + prob
+                    break
+                if start == i:
+                    # unigram miss; without this check start would pass i
+                    # and the empty slices after it would loop forever
+                    raise KeyError(tokens[i])
+                bow = bows10.get(gram[:-1])
+                if bow is not None:
+                    acc += bow
+                start += 1
+            if emission:
+                emit = emis10.get(tokens[i])
+                if emit is not None:
+                    total += emit
+        return total, len(mapped) + 1, oov
 
     # read by the benchmark's tracer, which wraps it by this name and signature
     def score_corpus(self, nus, emission: bool) -> tuple[float, int, int]:

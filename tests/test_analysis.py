@@ -23,7 +23,7 @@ from classlm.lm import perplexity
 
 def test_read_labeled_corpus(tmp_path):
     path = tmp_path / "corpus.tsv"
-    path.write_text("City\tfrom naples\n\nTime\tat five\n", encoding="utf-8")
+    path.write_text("City\tfrom naples\n\nOther\t   \nTime\tat five\n", encoding="utf-8")
     assert read_labeled_corpus(path) == [("City", "from naples"), ("Time", "at five")]
 
 

@@ -1,15 +1,19 @@
 import filecmp
+import functools
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import classlm
 from classlm.analysis import read_labeled_corpus
 from classlm.cli import main
-from classlm.errors import CorpusError, GrammarError, LexiconError, ModelError, TableError
+from classlm.errors import (
+    CorpusError, DataError, GrammarError, LexiconError, ModelError, TableError,
+)
 from classlm.grammar import parse_grammar
 from classlm.lm import import_model
 from classlm.ngrams import load_table
@@ -239,14 +243,20 @@ def test_non_utf8_corpus_is_data_error(tmp_path, workspace):
     assert f"{corpus}: not UTF-8 text" in stderr
 
 
-@pytest.mark.parametrize("reader,error", [
+# every reader of user files, with the DataError subclass it raises
+READERS = [
     (load_lexicon, LexiconError),
     (read_corpus, CorpusError),
+    pytest.param(functools.partial(read_corpus, labeled=True), CorpusError,
+                 id="read_corpus_labeled-CorpusError"),
     (read_labeled_corpus, CorpusError),
     (parse_grammar, GrammarError),
     (load_table, TableError),
     (import_model, ModelError),
-])
+]
+
+
+@pytest.mark.parametrize("reader,error", READERS)
 def test_every_reader_rejects_non_utf8(tmp_path, reader, error):
     path = tmp_path / "input.bin"
     path.write_bytes(b"first line\n\xff\xfe\n")
@@ -254,11 +264,47 @@ def test_every_reader_rejects_non_utf8(tmp_path, reader, error):
         reader(path)
 
 
+# pieces of every file format, so random text reaches past the first check
+_FRAGMENTS = st.sampled_from([
+    "\n", "\t", " ", "#", ":", ";", "|", "->", '"', "/", ".", "-", "0", "1", "-0.5",
+    "7/2", "nan", "inf", "City", "Other", "Weather", "CITY-NAME", "rome", "<s>",
+    "</s>", "<unk>", "start", "S", "\\data\\", "ngram 1=", "ngram 2=",
+    "\\class-sizes:", "\\1-grams:", "\\2-grams:", "\\end\\",
+    "# classlm model format v1", "3\tto rome\n", "-0.5\t<s>\t-0.3\n", "-0.5\t</s>\n",
+    "-0.5\t<unk>\n", "start S;\n", 'S -> "a" B | ;\n', "CITY-NAME: rome\n",
+])
+_TEXT = st.lists(st.one_of(_FRAGMENTS, st.text(max_size=3)), max_size=40).map("".join)
+
+
+@pytest.mark.parametrize("reader,error", READERS)
+@settings(max_examples=60, deadline=None)
+@given(text=_TEXT)
+def test_every_reader_returns_or_raises_data_error(tmp_path_factory, reader, error, text):
+    path = tmp_path_factory.mktemp("fuzz") / "input.txt"
+    path.write_text(text, encoding="utf-8")
+    try:
+        reader(path)
+    except DataError as exc:
+        assert isinstance(exc, error)
+
+
 def test_read_corpus_rejects_boundary_tags(tmp_path):
     path = tmp_path / "tags.txt"
     path.write_text("from <unk> to rome\n\nback </s>\n", encoding="utf-8")
     with pytest.raises(CorpusError, match=f"{path}:3: reserved tag </s>"):
         read_corpus(path)
+
+
+def test_blank_labeled_row_trains_like_plain_corpus(tmp_path, workspace):
+    labeled = tmp_path / "labeled.tsv"
+    labeled.write_text("City\tto rome\nOther\t   \nTime\tat five\n", encoding="utf-8")
+    plain = tmp_path / "plain.txt"
+    plain.write_text("to rome\n   \nat five\n", encoding="utf-8")
+    lexicon = str(workspace / "lexicon.lex")
+    for corpus, flags in ((labeled, ["--labeled"]), (plain, [])):
+        assert main(["train", "--lexicon", lexicon, "--corpus", str(corpus),
+                     "--out", str(tmp_path / f"{corpus.stem}.arpa"), *flags]) == 0
+    assert (tmp_path / "labeled.arpa").read_bytes() == (tmp_path / "plain.arpa").read_bytes()
 
 
 def test_malformed_lexicon_is_data_error(tmp_path, workspace, capsys):

@@ -173,7 +173,6 @@ def test_tune_singleton_grid():
     gram_t = extract([("x", "y")], 2)
     result = tune_balance_factor(train_t, gram_t, [("x", "y")], [1], lexicon)
     assert result.value == 1
-    assert result.provenance == "grid-searched"
     assert len(result.curve) == 1
     assert result.objective_pp == result.curve[0][1]
 

@@ -1,4 +1,4 @@
-from classlm.analysis import GROUPS
+from classlm.normalize import GROUPS
 from classlm.grammar import parse_grammar_text
 from classlm.synth import (
     SynthConfig,
