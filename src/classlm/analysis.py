@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from collections import Counter
 
 from .errors import CorpusError, DataError
 from .lm import PerplexityReport, perplexity, train
@@ -167,14 +166,11 @@ def saturation_table(
     row is non-decreasing because partial sets are prefixes.
     """
     sizes = check_sizes(sizes, len(labeled_corpus))
-    full_counts: dict[str, Counter] = {}
-    for group, nu in labeled_corpus:
-        full_counts.setdefault(group, Counter())[nu] += 1
     frequent = {
-        group: {nu for nu, c in counts.items() if c > min_count}
-        for group, counts in full_counts.items()
+        group: {nu for nu, c in nu_histogram(nus).items() if c > min_count}
+        for group, nus in by_group(labeled_corpus).items()
     }
-    table: dict[str, list[int]] = {group: [] for group in sorted(full_counts)}
+    table: dict[str, list[int]] = {group: [] for group in sorted(frequent)}
     for size in sizes:
         present: dict[str, set] = {group: set() for group in table}
         for group, nu in labeled_corpus[:size]:

@@ -10,15 +10,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 from . import analysis, generalize, grammar as grammar_mod, synth
 from .errors import DataError
 from .lm import export_model, import_model, perplexity, train
-from .ngrams import extract
-from .normalize import read_corpus, write_nu_corpus
+from .ngrams import extract, parse_count
+from .normalize import read_corpus
 from .vocab import load_lexicon
 
 DEFAULT_GRID_TEXT = "0.5,1,2,4,8,10,16"
@@ -28,27 +26,18 @@ class UsageError(Exception):
     """Bad flag combination; maps to exit code 2 like argparse errors."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    out_dir: Path
-    fmt: str
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        out_dir = Path(
-            getattr(args, "out_dir", None)
-            or os.environ.get("CLASSLM_OUTDIR")
-            or "."
-        )
-        out_dir.mkdir(parents=True, exist_ok=True)
-        return cls(out_dir=out_dir, fmt=getattr(args, "format", "csv"))
+def _out_dir(args) -> Path:
+    """--out-dir, else $CLASSLM_OUTDIR, else the working directory; created."""
+    out_dir = Path(args.out_dir or os.environ.get("CLASSLM_OUTDIR") or ".")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
 
 
-def _grid_arg(text: str) -> list[Fraction]:
-    """argparse type for --grid; syntax errors exit 2."""
+def _grid_arg(text: str) -> list:
+    """argparse type for --grid: counts (see :func:`parse_count`); errors exit 2."""
     try:
-        grid = [Fraction(part.strip()) for part in text.split(",") if part.strip()]
-    except (ValueError, ZeroDivisionError) as exc:
+        grid = [parse_count(part) for part in text.split(",") if part.strip()]
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad grid value in {text!r}") from exc
     if not grid:
         raise argparse.ArgumentTypeError("empty balance-factor grid")
@@ -98,18 +87,15 @@ def _read_nus(path, labeled: bool, lexicon) -> analysis.LabeledNUs:
 
 
 def cmd_synth(args) -> int:
-    config = RunConfig.from_args(args)
+    out_dir = _out_dir(args)
     world = synth.generate_world(synth.SynthConfig(size=args.size, seed=args.seed))
-    world.lexicon.save(config.out_dir / "lexicon.lex")
-    (config.out_dir / "grammar.bnf").write_text(world.grammar_text, encoding="utf-8")
-    analysis.write_labeled_corpus(config.out_dir / "corpus.tsv", world.labeled_rows)
+    world.lexicon.save(out_dir / "lexicon.lex")
+    (out_dir / "grammar.bnf").write_text(world.grammar_text, encoding="utf-8")
+    analysis.write_labeled_corpus(out_dir / "corpus.tsv", world.labeled_rows)
     names = ("corpus_train.tsv", "corpus_tune.tsv", "corpus_test.tsv")
     for name, rows in zip(names, world.splits()):
-        analysis.write_labeled_corpus(config.out_dir / name, rows)
-    print(
-        f"wrote {len(world.labeled_rows)} utterances "
-        f"(seed {args.seed}) to {config.out_dir}"
-    )
+        analysis.write_labeled_corpus(out_dir / name, rows)
+    print(f"wrote {len(world.labeled_rows)} utterances (seed {args.seed}) to {out_dir}")
     return 0
 
 
@@ -119,7 +105,7 @@ def cmd_normalize(args) -> int:
     if args.labeled:
         analysis.write_labeled_corpus(args.out, labeled)
     else:
-        write_nu_corpus(args.out, analysis.nus_of(labeled))
+        grammar_mod.write_sentences(args.out, analysis.nus_of(labeled))
     return 0
 
 
@@ -162,7 +148,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_generalize(args) -> int:
-    config = RunConfig.from_args(args)
+    out_dir = _out_dir(args)
     lexicon = load_lexicon(args.lexicon)
 
     def read_nus(path):
@@ -196,9 +182,9 @@ def cmd_generalize(args) -> int:
         mode=args.mode,
         weight_unknown=not args.unweighted_unknown,
     )
-    export_model(result.model, config.out_dir / "model.arpa")
-    export_model(result.baseline, config.out_dir / "baseline.arpa")
-    written = generalize.write_report(result, config.out_dir, config.fmt)
+    export_model(result.model, out_dir / "model.arpa")
+    export_model(result.baseline, out_dir / "baseline.arpa")
+    written = generalize.write_report(result, out_dir, args.format)
     summary = result.report_fields()
     print(
         "events used={used} rare={rare} unknown={unknown} "
@@ -211,35 +197,35 @@ def cmd_generalize(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    config = RunConfig.from_args(args)
+    out_dir = _out_dir(args)
     lexicon = load_lexicon(args.lexicon)
     labeled_train = _read_nus(args.corpus, True, lexicon)
     labeled_test = _read_nus(args.test_corpus, True, lexicon)
     train_nus = analysis.nus_of(labeled_train)
     test_nus = analysis.nus_of(labeled_test)
     sizes = _resolve_sizes(args.sizes, len(labeled_train))
-    fmt = config.fmt
+    fmt = args.format
 
     curve_train = analysis.coverage_curve(train_nus, train_nus)
     curve_test = analysis.coverage_curve(train_nus, test_nus)
-    analysis.write_coverage_csv(config.out_dir / f"coverage_train.{fmt}", curve_train, fmt)
-    analysis.write_coverage_csv(config.out_dir / f"coverage_test.{fmt}", curve_test, fmt)
+    analysis.write_coverage_csv(out_dir / f"coverage_train.{fmt}", curve_train, fmt)
+    analysis.write_coverage_csv(out_dir / f"coverage_test.{fmt}", curve_test, fmt)
 
     sweep = analysis.partial_training_sweep(
         labeled_train, sizes, labeled_test, lexicon, args.order, args.emission
     )
-    analysis.write_sweep_csv(config.out_dir / f"pp_sweep.{fmt}", sweep, fmt)
+    analysis.write_sweep_csv(out_dir / f"pp_sweep.{fmt}", sweep, fmt)
 
     table = analysis.saturation_table(labeled_train, sizes, args.min_count)
-    analysis.write_saturation_csv(config.out_dir / f"saturation.{fmt}", sizes, table, fmt)
+    analysis.write_saturation_csv(out_dir / f"saturation.{fmt}", sizes, table, fmt)
 
     overlap = analysis.frequency_overlap(labeled_train, labeled_test, args.threshold)
-    analysis.write_overlap_csv(config.out_dir / f"frequency_overlap.{fmt}", overlap, fmt)
+    analysis.write_overlap_csv(out_dir / f"frequency_overlap.{fmt}", overlap, fmt)
 
     split = analysis.unseen_split(train_nus, test_nus)
-    analysis.write_unseen_csv(config.out_dir / f"unseen_split.{fmt}", split, fmt)
+    analysis.write_unseen_csv(out_dir / f"unseen_split.{fmt}", split, fmt)
 
-    print(f"wrote analysis tables to {config.out_dir}")
+    print(f"wrote analysis tables to {out_dir}")
     return 0
 
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .analysis import write_csv
 from .errors import DataError, TableError
-from .grammar import Grammar, SentenceSet, generate
+from .grammar import Grammar, generate
 from .lm import ClassNGramLM, perplexity, train
 from .ngrams import Count, Gram, NGramTable, exact_count, extract
 from .normalize import NU, normalize
@@ -41,7 +41,6 @@ DEFAULT_GRID: tuple[Count, ...] = (Fraction(1, 2), 1, 2, 4, 8, 10, 16)
 
 @dataclass(frozen=True)
 class EventPartition:
-    order: int
     usual: frozenset[Gram]
     rare: frozenset[Gram]
     unknown: frozenset[Gram]
@@ -72,7 +71,6 @@ def classify_events(
     train_grams = train_table.gram_set(n)
     grammar_grams = grammar_table.gram_set(n)
     return EventPartition(
-        order=n,
         usual=train_grams & grammar_grams,
         rare=train_grams - grammar_grams,
         unknown=grammar_grams - train_grams,
@@ -152,12 +150,10 @@ def naive_sentence_table(train_nus: list[NU], sentence_nus: list[NU], n: int) ->
 @dataclass
 class GeneralizationResult:
     mode: str
-    order: int
     model: ClassNGramLM
     baseline: ClassNGramLM
     partition: EventPartition
     balance_factor: BalanceFactor | None
-    sentences: SentenceSet
     sentence_nus: list[NU]
     # evaluation corpus label -> (baseline pp, generalized pp)
     perplexities: dict[str, tuple[float, float]]
@@ -228,12 +224,10 @@ def build_generalized_lm(
 
     return GeneralizationResult(
         mode=mode,
-        order=n,
         model=model,
         baseline=baseline,
         partition=partition,
         balance_factor=factor,
-        sentences=sentences,
         sentence_nus=sentence_nus,
         perplexities=perplexities,
     )

@@ -44,10 +44,6 @@ class Grammar:
     productions: dict[str, tuple[Alternative, ...]]
     recursive: frozenset[str] = field(default_factory=frozenset)
 
-    @property
-    def nonterminals(self) -> frozenset[str]:
-        return frozenset(self.productions)
-
 
 @dataclass(frozen=True)
 class SentenceSet:
@@ -179,42 +175,63 @@ def generate(grammar: Grammar, max_depth: int, max_sentences: int) -> SentenceSe
 
     The truncated flag is set exactly when a bound pruned something: a
     nonterminal expansion past max_depth, or a distinct sentence beyond
-    max_sentences.
+    max_sentences. Past that bound, the sentences kept are the first
+    max_sentences distinct ones in derivation order (leftmost alternative
+    first, leftmost item varying slowest).
+
+    Each (nonterminal, depth) is expanded once into its distinct strings in
+    first-derivation order, and every list stops at ``max_sentences + 1``
+    strings, so the work grows with the pairs of distinct strings joined,
+    not with the number of derivations. The cut loses nothing: with a fixed tail, distinct heads
+    give distinct strings, and with a fixed head, distinct tails do, so the
+    first k strings of a concatenation or a union need only the first k
+    strings of each part. An alternative stops at its first empty item;
+    the items after it are never expanded.
     """
     if max_depth < 1 or max_sentences < 1:
         raise GrammarError("generation bounds must be positive")
-    truncated = False
+    cap = max_sentences + 1
+    # (name, depth) -> (distinct strings, whether a bound pruned something)
+    memo: dict[tuple[str, int], tuple[list[NU], bool]] = {}
 
-    def expand_nt(name: str, depth: int):
-        nonlocal truncated
+    def expand(name: str, depth: int) -> tuple[list[NU], bool]:
         if depth > max_depth:
-            truncated = True
-            return
-        for alt in grammar.productions[name]:
-            yield from expand_items(alt, depth)
+            return [], True
+        key = (name, depth)
+        if key not in memo:
+            strings: dict[NU, None] = {}
+            truncated = False
+            for alt in grammar.productions[name]:
+                product: list[NU] = [()]
+                for item in alt:
+                    if isinstance(item, Terminal):
+                        product = [head + item.tokens for head in product]
+                        continue
+                    tails, cut = expand(item, depth + 1)
+                    truncated |= cut
+                    product = _concat(product, tails, cap)
+                    if not product:
+                        break
+                strings.update(dict.fromkeys(product))
+                if len(strings) >= cap:
+                    break
+            strings_list = list(strings)[:cap]
+            memo[key] = strings_list, truncated or len(strings_list) == cap
+        return memo[key]
 
-    def expand_items(items: Alternative, depth: int):
-        if not items:
-            yield ()
-            return
-        head, rest = items[0], items[1:]
-        if isinstance(head, Terminal):
-            for tail in expand_items(rest, depth):
-                yield head.tokens + tail
-        else:
-            for first in expand_nt(head, depth + 1):
-                for tail in expand_items(rest, depth):
-                    yield first + tail
+    strings, truncated = expand(grammar.start, 1)
+    return SentenceSet(tuple(sorted(strings[:max_sentences])), truncated)
 
-    collected: set[NU] = set()
-    for sentence in expand_nt(grammar.start, 1):
-        if sentence in collected:
-            continue
-        if len(collected) >= max_sentences:
-            truncated = True
-            break
-        collected.add(sentence)
-    return SentenceSet(tuple(sorted(collected)), truncated)
+
+def _concat(heads: list[NU], tails: list[NU], cap: int) -> list[NU]:
+    """First ``cap`` distinct head + tail strings, heads varying slowest."""
+    out: dict[NU, None] = {}
+    for head in heads:
+        for tail in tails:
+            out[head + tail] = None
+            if len(out) == cap:
+                return list(out)
+    return list(out)
 
 
 def nu_coverage(sentences, nus: Iterable[NU]) -> float:
@@ -225,7 +242,8 @@ def nu_coverage(sentences, nus: Iterable[NU]) -> float:
     return len(distinct & {tuple(s) for s in sentences}) / len(distinct)
 
 
-def write_sentences(path, sentences: SentenceSet) -> None:
+def write_sentences(path, sentences: Iterable[NU]) -> None:
+    """Write one sentence or NU per line, tokens joined by spaces."""
     with open(path, "w", encoding="utf-8") as fh:
         for sentence in sentences:
             fh.write(" ".join(sentence) + "\n")

@@ -14,8 +14,8 @@ distinct extension types:
 
 which sums to one exactly over the vocabulary at every context. The unigram
 level interpolates with the uniform distribution over the closed vocabulary
-(lexicon tags and plain words, training tokens, and the boundary/unknown
-tags), which is what gives the unknown tag its mass.
+(lexicon tags, training tokens, and the boundary/unknown tags), which is what
+gives the unknown tag its mass.
 
 Class tags emit their member words with equal probability, so word-level
 scores add log(1/class_size) per tag occurrence; class-level scores skip
@@ -97,7 +97,8 @@ def train(table: NGramTable, lexicon: ClassLexicon) -> ClassNGramLM:
 
     Levels are built bottom-up so each conditional can interpolate with the
     already-smoothed lower level. Counts may be fractional (rescaled
-    tables); type counts are always integers.
+    tables); type counts are always integers. Raises :class:`ModelError`
+    when a context's count mass does not fit a float.
     """
     table.validate()
     unigram_counts = {g[0]: c for g, c in table if len(g) == 1 and c > 0}
@@ -107,12 +108,7 @@ def train(table: NGramTable, lexicon: ClassLexicon) -> ClassNGramLM:
     # injected grams can mention tokens that never occur as unigrams, so the
     # closed vocabulary collects tokens from every gram position
     table_tokens = {token for gram, _ in table for token in gram}
-    vocab = sorted(
-        table_tokens
-        | set(lexicon.tags)
-        | set(lexicon.plain_words)
-        | {SENT_START, SENT_END, UNK}
-    )
+    vocab = sorted(table_tokens | set(lexicon.tags) | {SENT_START, SENT_END, UNK})
     raw: dict[Gram, float] = {}
     raw_bow: dict[Gram, float] = {}
 
@@ -144,7 +140,12 @@ def train(table: NGramTable, lexicon: ClassLexicon) -> ClassNGramLM:
             events = sorted(groups[context])
             mass = sum(count for _, count in events)
             types = len(events)
-            scale = float(mass + types)
+            try:
+                scale = float(mass + types)
+            except OverflowError as exc:
+                raise ModelError(
+                    f"counts of context {' '.join(context)!r} sum past the float range"
+                ) from exc
             raw_bow[context] = float(Fraction(types) / (mass + types))
             for word, count in events:
                 p_low = lookup(context[1:], word)

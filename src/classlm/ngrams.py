@@ -6,8 +6,8 @@ is that every context can pay for its extensions::
     count(c) >= sum over w of count(c + (w,))
 
 Every table is built by :meth:`NGramTable.from_counts`, which stores the
-counts and computes the extension sums in one pass; :func:`extract` satisfies
-the invariant by construction. Every edit (:meth:`NGramTable.inject`,
+non-zero counts; :func:`extract` satisfies the invariant by construction and
+:meth:`NGramTable.validate` checks it. Every edit (:meth:`NGramTable.inject`,
 :meth:`NGramTable.scale`, :func:`classlm.generalize.merge_tables`) goes
 through the one repair rule, :meth:`NGramTable.closed`: a violated context is
 raised exactly to the sum of its extensions, never higher, so the empirical
@@ -20,6 +20,7 @@ as ints.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Callable, Collection, Iterable, Iterator, Mapping
 from fractions import Fraction
 
@@ -40,41 +41,54 @@ def exact_count(value) -> Count:
     return value.numerator if value.denominator == 1 else value
 
 
+_COUNT_RE = re.compile(r"[0-9]+(?:/[0-9]+|\.[0-9]+)?")
+
+
+def parse_count(text: str) -> Count:
+    """Exact count written as digits, optionally followed by ``/digits`` or
+    ``.digits``, whose value fits a float.
+
+    Raises ValueError otherwise: signs and exponents are not count syntax,
+    and a value past the float range could not be trained on.
+    """
+    text = text.strip()
+    if not _COUNT_RE.fullmatch(text):
+        raise ValueError(f"bad count {text!r}")
+    try:
+        count = exact_count(Fraction(text))
+        float(count)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"bad count {text!r}") from exc
+    return count
+
+
 class NGramTable:
     """Multiset of grams of lengths 1..order with exact counts.
 
     Single writer; treat as frozen once it is handed to a trainer.
     """
 
-    __slots__ = ("order", "_counts", "_ext")
+    __slots__ = ("order", "_counts")
 
     def __init__(self, order: int):
         if order < 1:
             raise TableError(f"order must be >= 1, got {order}")
         self.order = order
         self._counts: dict[Gram, Count] = {}
-        # context -> sum of extension counts, computed by from_counts
-        self._ext: dict[Gram, Count] = {}
 
     @classmethod
     def from_counts(cls, order: int, counts: Mapping[Gram, Count]) -> "NGramTable":
         """Table holding the non-zero ``counts``, in their iteration order.
 
-        Extension sums are computed in the same pass; no closure repair is
-        done, so callers holding outside data call :meth:`validate`.
+        No closure repair is done, so callers holding outside data call
+        :meth:`validate`.
         """
         table = cls(order)
         stored = table._counts
-        ext: dict[Gram, Count] = {}
         for gram, count in counts.items():
             count = exact_count(count)
-            if not count:
-                continue
-            stored[gram] = count
-            if len(gram) > 1:
-                prefix = gram[:-1]
-                ext[prefix] = ext.get(prefix, 0) + count
-        table._ext = {context: exact_count(total) for context, total in ext.items() if total}
+            if count:
+                stored[gram] = count
         return table
 
     @classmethod
@@ -102,9 +116,6 @@ class NGramTable:
 
     def count(self, gram: Gram) -> Count:
         return self._counts.get(tuple(gram), 0)
-
-    def extension_sum(self, context: Gram) -> Count:
-        return self._ext.get(tuple(context), 0)
 
     def __len__(self) -> int:
         return len(self._counts)
@@ -153,8 +164,7 @@ class NGramTable:
             return
         counts = dict(self._counts)
         counts[gram] = counts.get(gram, 0) + count
-        table = NGramTable.closed(self.order, counts)
-        self._counts, self._ext = table._counts, table._ext
+        self._counts = NGramTable.closed(self.order, counts)._counts
 
     def scale(self, factor, selector: Callable[[Gram], bool] | Collection[Gram] | None = None) -> None:
         """Multiply selected gram counts by a positive factor, then repair.
@@ -171,24 +181,29 @@ class NGramTable:
             return
         counts = {g: c * factor if selector is None or selector(g) else c
                   for g, c in self._counts.items()}
-        table = NGramTable.closed(self.order, counts)
-        self._counts, self._ext = table._counts, table._ext
+        self._counts = NGramTable.closed(self.order, counts)._counts
 
     # -- validation --------------------------------------------------------
 
     def validate(self) -> None:
+        """Raise :class:`TableError` on a bad gram length, a negative count, or
+        a context whose count is below the sum of its extensions."""
+        need: dict[Gram, Count] = {}
         for gram, cnt in self._counts.items():
             if not 1 <= len(gram) <= self.order:
                 raise TableError(f"gram {gram} outside orders 1..{self.order}")
             if cnt < 0:
                 raise TableError(f"negative count {cnt} for {gram}")
-        bad = [(context, self._counts.get(context, 0), need)
-               for context, need in self._ext.items() if self._counts.get(context, 0) < need]
+            if len(gram) > 1:
+                need[gram[:-1]] = need.get(gram[:-1], 0) + cnt
+        counts = self._counts
+        bad = [(context, counts.get(context, 0), total)
+               for context, total in need.items() if counts.get(context, 0) < total]
         if bad:
-            context, have, need = min(bad)
+            context, have, total = min(bad)
             raise TableError(
                 f"context closure violated at {context}: count {have} < "
-                f"extension sum {need} ({len(bad)} violations)"
+                f"extension sum {total} ({len(bad)} violations)"
             )
 
     # -- persistence -------------------------------------------------------
@@ -215,9 +230,9 @@ def load_table(path, order: int | None = None) -> NGramTable:
                 raise TableError(f"{path}:{lineno}: expected 'count<TAB>tokens'")
             count_part, _, gram_part = line.partition("\t")
             try:
-                count = exact_count(Fraction(count_part))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise TableError(f"{path}:{lineno}: bad count {count_part!r}") from exc
+                count = parse_count(count_part)
+            except ValueError as exc:
+                raise TableError(f"{path}:{lineno}: {exc}") from exc
             gram = tuple(gram_part.split())
             if not gram:
                 raise TableError(f"{path}:{lineno}: empty gram")

@@ -109,9 +109,3 @@ def read_corpus(path, labeled: bool = False) -> list[tuple[str, str]]:
                     reject_boundary_tags(path, lineno, text)
                 rows.append((group, text))
     return rows
-
-
-def write_nu_corpus(path, nus: Iterable[NU]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for nu in nus:
-            fh.write(" ".join(nu) + "\n")

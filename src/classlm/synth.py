@@ -253,22 +253,21 @@ def grammar_text() -> str:
 # -- corpus sampling -----------------------------------------------------------
 
 
+TRAIN_FRAC = 0.8
+TUNE_FRAC = 0.1
+# group -> (sampling weight, Zipf exponent of its template choice); the order
+# City, Date, Time is the order the seeded draws see. A smaller exponent means
+# a flatter template choice, so higher NU variety.
+GROUP_SAMPLING = {"City": (0.45, 1.45), "Date": (0.25, 1.8), "Time": (0.30, 0.8)}
+FILLER_RATE = 0.06
+FILLER_EXPONENT = 2.0
+NOISE_RATE = 0.02
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     size: int = 5000
     seed: int = 7
-    train_frac: float = 0.8
-    tune_frac: float = 0.1
-    group_weights: tuple[tuple[str, float], ...] = (
-        ("City", 0.45), ("Date", 0.25), ("Time", 0.30),
-    )
-    # smaller exponent = flatter template choice = higher NU variety
-    zipf_exponents: tuple[tuple[str, float], ...] = (
-        ("City", 1.45), ("Date", 1.8), ("Time", 0.8),
-    )
-    filler_rate: float = 0.06
-    filler_exponent: float = 2.0
-    noise_rate: float = 0.02
 
 
 @dataclass
@@ -280,8 +279,8 @@ class SynthWorld:
 
     def splits(self) -> tuple[list, list, list]:
         """(train, tune, test) rows; prefixes preserve acquisition order."""
-        n_train = int(len(self.labeled_rows) * self.config.train_frac)
-        n_tune = int(len(self.labeled_rows) * self.config.tune_frac)
+        n_train = int(len(self.labeled_rows) * TRAIN_FRAC)
+        n_tune = int(len(self.labeled_rows) * TUNE_FRAC)
         return (
             self.labeled_rows[:n_train],
             self.labeled_rows[n_train : n_train + n_tune],
@@ -297,13 +296,13 @@ def generate_world(config: SynthConfig = SynthConfig()) -> SynthWorld:
     rng = random.Random(config.seed)
     lexicon = build_lexicon()
     members = {tag: sorted(lexicon.classes[tag]) for tag in lexicon.classes}
-    groups = [g for g, _ in config.group_weights]
-    g_weights = [w for _, w in config.group_weights]
-    exponents = dict(config.zipf_exponents)
+    groups = list(GROUP_SAMPLING)
+    g_weights = [weight for weight, _ in GROUP_SAMPLING.values()]
     t_weights = {
-        g: _zipf_weights(len(GROUP_TEMPLATES[g]), exponents[g]) for g in groups
+        g: _zipf_weights(len(GROUP_TEMPLATES[g]), exponent)
+        for g, (_, exponent) in GROUP_SAMPLING.items()
     }
-    f_weights = _zipf_weights(len(FILLERS), config.filler_exponent)
+    f_weights = _zipf_weights(len(FILLERS), FILLER_EXPONENT)
 
     def fill(template: str) -> str:
         out = []
@@ -317,14 +316,14 @@ def generate_world(config: SynthConfig = SynthConfig()) -> SynthWorld:
     rows = []
     for _ in range(config.size):
         group = rng.choices(groups, weights=g_weights)[0]
-        if rng.random() < config.noise_rate:
+        if rng.random() < NOISE_RATE:
             text = rng.choice(NOISE_UTTERANCES)
         else:
             template = rng.choices(
                 GROUP_TEMPLATES[group], weights=t_weights[group]
             )[0]
             text = fill(template)
-            if rng.random() < config.filler_rate:
+            if rng.random() < FILLER_RATE:
                 filler = rng.choices(FILLERS, weights=f_weights)[0]
                 text = f"{filler} {text}"
         rows.append((group, text))

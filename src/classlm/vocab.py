@@ -25,27 +25,20 @@ class ClassLexicon:
     """Immutable word-class inventory.
 
     Every word belongs to at most one class; class member sets are pairwise
-    disjoint and non-empty, and tags, plain words, and the reserved boundary
+    disjoint and non-empty, and member words, tags and the reserved boundary
     tags are pairwise disjoint as token strings.
     """
 
-    def __init__(
-        self,
-        classes: Mapping[str, Iterable[str]],
-        plain_words: Iterable[str] = (),
-    ):
+    def __init__(self, classes: Mapping[str, Iterable[str]]):
         self.classes: dict[str, frozenset[str]] = {
             tag: frozenset(members) for tag, members in classes.items()
         }
-        self.plain_words: frozenset[str] = frozenset(plain_words)
         self._validate()
-        # member word -> tag, plus word-tuple -> tag for multi-word matching
-        self._tag_of: dict[str, str] = {}
+        # member split at "_" -> tag; one-word members are 1-tuples
         self._seq_tag: dict[tuple[str, ...], str] = {}
         self._max_member_words = 1
         for tag in sorted(self.classes):
             for member in self.classes[tag]:
-                self._tag_of[member] = tag
                 parts = tuple(member.split("_"))
                 self._seq_tag[parts] = tag
                 if len(parts) > self._max_member_words:
@@ -77,21 +70,14 @@ class ClassLexicon:
                         f"word {word!r} appears in classes {seen[word]} and {tag}"
                     )
                 seen[word] = tag
-        for word in self.plain_words:
-            if word in RESERVED or word in self.classes:
-                raise LexiconError(f"plain word {word!r} collides with a tag")
-            if word in seen:
-                raise LexiconError(
-                    f"plain word {word!r} is already a member of class {seen[word]}"
-                )
 
     @property
     def tags(self) -> frozenset[str]:
         return frozenset(self.classes)
 
     def class_of(self, word: str) -> str | None:
-        """Tag of the class containing ``word``, or None for plain/unknown words."""
-        return self._tag_of.get(word.lower())
+        """Tag of the class containing ``word``, or None for classless words."""
+        return self._seq_tag.get(tuple(word.lower().split("_")))
 
     def class_size(self, tag: str) -> int:
         if tag not in self.classes:
@@ -106,19 +92,15 @@ class ClassLexicon:
     def max_member_words(self) -> int:
         return self._max_member_words
 
-    def with_plain_words(self, words: Iterable[str]) -> "ClassLexicon":
-        """New lexicon with additional plain (classless) words registered."""
-        return ClassLexicon(self.classes, self.plain_words | frozenset(words))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ClassLexicon):
             return NotImplemented
-        return self.classes == other.classes and self.plain_words == other.plain_words
+        return self.classes == other.classes
 
     def __repr__(self) -> str:
         return (
             f"ClassLexicon({len(self.classes)} classes, "
-            f"{len(self._tag_of)} classed words)"
+            f"{len(self._seq_tag)} classed words)"
         )
 
     def save(self, path) -> None:

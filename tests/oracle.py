@@ -2,12 +2,15 @@
 
 The scorers re-derive probabilities by the textbook chain rule, recursively,
 in the raw probability domain, reading only the model's stored tables. The
-counter enumerates every padded window gram by gram. They deliberately share
-no code with the package's scoring loop or table internals.
+counter enumerates every padded window gram by gram. The grammar generator
+enumerates every derivation lazily. They deliberately share no code with the
+package's scoring loop, table internals or memoized generation.
 """
 
 import math
 
+from classlm.errors import GrammarError
+from classlm.grammar import SentenceSet, Terminal
 from classlm.vocab import SENT_END, SENT_START, UNK
 
 LN10 = math.log(10.0)
@@ -110,3 +113,44 @@ def naive_merge(train_counts, grammar_counts, n, factor, weight_unknown=True):
     for gram in grams:
         count(gram)
     return merged
+
+
+def naive_generate(grammar, max_depth, max_sentences):
+    """Every derivation up to max_depth, enumerated lazily one by one.
+
+    Exponential in the grammar's ambiguity; only for small grammars.
+    """
+    if max_depth < 1 or max_sentences < 1:
+        raise GrammarError("generation bounds must be positive")
+    truncated = False
+
+    def expand_nt(name, depth):
+        nonlocal truncated
+        if depth > max_depth:
+            truncated = True
+            return
+        for alt in grammar.productions[name]:
+            yield from expand_items(alt, depth)
+
+    def expand_items(items, depth):
+        if not items:
+            yield ()
+            return
+        head, rest = items[0], items[1:]
+        if isinstance(head, Terminal):
+            for tail in expand_items(rest, depth):
+                yield head.tokens + tail
+        else:
+            for first in expand_nt(head, depth + 1):
+                for tail in expand_items(rest, depth):
+                    yield first + tail
+
+    collected = set()
+    for sentence in expand_nt(grammar.start, 1):
+        if sentence in collected:
+            continue
+        if len(collected) >= max_sentences:
+            truncated = True
+            break
+        collected.add(sentence)
+    return SentenceSet(tuple(sorted(collected)), truncated)

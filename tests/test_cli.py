@@ -191,8 +191,8 @@ def test_missing_file_is_data_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def run_data_error(*argv):
-    """stderr of ``python -m classlm argv``, which must exit 1 without a traceback."""
+def run_cli(*argv):
+    """``python -m classlm argv`` in a subprocess; it must not print a traceback."""
     src = str(Path(classlm.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
@@ -200,9 +200,50 @@ def run_data_error(*argv):
         [sys.executable, "-m", "classlm", *map(str, argv)],
         capture_output=True, text=True, env=env, timeout=60,
     )
-    assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
+    return proc
+
+
+def run_data_error(*argv):
+    """stderr of ``python -m classlm argv``, which must exit 1 without a traceback."""
+    proc = run_cli(*argv)
+    assert proc.returncode == 1
     return proc.stderr
+
+
+def test_ambiguous_grammar_generates_quickly(tmp_path):
+    grammar = tmp_path / "ambiguous.bnf"
+    grammar.write_text('start S; S -> A A A A A A A A; A -> A A | "x" | ;\n',
+                       encoding="utf-8")
+    out = tmp_path / "sentences.txt"
+    proc = run_cli("generate", "--grammar", grammar, "--max-depth", "6", "--out", out)
+    assert proc.returncode == 0
+    assert proc.stdout.endswith(f"generated 129 sentences (truncated) -> {out}\n")
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 129
+
+
+def test_balance_factor_past_float_range_is_data_error(tmp_path, workspace):
+    # 1e307 fits a float, but a context seen 18 times or more sums past it
+    stderr = run_data_error(
+        "generalize", "--lexicon", workspace / "lexicon.lex",
+        "--corpus", workspace / "corpus_train.tsv", "--labeled",
+        "--grammar", workspace / "grammar.bnf",
+        "--tune-corpus", workspace / "corpus_tune.tsv",
+        "--grid", "1" + "0" * 307, "--out-dir", tmp_path / "gen",
+    )
+    assert "sum past the float range" in stderr
+
+
+def test_grid_in_exponent_notation_exits_two(tmp_path, workspace):
+    proc = run_cli(
+        "generalize", "--lexicon", workspace / "lexicon.lex",
+        "--corpus", workspace / "corpus_train.tsv", "--labeled",
+        "--grammar", workspace / "grammar.bnf",
+        "--tune-corpus", workspace / "corpus_tune.tsv",
+        "--grid", "1e400", "--out-dir", tmp_path / "gen",
+    )
+    assert proc.returncode == 2
+    assert "bad grid value" in proc.stderr
 
 
 def test_model_without_unk_is_data_error(tmp_path, model_file_without):

@@ -94,9 +94,6 @@ def assert_merge_matches_oracle(train_t, gram_t, factor, weight_unknown):
         dict(train_t), dict(gram_t), train_t.order, factor, weight_unknown
     )
     assert dict(merged) == expected
-    sums = oracle.naive_extension_sums(expected)
-    for gram in expected:
-        assert merged.extension_sum(gram) == sums.get(gram, 0), gram
     merged.validate()
 
 

@@ -1,13 +1,17 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from classlm.errors import GrammarError
 from classlm.grammar import (
+    Grammar,
     Terminal,
     generate,
     nu_coverage,
     parse_grammar_text,
     write_sentences,
 )
+
+import oracle
 
 GOLDEN_COVERAGE = 0.9507462686567164  # bundled grammar vs bundled corpus, frozen
 
@@ -127,6 +131,44 @@ def test_generation_deterministic(tmp_path, grammar_obj):
     write_sentences(a, first)
     write_sentences(b, second)
     assert a.read_bytes() == b.read_bytes()
+
+
+@st.composite
+def _small_grammars(draw):
+    """Up to 3 nonterminals, each with 1-3 alternatives of at most 2 items."""
+    names = ["S", "A", "B"][: draw(st.integers(min_value=1, max_value=3))]
+    item = st.one_of(
+        st.sampled_from(["a", "b", ""]).map(lambda t: Terminal(tuple(t.split()))),
+        st.sampled_from(names),
+    )
+    alternative = st.lists(item, max_size=2).map(tuple)
+    productions = {
+        name: tuple(draw(st.lists(alternative, min_size=1, max_size=3)))
+        for name in names
+    }
+    return Grammar(start="S", productions=productions)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _small_grammars(),
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from([1, 2, 3, 10, 1000]),
+)
+def test_generate_matches_naive_enumeration(grammar, max_depth, max_sentences):
+    expected = oracle.naive_generate(grammar, max_depth, max_sentences)
+    result = generate(grammar, max_depth, max_sentences)
+    assert result.sentences == expected.sentences
+    assert result.truncated == expected.truncated
+
+
+def test_ambiguous_grammar_stops_at_max_sentences():
+    # exponentially many derivations; every list stops at 11 distinct strings,
+    # and derivation order takes "A -> A A" first, so the longest come first
+    grammar = parse_grammar_text('start S; S -> A A A A A A A A; A -> A A | "x" | ;')
+    result = generate(grammar, 12, 10)
+    assert result.sentences == tuple(("x",) * k for k in range(8183, 8193))
+    assert result == oracle.naive_generate(grammar, 12, 10)
 
 
 def test_dedup_is_a_set_property():

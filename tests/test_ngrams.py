@@ -49,12 +49,7 @@ def test_extract_total_matches_naive_recount(splits):
 
 def assert_matches_oracle(corpus, n):
     table = extract(corpus, n)
-    counts = oracle.naive_extract(corpus, n)
-    sums = oracle.naive_extension_sums(counts)
-    assert dict(table) == counts
-    # every context with an extension is itself a counted gram
-    for gram in counts:
-        assert table.extension_sum(gram) == sums.get(gram, 0), gram
+    assert dict(table) == oracle.naive_extract(corpus, n)
     table.validate()
 
 
@@ -181,11 +176,23 @@ def test_load_errors(tmp_path):
     bad.write_text("3 a b\n", encoding="utf-8")  # missing tab
     with pytest.raises(TableError):
         load_table(bad)
+    bad.write_text("1\ta\n3/2\ta b\n1/2\ta c\n2\tb\n1\tc\n", encoding="utf-8")
+    with pytest.raises(TableError, match=r"closure violated at \('a',\): count 1 < "
+                       r"extension sum 2 \(1 violations\)"):
+        load_table(bad)
     empty = tmp_path / "empty.tsv"
     empty.write_text("", encoding="utf-8")
     with pytest.raises(TableError):
         load_table(empty)
     assert load_table(empty, order=2).order == 2
+
+
+@pytest.mark.parametrize("count", ["1e400", "1e2000000", "-1", "1" + "0" * 400, "1/0"])
+def test_load_rejects_counts_outside_the_syntax_or_float_range(tmp_path, count):
+    path = tmp_path / "huge.tsv"
+    path.write_text(f"1\ta\n{count}\ta\n", encoding="utf-8")
+    with pytest.raises(TableError, match=f"{path}:2: bad count"):
+        load_table(path)
 
 
 def test_load_sums_duplicate_lines(tmp_path):
@@ -194,7 +201,6 @@ def test_load_sums_duplicate_lines(tmp_path):
     table = load_table(path)
     assert dict(table) == {("a",): 3, ("a", "b"): 1, ("b",): 3}
     assert isinstance(table.count(("a",)), int)
-    assert table.extension_sum(("a",)) == 1
 
 
 # -- randomized closure property ------------------------------------------------
@@ -233,6 +239,7 @@ def test_closure_invariant_under_random_operations(corpus, operations):
             table.scale(factor, selector=lambda g, k=length: len(g) == k)
         table.validate()
         # the repair raises a context to its extension sum and never higher
+        sums = oracle.naive_extension_sums(dict(table))
         for gram in set(edited) | set(g for g, _ in table):
-            expected = max(edited.get(gram, 0), table.extension_sum(gram))
+            expected = max(edited.get(gram, 0), sums.get(gram, 0))
             assert table.count(gram) == expected, gram

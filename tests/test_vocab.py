@@ -98,13 +98,6 @@ def test_member_tag_collision_rejected():
         ClassLexicon({"A": {"b"}, "b": {"c"}})
 
 
-def test_plain_word_collisions_rejected():
-    with pytest.raises(LexiconError):
-        ClassLexicon({"A": {"x"}}, plain_words={"x"})
-    lex = ClassLexicon({"A": {"x"}}, plain_words={"y"})
-    assert lex.with_plain_words({"z"}).plain_words == {"y", "z"}
-
-
 def test_round_trip(tmp_path, lexicon):
     path = tmp_path / "out.lex"
     lexicon.save(path)
