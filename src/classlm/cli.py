@@ -19,9 +19,6 @@ from .ngrams import extract, parse_count
 from .normalize import read_corpus
 from .vocab import load_lexicon
 
-DEFAULT_GRID_TEXT = "0.5,1,2,4,8,10,16"
-
-
 class UsageError(Exception):
     """Bad flag combination; maps to exit code 2 like argparse errors."""
 
@@ -157,17 +154,9 @@ def cmd_generalize(args) -> int:
     train_nus = read_nus(args.corpus)
     gram = grammar_mod.parse_grammar(args.grammar)
     test_nus = read_nus(args.test_corpus)
-    if args.mode == generalize.MODE_INJECTION:
-        if args.tune_on_test:
-            if test_nus is None:
-                raise UsageError("--tune-on-test requires --test-corpus")
-            tuning = test_nus
-        elif args.tune_corpus:
-            tuning = read_nus(args.tune_corpus)
-        else:
-            raise UsageError("need --tune-corpus or --tune-on-test for the factor search")
-    else:
-        tuning = read_nus(args.tune_corpus)
+    if args.mode == generalize.MODE_INJECTION and not args.tune_corpus:
+        raise UsageError("need --tune-corpus for the factor search")
+    tuning = read_nus(args.tune_corpus)
     result = generalize.build_generalized_lm(
         train_nus,
         gram,
@@ -296,12 +285,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--grammar", required=True)
     p.add_argument("--order", "-n", type=int, default=3)
-    p.add_argument("--grid", type=_grid_arg, default=DEFAULT_GRID_TEXT,
+    p.add_argument("--grid", type=_grid_arg, default=list(generalize.DEFAULT_GRID),
                    help="comma-separated balance-factor candidates")
     p.add_argument("--tune-corpus")
     p.add_argument("--test-corpus")
-    p.add_argument("--tune-on-test", action="store_true",
-                   help="tune the factor on the test corpus")
     p.add_argument("--mode", choices=(generalize.MODE_INJECTION, generalize.MODE_NAIVE),
                    default=generalize.MODE_INJECTION)
     p.add_argument("--emission", action="store_true")

@@ -14,7 +14,9 @@ class DataError(Exception):
 
 
 class LexiconError(DataError):
-    pass
+    def __init__(self, message: str, tag: str | None = None):
+        super().__init__(message)
+        self.tag = tag  # the class at fault, if any
 
 
 class CorpusError(DataError):

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from collections.abc import Iterable
+from collections.abc import Generator, Iterable
 
 from .errors import GrammarError, open_text
 from .normalize import NU
@@ -36,6 +36,7 @@ class Terminal:
 
 
 Alternative = tuple[object, ...]  # items are Terminal or nonterminal name (str)
+Expansion = tuple[list[NU], bool]  # distinct strings, whether a bound cut any
 
 
 @dataclass(frozen=True)
@@ -149,12 +150,17 @@ def parse_grammar(path) -> Grammar:
         return parse_grammar_text(fh.read(), source=str(path))
 
 
-def _recursive_set(productions: dict[str, tuple[Alternative, ...]]) -> frozenset[str]:
-    """Nonterminals that can reach themselves (flagged, not forbidden)."""
-    edges: dict[str, set[str]] = {
+def _uses(productions: dict[str, tuple[Alternative, ...]]) -> dict[str, set[str]]:
+    """The nonterminals that each nonterminal's alternatives name."""
+    return {
         lhs: {item for alt in alts for item in alt if isinstance(item, str)}
         for lhs, alts in productions.items()
     }
+
+
+def _recursive_set(productions: dict[str, tuple[Alternative, ...]]) -> frozenset[str]:
+    """Nonterminals that can reach themselves (flagged, not forbidden)."""
+    edges = _uses(productions)
     recursive = set()
     for origin in edges:
         seen: set[str] = set()
@@ -179,48 +185,63 @@ def generate(grammar: Grammar, max_depth: int, max_sentences: int) -> SentenceSe
     max_sentences distinct ones in derivation order (leftmost alternative
     first, leftmost item varying slowest).
 
-    Each (nonterminal, depth) is expanded once into its distinct strings in
-    first-derivation order, and every list stops at ``max_sentences + 1``
-    strings, so the work grows with the pairs of distinct strings joined,
-    not with the number of derivations. The cut loses nothing: with a fixed tail, distinct heads
-    give distinct strings, and with a fixed head, distinct tails do, so the
-    first k strings of a concatenation or a union need only the first k
-    strings of each part. An alternative stops at its first empty item;
-    the items after it are never expanded.
+    Without recursion, an explicit stack of :func:`_expand` frames expands
+    each (nonterminal, depth) the derivation reaches once, and drops it when
+    every nonterminal naming it is done one level up. Each list of distinct
+    strings stops at ``max_sentences + 1``; that loses nothing, since with a
+    fixed tail distinct heads give distinct strings and with a fixed head
+    distinct tails do.
     """
     if max_depth < 1 or max_sentences < 1:
         raise GrammarError("generation bounds must be positive")
     cap = max_sentences + 1
-    # (name, depth) -> (distinct strings, whether a bound pruned something)
-    memo: dict[tuple[str, int], tuple[list[NU], bool]] = {}
-
-    def expand(name: str, depth: int) -> tuple[list[NU], bool]:
-        if depth > max_depth:
-            return [], True
-        key = (name, depth)
-        if key not in memo:
-            strings: dict[NU, None] = {}
-            truncated = False
-            for alt in grammar.productions[name]:
-                product: list[NU] = [()]
-                for item in alt:
-                    if isinstance(item, Terminal):
-                        product = [head + item.tokens for head in product]
-                        continue
-                    tails, cut = expand(item, depth + 1)
-                    truncated |= cut
-                    product = _concat(product, tails, cap)
-                    if not product:
-                        break
-                strings.update(dict.fromkeys(product))
-                if len(strings) >= cap:
-                    break
-            strings_list = list(strings)[:cap]
-            memo[key] = strings_list, truncated or len(strings_list) == cap
-        return memo[key]
-
-    strings, truncated = expand(grammar.start, 1)
+    children = _uses(grammar.productions)
+    parents = {name: {u for u, used in children.items() if name in used} for name in children}
+    done: dict[tuple[str, int], Expansion] = {}
+    stack = [(grammar.start, 1, _expand(grammar.productions[grammar.start], cap))]
+    reply: Expansion | None = None
+    while stack:
+        name, depth, frame = stack[-1]
+        try:
+            item = frame.send(reply)
+        except StopIteration as finished:
+            reply = done[name, depth] = finished.value
+            stack.pop()
+            for child in children[name]:
+                if all((parent, depth) in done for parent in parents[child]):
+                    done.pop((child, depth + 1), None)
+            continue
+        reply = ([], True) if depth == max_depth else done.get((item, depth + 1))
+        if reply is None:
+            stack.append((item, depth + 1, _expand(grammar.productions[item], cap)))
+    strings, truncated = reply
     return SentenceSet(tuple(sorted(strings[:max_sentences])), truncated)
+
+
+def _expand(alts: tuple[Alternative, ...], cap: int) -> Generator[str, Expansion, Expansion]:
+    """First ``cap`` distinct strings of ``alts``, and whether a bound cut any.
+
+    Yields each nonterminal it reaches and is sent that nonterminal's
+    expansion one level deeper. An alternative stops at its first empty item.
+    """
+    strings: dict[NU, None] = {}
+    truncated = False
+    for alt in alts:
+        product: list[NU] = [()]
+        for item in alt:
+            if isinstance(item, Terminal):
+                product = [head + item.tokens for head in product]
+                continue
+            tails, cut = yield item
+            truncated |= cut
+            product = _concat(product, tails, cap)
+            if not product:
+                break
+        strings.update(dict.fromkeys(product))
+        if len(strings) >= cap:
+            break
+    strings_list = list(strings)[:cap]
+    return strings_list, truncated or len(strings_list) == cap
 
 
 def _concat(heads: list[NU], tails: list[NU], cap: int) -> list[NU]:

@@ -11,7 +11,7 @@ comments.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Collection, Container, Iterable, Mapping
 
 from .errors import LexiconError, open_text
 
@@ -30,10 +30,12 @@ class ClassLexicon:
     """
 
     def __init__(self, classes: Mapping[str, Iterable[str]]):
-        self.classes: dict[str, frozenset[str]] = {
-            tag: frozenset(members) for tag, members in classes.items()
-        }
-        self._validate()
+        self.classes: dict[str, frozenset[str]] = {}
+        seen: dict[str, str] = {}
+        for tag, members in classes.items():
+            members = tuple(members)
+            check_class(tag, members, classes, seen)
+            self.classes[tag] = frozenset(members)
         # member split at "_" -> tag; one-word members are 1-tuples
         self._seq_tag: dict[tuple[str, ...], str] = {}
         self._max_member_words = 1
@@ -43,33 +45,6 @@ class ClassLexicon:
                 self._seq_tag[parts] = tag
                 if len(parts) > self._max_member_words:
                     self._max_member_words = len(parts)
-
-    def _validate(self) -> None:
-        seen: dict[str, str] = {}
-        for tag in sorted(self.classes):
-            if not tag or tag.split() != [tag]:
-                raise LexiconError(f"invalid class tag {tag!r}")
-            if tag in RESERVED:
-                raise LexiconError(f"class tag {tag!r} collides with a reserved tag")
-            members = self.classes[tag]
-            if not members:
-                raise LexiconError(f"class {tag} is empty")
-            for word in members:
-                if not word or word.split() != [word]:
-                    raise LexiconError(f"invalid member {word!r} in class {tag}")
-                if word in RESERVED:
-                    raise LexiconError(
-                        f"reserved tag {word!r} cannot be a member of class {tag}"
-                    )
-                if word in self.classes:
-                    raise LexiconError(
-                        f"word {word!r} in class {tag} collides with a class tag"
-                    )
-                if word in seen:
-                    raise LexiconError(
-                        f"word {word!r} appears in classes {seen[word]} and {tag}"
-                    )
-                seen[word] = tag
 
     @property
     def tags(self) -> frozenset[str]:
@@ -110,15 +85,41 @@ class ClassLexicon:
                 fh.write(f"{tag}: {members}\n")
 
 
+def check_class(
+    tag: str, members: Collection[str], tags: Container[str], seen: dict[str, str]
+) -> None:
+    """Raise a :class:`LexiconError` carrying ``tag`` if the class is invalid.
+
+    ``tags`` holds every tag of the lexicon; ``seen`` maps the members of the
+    classes checked so far to their class, and gains this class's members.
+    """
+    if not tag or tag.split() != [tag]:
+        raise LexiconError(f"invalid class tag {tag!r}", tag)
+    if tag in RESERVED:
+        raise LexiconError(f"class tag {tag!r} collides with a reserved tag", tag)
+    if not members:
+        raise LexiconError(f"class {tag} is empty", tag)
+    for word in members:
+        if not word or word.split() != [word]:
+            raise LexiconError(f"invalid member {word!r} in class {tag}", tag)
+        if word in RESERVED:
+            raise LexiconError(f"reserved tag {word!r} cannot be a member of class {tag}", tag)
+        if word in tags:
+            raise LexiconError(f"word {word!r} in class {tag} collides with a class tag", tag)
+        if seen.setdefault(word, tag) != tag:
+            raise LexiconError(f"word {word!r} appears in classes {seen[word]} and {tag}", tag)
+
+
 def load_lexicon(path) -> ClassLexicon:
     """Parse a lexicon file.
 
     Tags are uppercased and member words lowercased on load. Raises
-    :class:`LexiconError` (with the offending line number) on malformed
-    lines, duplicate classes, duplicate members, or empty classes.
+    :class:`LexiconError`, prefixed with the path and line number, on
+    malformed lines, duplicate classes, and classes that fail
+    :func:`check_class` (run by :class:`ClassLexicon`, in file order).
     """
     classes: dict[str, list[str]] = {}
-    owner: dict[str, str] = {}
+    line_of: dict[str, int] = {}
     with open_text(path, LexiconError) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -128,23 +129,11 @@ def load_lexicon(path) -> ClassLexicon:
                 raise LexiconError(f"{path}:{lineno}: expected 'TAG: member ...'")
             tag_part, _, member_part = line.partition(":")
             tag = tag_part.strip().upper()
-            if not tag or len(tag.split()) != 1:
-                raise LexiconError(f"{path}:{lineno}: invalid class tag {tag_part.strip()!r}")
             if tag in classes:
                 raise LexiconError(f"{path}:{lineno}: duplicate class {tag}")
-            members = [w.lower() for w in member_part.split()]
-            if not members:
-                raise LexiconError(f"{path}:{lineno}: class {tag} is empty")
-            for word in members:
-                if word in owner and owner[word] != tag:
-                    raise LexiconError(
-                        f"{path}:{lineno}: word {word!r} appears in classes "
-                        f"{owner[word]} and {tag}"
-                    )
-                owner[word] = tag
-            classes[tag] = members
+            classes[tag] = [w.lower() for w in member_part.split()]
+            line_of[tag] = lineno
     try:
         return ClassLexicon(classes)
     except LexiconError as exc:
-        raise LexiconError(f"{path}: {exc}") from exc
-
+        raise LexiconError(f"{path}:{line_of[exc.tag]}: {exc}") from exc

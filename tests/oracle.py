@@ -4,7 +4,7 @@ The scorers re-derive probabilities by the textbook chain rule, recursively,
 in the raw probability domain, reading only the model's stored tables. The
 counter enumerates every padded window gram by gram. The grammar generator
 enumerates every derivation lazily. They deliberately share no code with the
-package's scoring loop, table internals or memoized generation.
+package's scoring loop, table internals or stack-driven generation.
 """
 
 import math

@@ -1,6 +1,7 @@
 import filecmp
 import functools
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -131,14 +132,18 @@ def test_generalize_naive_mode(tmp_path, workspace):
 
 def test_generalize_tune_on_test(tmp_path, workspace):
     out = tmp_path / "tot"
+    test_corpus = str(workspace / "corpus_test.tsv")
     assert main([
         "generalize", "--lexicon", str(workspace / "lexicon.lex"),
         "--corpus", str(workspace / "corpus_tune.tsv"),
         "--grammar", str(workspace / "grammar.bnf"), "--labeled",
-        "--tune-on-test", "--test-corpus", str(workspace / "corpus_test.tsv"),
+        "--tune-corpus", test_corpus, "--test-corpus", test_corpus,
         "--grid", "1,2", "--out-dir", str(out),
     ]) == 0
     assert (out / "model.arpa").exists()
+    lines = (out / "pp.csv").read_text(encoding="utf-8").splitlines()
+    rows = dict(line.split(",", 1) for line in lines)
+    assert rows["tuning"] == rows["test"]
 
 
 def test_analyze_outputs_deterministic(tmp_path, workspace):
@@ -191,14 +196,14 @@ def test_missing_file_is_data_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def run_cli(*argv):
+def run_cli(*argv, cwd=None, timeout=60):
     """``python -m classlm argv`` in a subprocess; it must not print a traceback."""
     src = str(Path(classlm.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run(
         [sys.executable, "-m", "classlm", *map(str, argv)],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=env, timeout=timeout, cwd=cwd,
     )
     assert "Traceback" not in proc.stderr
     return proc
@@ -220,6 +225,37 @@ def test_ambiguous_grammar_generates_quickly(tmp_path):
     assert proc.returncode == 0
     assert proc.stdout.endswith(f"generated 129 sentences (truncated) -> {out}\n")
     assert len(out.read_text(encoding="utf-8").splitlines()) == 129
+
+
+def test_deep_left_recursion_generates_without_traceback(tmp_path):
+    grammar = tmp_path / "left.bnf"
+    grammar.write_text('start S; S -> S "a" | "a";\n', encoding="utf-8")
+    out = tmp_path / "sentences.txt"
+    proc = run_cli("generate", "--grammar", grammar, "--max-depth", "5000",
+                   "--max-sentences", "10", "--out", out)
+    assert proc.returncode == 0
+    assert proc.stdout.endswith(f"generated 10 sentences (truncated) -> {out}\n")
+    lengths = sorted(len(line.split()) for line in out.read_text(encoding="utf-8").splitlines())
+    assert lengths == list(range(4991, 5001))
+
+
+# T alone takes minutes at the default --max-depth 12, so it must never be
+# expanded: an empty Z stops its alternative, or B's 1,000 strings fill the cap.
+@pytest.mark.parametrize("text,argv,count", [
+    ('start S; S -> "a" | Z T; Z -> Z; T -> A A A A A A A A; A -> A A | "x" | ;\n',
+     [], 1),
+    ('start S; S -> B | T; B -> C C C; C -> "0" | "1" | "2" | "3" | "4" | "5" | "6" | "7"'
+     ' | "8" | "9"; T -> A A A A A A A A; A -> A A | "x" | ;\n', ["--max-sentences", "999"], 999),
+], ids=["empty-item", "cap-filled"])
+def test_generate_skips_what_the_derivation_never_reaches(tmp_path, text, argv, count):
+    grammar = tmp_path / "skip.bnf"
+    grammar.write_text(text, encoding="utf-8")
+    out = tmp_path / "sentences.txt"
+    proc = run_cli("generate", "--grammar", grammar, *argv, "--out", out, timeout=20)
+    assert proc.returncode == 0
+    assert proc.stdout.endswith(f"generated {count} sentences (truncated) -> {out}\n")
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == count and "x" not in " ".join(lines).split()
 
 
 def test_balance_factor_past_float_range_is_data_error(tmp_path, workspace):
@@ -329,6 +365,82 @@ def test_every_reader_returns_or_raises_data_error(tmp_path_factory, reader, err
         assert isinstance(exc, error)
 
 
+@pytest.fixture(scope="module")
+def fuzz_bundle(workspace, tmp_path_factory):
+    """The CLI bundle plus a model trained on its tuning split."""
+    bundle = tmp_path_factory.mktemp("fuzz") / "bundle"
+    shutil.copytree(workspace, bundle)
+    assert main(["train", "--lexicon", str(bundle / "lexicon.lex"), "--labeled",
+                 "--corpus", str(bundle / "corpus_tune.tsv"),
+                 "--out", str(bundle / "model.arpa")]) == 0
+    return bundle
+
+
+# (bundle file to mutate, command run in a copy of the bundle)
+FUZZ_CASES = [
+    ("lexicon.lex", "normalize --lexicon lexicon.lex --corpus corpus_test.tsv --labeled "
+                    "--out out.tsv"),
+    ("lexicon.lex", "train --lexicon lexicon.lex --corpus corpus_tune.tsv --labeled "
+                    "--out out.arpa"),
+    ("grammar.bnf", "generate --grammar grammar.bnf --max-depth 8 --out out.txt"),
+    ("grammar.bnf", "generalize --lexicon lexicon.lex --corpus corpus_tune.tsv --labeled "
+                    "--grammar grammar.bnf --tune-corpus corpus_test.tsv --grid 1,2 "
+                    "--out-dir out"),
+    ("corpus_tune.tsv", "train --lexicon lexicon.lex --corpus corpus_tune.tsv --labeled "
+                        "--out out.arpa"),
+    ("corpus_tune.tsv", "analyze --lexicon lexicon.lex --corpus corpus_tune.tsv "
+                        "--test-corpus corpus_test.tsv --sizes 10,all --out-dir out"),
+    ("model.arpa", "perplexity --model model.arpa --corpus corpus_test.tsv "
+                   "--lexicon lexicon.lex --labeled --emission"),
+]
+_EDITS = st.lists(st.tuples(
+    st.sampled_from(["drop", "duplicate", "swap", "truncate", "change", "insert"]),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+    st.one_of(st.sampled_from(b'\n\t :;|"#-./019'), st.integers(0, 255)),
+), min_size=1, max_size=3)
+
+
+def mutate(data: bytes, edits) -> bytes:
+    """Apply (kind, i, j, byte) edits: drop, duplicate or swap lines i and j,
+    or truncate at, change or insert ``byte`` at position i."""
+    for kind, i, j, byte in edits:
+        lines = data.splitlines(keepends=True)
+        if kind in ("drop", "duplicate", "swap"):
+            if not lines:
+                continue
+            i, j = i % len(lines), j % len(lines)
+            if kind == "drop":
+                del lines[i]
+            elif kind == "duplicate":
+                lines.insert(i, lines[i])
+            else:
+                lines[i], lines[j] = lines[j], lines[i]
+            data = b"".join(lines)
+            continue
+        i %= len(data) + 1
+        if kind == "truncate":
+            data = data[:i]
+        elif kind == "change":
+            data = data[:i] + bytes([byte]) + data[i + 1:]
+        else:
+            data = data[:i] + bytes([byte]) + data[i:]
+    return data
+
+
+@pytest.mark.parametrize("name,command", FUZZ_CASES,
+                         ids=[f"{name}-{command.split()[0]}" for name, command in FUZZ_CASES])
+@settings(max_examples=8, deadline=None)
+@given(edits=_EDITS)
+def test_cli_on_mutated_bundle_file(fuzz_bundle, tmp_path_factory, name, command, edits):
+    bundle = tmp_path_factory.mktemp("mutated") / "bundle"
+    shutil.copytree(fuzz_bundle, bundle)
+    path = bundle / name
+    path.write_bytes(mutate(path.read_bytes(), edits))
+    proc = run_cli(*command.split(), cwd=bundle)
+    assert proc.returncode in (0, 1, 2), proc.stderr
+
+
 def test_read_corpus_rejects_boundary_tags(tmp_path):
     path = tmp_path / "tags.txt"
     path.write_text("from <unk> to rome\n\nback </s>\n", encoding="utf-8")
@@ -368,7 +480,7 @@ def test_missing_tune_source_is_usage_error(tmp_path, workspace, capsys):
         "--out-dir", str(tmp_path / "x"),
     ])
     assert code == 2
-    assert "usage error" in capsys.readouterr().err
+    assert "usage error: need --tune-corpus for the factor search" in capsys.readouterr().err
 
 
 def test_bad_flag_value_exits_two(workspace):

@@ -1,4 +1,7 @@
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from classlm.errors import LexiconError
 from classlm.vocab import ClassLexicon, load_lexicon
@@ -40,6 +43,41 @@ def test_empty_class_rejected(tmp_path):
 def test_malformed_line_reports_line_number(tmp_path):
     with pytest.raises(LexiconError, match=":2:"):
         load_lexicon(write(tmp_path, "CITY-NAME: naples\nnot a class line\n"))
+
+
+@pytest.mark.parametrize("text,message", [
+    ("CITY-NAME: rome\nTOWN: <s>\n", "reserved tag '<s>' cannot be a member of class TOWN"),
+    ("1: x\nA: 1\n", "word '1' in class A collides with a class tag"),
+])
+def test_class_invariant_errors_name_the_line(tmp_path, text, message):
+    path = write(tmp_path, text)
+    with pytest.raises(LexiconError) as err:
+        load_lexicon(path)
+    assert str(err.value) == f"{path}:2: {message}"
+
+
+_LEXICON_LINE = st.builds(
+    "{}{} {}".format,
+    st.sampled_from(["A", "b", "1", "<s>", "", "a b", "#"]),
+    st.sampled_from([":", ""]),
+    st.lists(st.sampled_from(["x", "1", "<S>", "<unk>", "x_y", "A"]), max_size=3).map(" ".join),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=st.lists(_LEXICON_LINE, max_size=5))
+def test_every_lexicon_error_names_path_and_line(tmp_path_factory, lines):
+    path = tmp_path_factory.mktemp("lex") / "lexicon.lex"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    try:
+        load_lexicon(path)
+    except LexiconError as exc:
+        assert re.match(rf"{re.escape(str(path))}:\d+: ", str(exc)), str(exc)
+
+
+def test_word_repeated_in_one_class_is_accepted(tmp_path):
+    lex = load_lexicon(write(tmp_path, "CITY-NAME: rome rome\nWEEK-DAY: monday\n"))
+    assert lex.classes["CITY-NAME"] == {"rome"}
 
 
 def test_duplicate_class_rejected(tmp_path):
