@@ -36,7 +36,15 @@ def write_labeled_corpus(path, rows) -> None:
 
 
 def label_nus(lexicon: ClassLexicon, rows: list[tuple[str, str]]) -> LabeledNUs:
-    return [(group, normalize(lexicon, text)) for group, text in rows]
+    """(group, NU) rows; each distinct raw text is normalized once."""
+    memo: dict[str, NU] = {}
+    labeled = []
+    for group, text in rows:
+        nu = memo.get(text)
+        if nu is None:
+            nu = memo[text] = normalize(lexicon, text)
+        labeled.append((group, nu))
+    return labeled
 
 
 def nus_of(labeled: LabeledNUs) -> list[NU]:

@@ -63,6 +63,29 @@ def _sizes_arg(text: str) -> list:
     return sizes
 
 
+def _fraction_arg(text: str) -> float:
+    """argparse type for --threshold: a finite number in [0, 1]; errors exit 2."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad number {text!r}") from exc
+    # a nan would compare false everywhere and give silent all-zero results
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number in [0, 1]")
+    return value
+
+
+def _count_arg(text: str) -> int:
+    """argparse type for --min-count: a non-negative integer; errors exit 2."""
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad integer {text!r}") from exc
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is negative")
+    return value
+
+
 def _resolve_sizes(sizes: list, corpus_len: int) -> list[int]:
     resolved = {corpus_len if s == "all" else s for s in sizes}
     return sorted(resolved)
@@ -307,8 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", "-n", type=int, default=3)
     p.add_argument("--sizes", type=_sizes_arg, default="100,500,1000,2000,all",
                    help="training prefix sizes; 'all' is the full corpus")
-    p.add_argument("--min-count", type=int, default=3)
-    p.add_argument("--threshold", type=float, default=0.001)
+    p.add_argument("--min-count", type=_count_arg, default=3)
+    p.add_argument("--threshold", type=_fraction_arg, default=0.001)
     emission = p.add_mutually_exclusive_group()
     emission.add_argument("--emission", dest="emission", action="store_true")
     emission.add_argument("--no-emission", dest="emission", action="store_false")

@@ -25,7 +25,7 @@ from collections.abc import Callable, Collection, Iterable, Iterator, Mapping
 from fractions import Fraction
 
 from .errors import TableError, open_text
-from .normalize import NU
+from .normalize import NU, nu_histogram
 from .vocab import SENT_END, SENT_START
 
 Gram = tuple[str, ...]
@@ -255,13 +255,17 @@ def extract(corpus: Iterable[NU], n: int) -> NGramTable:
     Each utterance gets n-1 start tags and one end tag, so every scored
     position has a full-length context and closure holds with equality on
     interior contexts.
+
+    Each distinct NU is counted once, weighted by its multiplicity, in order
+    of first occurrence, so the table iterates in the same order as counting
+    utterance by utterance would give.
     """
     counts: dict[Gram, int] = {}
     lead = (SENT_START,) * (n - 1)
-    for nu in corpus:
-        padded = lead + tuple(nu) + (SENT_END,)
+    for nu, weight in nu_histogram(corpus).items():
+        padded = lead + nu + (SENT_END,)
         for k in range(1, n + 1):
             for i in range(len(padded) - k + 1):
                 gram = padded[i : i + k]
-                counts[gram] = counts.get(gram, 0) + 1
+                counts[gram] = counts.get(gram, 0) + weight
     return NGramTable.from_counts(n, counts)

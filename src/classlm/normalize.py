@@ -2,7 +2,9 @@
 
 A normalized utterance (NU) is a token tuple in which every maximal run of
 tokens matching a class member has been replaced by the class tag. NUs are
-the unit of identity for all frequency analyses.
+the unit of identity for all frequency analyses. The longest-match search
+runs only at a token that is the first word of some member
+(:attr:`ClassLexicon.first_words`), since no member can start elsewhere.
 
 Corpus files, plain and labeled, are read here too (:func:`read_corpus`).
 """
@@ -36,18 +38,20 @@ def normalize(lexicon: ClassLexicon, utterance: str | Sequence[str]) -> NU:
     """Replace class members with their tags, greedy longest match first.
 
     Unknown words pass through lowercased; existing tags pass through
-    unchanged, which makes the function idempotent.
+    unchanged, which makes the function idempotent. A match is tried only at
+    a token that begins some member.
     """
     tokens = tokenize(utterance) if isinstance(utterance, str) else list(utterance)
     cased = [
         t if (t in lexicon.classes or t in RESERVED) else t.lower() for t in tokens
     ]
+    first_words = lexicon.first_words
     out: list[str] = []
     i = 0
     n = len(cased)
     while i < n:
         token = cased[i]
-        if token in lexicon.classes or token in RESERVED:
+        if token in lexicon.classes or token in RESERVED or token not in first_words:
             out.append(token)
             i += 1
             continue

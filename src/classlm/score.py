@@ -68,12 +68,21 @@ class Scorer:
 
     # read by the benchmark's tracer, which wraps it by this name and signature
     def score_corpus(self, nus, emission: bool) -> tuple[float, int, int]:
-        """Per-utterance totals summed in corpus order."""
+        """Per-utterance totals summed in corpus order.
+
+        Each distinct NU is scored once; the float totals are still added one
+        utterance at a time in corpus order, so the sum is the same to the
+        last bit as scoring every utterance.
+        """
+        scored: dict = {}
         total10 = 0.0
         tokens = 0
         oov = 0
         for nu in nus:
-            nu_total10, nu_tokens, nu_oov = self.score_utterance(nu, emission)
+            result = scored.get(nu)
+            if result is None:
+                result = scored[nu] = self.score_utterance(nu, emission)
+            nu_total10, nu_tokens, nu_oov = result
             total10 += nu_total10
             tokens += nu_tokens
             oov += nu_oov

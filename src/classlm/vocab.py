@@ -45,6 +45,8 @@ class ClassLexicon:
                 self._seq_tag[parts] = tag
                 if len(parts) > self._max_member_words:
                     self._max_member_words = len(parts)
+        # first word of every member: a match can only start at one of these
+        self.first_words = frozenset(parts[0] for parts in self._seq_tag)
 
     @property
     def tags(self) -> frozenset[str]:

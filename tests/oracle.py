@@ -2,16 +2,19 @@
 
 The scorers re-derive probabilities by the textbook chain rule, recursively,
 in the raw probability domain, reading only the model's stored tables. The
-counter enumerates every padded window gram by gram. The grammar generator
-enumerates every derivation lazily. They deliberately share no code with the
-package's scoring loop, table internals or stack-driven generation.
+counter enumerates every padded window gram by gram, one utterance at a time.
+The normalizer tries every member length at every token. The grammar
+generator enumerates every derivation lazily. They deliberately share no code
+with the package's scoring loop, table internals, normalization shortcuts or
+stack-driven generation.
 """
 
 import math
 
 from classlm.errors import GrammarError
 from classlm.grammar import SentenceSet, Terminal
-from classlm.vocab import SENT_END, SENT_START, UNK
+from classlm.normalize import tokenize
+from classlm.vocab import RESERVED, SENT_END, SENT_START, UNK
 
 LN10 = math.log(10.0)
 
@@ -66,6 +69,37 @@ def naive_extract(corpus, n):
                     gram = tuple(padded[start : start + length])
                     counts[gram] = counts.get(gram, 0) + 1
     return counts
+
+
+def naive_normalize(lexicon, utterance):
+    """NU by greedy longest match, trying every member length at every token.
+
+    Tags and reserved tags are kept, other tokens lowercased; a run of tokens
+    equal to a member split at ``_`` becomes the member's tag.
+    """
+    tokens = tokenize(utterance) if isinstance(utterance, str) else list(utterance)
+    keep = set(lexicon.classes) | RESERVED
+    tokens = [t if t in keep else t.lower() for t in tokens]
+    tag_of = {tuple(member.split("_")): tag
+              for tag, members in lexicon.classes.items() for member in members}
+    longest = max(map(len, tag_of), default=1)
+    out = []
+    i = 0
+    while i < len(tokens):
+        if tokens[i] in keep:
+            out.append(tokens[i])
+            i += 1
+            continue
+        for length in range(min(longest, len(tokens) - i), 0, -1):
+            tag = tag_of.get(tuple(tokens[i : i + length]))
+            if tag is not None:
+                out.append(tag)
+                i += length
+                break
+        else:
+            out.append(tokens[i])
+            i += 1
+    return tuple(out)
 
 
 def naive_extension_sums(counts):

@@ -19,6 +19,7 @@ from classlm.analysis import (
 )
 from classlm.errors import CorpusError
 from classlm.lm import perplexity
+from classlm.normalize import normalize
 
 
 def test_read_labeled_corpus(tmp_path):
@@ -205,3 +206,11 @@ def test_label_nus_applies_lexicon(tiny_lexicon):
     rows = [("City", "from naples to new york")]
     labeled = label_nus(tiny_lexicon, rows)
     assert labeled == [("City", ("from", "CITY-NAME", "to", "CITY-NAME"))]
+
+
+def test_label_nus_with_repeated_lines_matches_per_row_normalize(world, lexicon):
+    rows = world.splits()[0]
+    rows = rows + rows[::-1]
+    assert len({text for _, text in rows}) * 2 < len(rows)
+    labeled = label_nus(lexicon, rows)
+    assert labeled == [(group, normalize(lexicon, text)) for group, text in rows]

@@ -282,6 +282,38 @@ def test_grid_in_exponent_notation_exits_two(tmp_path, workspace):
     assert "bad grid value" in proc.stderr
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--threshold", "nan"), ("--threshold", "inf"), ("--threshold", "-0.1"),
+    ("--threshold", "1.5"), ("--threshold", "half"),
+    ("--min-count", "-1"), ("--min-count", "2.5"),
+])
+def test_analyze_bad_bound_exits_two(tmp_path, workspace, flag, value):
+    # a nan threshold used to exit 0 with an overlap of 0.0 for every group
+    proc = run_cli(
+        "analyze", "--lexicon", workspace / "lexicon.lex",
+        "--corpus", workspace / "corpus_train.tsv",
+        "--test-corpus", workspace / "corpus_test.tsv",
+        f"{flag}={value}", "--out-dir", tmp_path / "an",
+    )
+    assert proc.returncode == 2
+    assert f"argument {flag}" in proc.stderr
+    assert not (tmp_path / "an").exists()
+
+
+def test_analyze_accepts_bound_edges(tmp_path, workspace):
+    proc = run_cli(
+        "analyze", "--lexicon", workspace / "lexicon.lex",
+        "--corpus", workspace / "corpus_train.tsv",
+        "--test-corpus", workspace / "corpus_test.tsv",
+        "--threshold", "0", "--min-count", "0", "--sizes", "all",
+        "--out-dir", tmp_path / "an",
+    )
+    assert proc.returncode == 0
+    rows = (tmp_path / "an" / "frequency_overlap.csv").read_text(encoding="utf-8")
+    # threshold 0 selects every training NU, so some test NU of each group is covered
+    assert all(float(line.split(",")[1]) > 0 for line in rows.splitlines()[1:])
+
+
 def test_model_without_unk_is_data_error(tmp_path, model_file_without):
     model = model_file_without("<unk>")
     corpus = tmp_path / "oov.txt"

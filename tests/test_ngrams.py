@@ -47,9 +47,23 @@ def test_extract_total_matches_naive_recount(splits):
     table.validate()
 
 
+def counting_order(corpus, n):
+    """Grams in the order an utterance-by-utterance count first meets them:
+    in each padded utterance, the unigrams left to right, then the bigrams,
+    and so on."""
+    order = {}
+    for nu in corpus:
+        padded = (SENT_START,) * (n - 1) + tuple(nu) + (SENT_END,)
+        for k in range(1, n + 1):
+            for i in range(len(padded) - k + 1):
+                order.setdefault(padded[i : i + k], None)
+    return list(order)
+
+
 def assert_matches_oracle(corpus, n):
     table = extract(corpus, n)
     assert dict(table) == oracle.naive_extract(corpus, n)
+    assert [gram for gram, _ in table] == counting_order(corpus, n)
     table.validate()
 
 
@@ -65,6 +79,19 @@ def test_extract_matches_naive_oracle(splits, split):
 )
 def test_extract_matches_naive_oracle_random(corpus, n):
     assert_matches_oracle(corpus, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.lists(st.sampled_from("abc"), max_size=4), min_size=1, max_size=4),
+    st.data(),
+    st.integers(min_value=1, max_value=4),
+)
+def test_extract_with_heavy_repeats_matches_naive_oracle(pool, data, n):
+    # a few distinct NUs, each repeated many times in a random order; a list
+    # and a tuple of the same tokens are the same NU
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=40))
+    assert_matches_oracle([pool[i] if i % 2 else tuple(pool[i]) for i in picks], n)
 
 
 def test_extract_order_independent(splits):

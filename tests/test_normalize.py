@@ -1,10 +1,12 @@
 from collections import Counter
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from classlm.normalize import normalize, nu_histogram, tokenize
 from classlm.synth import SynthConfig, generate_world
 from classlm.vocab import ClassLexicon
+
+import oracle
 
 
 def test_flagship_normalization(tiny_lexicon):
@@ -94,3 +96,41 @@ def test_histogram_matches_independent_recount(lexicon):
     assert dict(hist) == recount
     top = max(recount.items(), key=lambda kv: (kv[1], kv[0]))
     assert hist.most_common(1)[0][1] == top[1]
+
+
+_PARTS = ["new", "york", "san", "jose", "rome", "x"]
+_TAGS = ["CITY", "DAY", "X"]
+
+
+@st.composite
+def lexicons(draw):
+    """Valid lexicons whose members join one to three parts with ``_``."""
+    members = draw(st.lists(
+        st.lists(st.sampled_from(_PARTS), min_size=1, max_size=3).map("_".join),
+        min_size=1, max_size=8, unique=True))
+    tags = draw(st.lists(st.sampled_from(_TAGS), min_size=len(members),
+                         max_size=len(members)))
+    classes: dict[str, list[str]] = {}
+    for member, tag in zip(members, tags):
+        classes.setdefault(tag, []).append(member)
+    return ClassLexicon(classes)
+
+
+# member parts, tags and reserved tags in any case, and a joined member as one token
+_TOKENS = st.tuples(
+    st.sampled_from(_PARTS + _TAGS + ["<s>", "</s>", "<unk>", "new_york", "from"]),
+    st.sampled_from([str, str.upper, str.title]),
+).map(lambda pair: pair[1](pair[0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lexicons(), st.lists(_TOKENS, max_size=10))
+def test_normalize_matches_naive_oracle(lex, tokens):
+    assert normalize(lex, tokens) == oracle.naive_normalize(lex, tokens)
+    text = " ".join(tokens)
+    assert normalize(lex, text) == oracle.naive_normalize(lex, text)
+
+
+def test_normalize_matches_naive_oracle_on_synthetic_corpus(world, lexicon):
+    for _, text in world.labeled_rows[:2000]:
+        assert normalize(lexicon, text) == oracle.naive_normalize(lexicon, text)

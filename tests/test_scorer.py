@@ -17,3 +17,24 @@ def test_out_of_vocab_token_raises(model_small):
                          model_small.class_sizes)
     with pytest.raises(KeyError):
         model.scorer().score_utterance(("from", "definitely-not-in-vocab"), False)
+
+
+def corpus_order_sum(scorer, nus, emission):
+    total10, tokens, oov = 0.0, 0, 0
+    for nu in nus:
+        nu_total10, nu_tokens, nu_oov = scorer.score_utterance(nu, emission)
+        total10 += nu_total10
+        tokens += nu_tokens
+        oov += nu_oov
+    return total10, tokens, oov
+
+
+@pytest.mark.parametrize("emission", [False, True])
+def test_score_corpus_with_repeats_is_the_corpus_order_sum(model_small, splits, emission):
+    scorer = model_small.scorer()
+    nus = [tuple(nu) for nu in splits["nus"]["test"]]
+    nus += [("from", "zzyzx")] * 3 + nus[::-1]
+    assert len(set(nus)) * 2 < len(nus)
+    # exact equality: each float is added in corpus order, as the plain loop adds it
+    assert scorer.score_corpus(nus, emission) == corpus_order_sum(scorer, nus, emission)
+
