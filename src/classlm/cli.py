@@ -76,7 +76,10 @@ def _fraction_arg(text: str) -> float:
 
 
 def _count_arg(text: str) -> int:
-    """argparse type for --min-count: a non-negative integer; errors exit 2."""
+    """argparse type for a non-negative integer; errors exit 2.
+
+    Used by --min-count and by synth's --size and --seed.
+    """
     try:
         value = int(text)
     except ValueError as exc:
@@ -262,8 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--format", choices=("csv", "tsv"), default="csv")
 
     p = sub.add_parser("synth", help="write the seeded synthetic corpus bundle")
-    p.add_argument("--size", type=int, default=5000)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--size", type=_count_arg, default=5000)
+    p.add_argument("--seed", type=_count_arg, default=7)
     add_common(p, out_dir=True)
     p.set_defaults(func=cmd_synth)
 

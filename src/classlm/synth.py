@@ -14,13 +14,18 @@ of free-form "noise" utterances (outside the grammar) provides singleton
 NUs and out-of-vocabulary material.
 
 All randomness flows from one seed; the same config always produces the
-same corpus bytes.
+same corpus bytes. Every weight table is accumulated once per run and drawn
+from with ``choices(cum_weights=...)``, which consumes the same ``random()``
+values and bisects the same float sums as passing ``weights=`` on each draw,
+so any seed gives the same bytes as that per-draw form (kept in
+``tests/oracle.py:naive_generate_world``).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .vocab import ClassLexicon
 
@@ -289,42 +294,44 @@ class SynthWorld:
 
 
 def _zipf_weights(count: int, exponent: float) -> list[float]:
-    return [1.0 / (rank**exponent) for rank in range(1, count + 1)]
+    """Cumulative Zipf weights of ranks 1..count, for ``choices(cum_weights=)``."""
+    return list(accumulate(1.0 / (rank**exponent) for rank in range(1, count + 1)))
 
 
 def generate_world(config: SynthConfig = SynthConfig()) -> SynthWorld:
     rng = random.Random(config.seed)
     lexicon = build_lexicon()
-    members = {tag: sorted(lexicon.classes[tag]) for tag in lexicon.classes}
+    # "_" spelled as a space up front; each draw still indexes the sorted list
+    members = {
+        tag: [member.replace("_", " ") for member in sorted(lexicon.classes[tag])]
+        for tag in lexicon.classes
+    }
     groups = list(GROUP_SAMPLING)
-    g_weights = [weight for weight, _ in GROUP_SAMPLING.values()]
+    g_weights = list(accumulate(weight for weight, _ in GROUP_SAMPLING.values()))
+    # each template as (word, members to draw from, or None for a plain word)
+    slots = {
+        g: [[(token, members.get(token)) for token in template.split()]
+            for template in GROUP_TEMPLATES[g]]
+        for g in groups
+    }
     t_weights = {
         g: _zipf_weights(len(GROUP_TEMPLATES[g]), exponent)
         for g, (_, exponent) in GROUP_SAMPLING.items()
     }
     f_weights = _zipf_weights(len(FILLERS), FILLER_EXPONENT)
 
-    def fill(template: str) -> str:
-        out = []
-        for token in template.split():
-            if token in members:
-                out.append(rng.choice(members[token]).replace("_", " "))
-            else:
-                out.append(token)
-        return " ".join(out)
-
     rows = []
     for _ in range(config.size):
-        group = rng.choices(groups, weights=g_weights)[0]
+        group = rng.choices(groups, cum_weights=g_weights)[0]
         if rng.random() < NOISE_RATE:
             text = rng.choice(NOISE_UTTERANCES)
         else:
-            template = rng.choices(
-                GROUP_TEMPLATES[group], weights=t_weights[group]
-            )[0]
-            text = fill(template)
+            template = rng.choices(slots[group], cum_weights=t_weights[group])[0]
+            text = " ".join(
+                [word if pool is None else rng.choice(pool) for word, pool in template]
+            )
             if rng.random() < FILLER_RATE:
-                filler = rng.choices(FILLERS, weights=f_weights)[0]
+                filler = rng.choices(FILLERS, cum_weights=f_weights)[0]
                 text = f"{filler} {text}"
         rows.append((group, text))
     return SynthWorld(

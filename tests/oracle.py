@@ -4,16 +4,24 @@ The scorers re-derive probabilities by the textbook chain rule, recursively,
 in the raw probability domain, reading only the model's stored tables. The
 counter enumerates every padded window gram by gram, one utterance at a time.
 The normalizer tries every member length at every token. The grammar
-generator enumerates every derivation lazily. They deliberately share no code
-with the package's scoring loop, table internals, normalization shortcuts or
-stack-driven generation.
+generator enumerates every derivation lazily. The corpus sampler passes raw
+weights on every draw and splits each template as it fills it. They
+deliberately share no code with the package's scoring loop, table internals,
+normalization shortcuts, stack-driven generation or precomputed sampling
+tables.
 """
 
 import math
+import random
 
 from classlm.errors import GrammarError
 from classlm.grammar import SentenceSet, Terminal
 from classlm.normalize import tokenize
+from classlm.synth import (
+    FILLER_EXPONENT, FILLER_RATE, FILLERS, GROUP_SAMPLING, GROUP_TEMPLATES,
+    NOISE_RATE, NOISE_UTTERANCES, SynthConfig, SynthWorld, build_lexicon,
+    grammar_text,
+)
 from classlm.vocab import RESERVED, SENT_END, SENT_START, UNK
 
 LN10 = math.log(10.0)
@@ -188,3 +196,51 @@ def naive_generate(grammar, max_depth, max_sentences):
             break
         collected.add(sentence)
     return SentenceSet(tuple(sorted(collected)), truncated)
+
+
+def _zipf_weights(count, exponent):
+    return [1.0 / (rank**exponent) for rank in range(1, count + 1)]
+
+
+def naive_generate_world(config=SynthConfig()):
+    """The seeded bundle drawn with ``weights=`` on every call, template by template."""
+    rng = random.Random(config.seed)
+    lexicon = build_lexicon()
+    members = {tag: sorted(lexicon.classes[tag]) for tag in lexicon.classes}
+    groups = list(GROUP_SAMPLING)
+    g_weights = [weight for weight, _ in GROUP_SAMPLING.values()]
+    t_weights = {
+        g: _zipf_weights(len(GROUP_TEMPLATES[g]), exponent)
+        for g, (_, exponent) in GROUP_SAMPLING.items()
+    }
+    f_weights = _zipf_weights(len(FILLERS), FILLER_EXPONENT)
+
+    def fill(template: str) -> str:
+        out = []
+        for token in template.split():
+            if token in members:
+                out.append(rng.choice(members[token]).replace("_", " "))
+            else:
+                out.append(token)
+        return " ".join(out)
+
+    rows = []
+    for _ in range(config.size):
+        group = rng.choices(groups, weights=g_weights)[0]
+        if rng.random() < NOISE_RATE:
+            text = rng.choice(NOISE_UTTERANCES)
+        else:
+            template = rng.choices(
+                GROUP_TEMPLATES[group], weights=t_weights[group]
+            )[0]
+            text = fill(template)
+            if rng.random() < FILLER_RATE:
+                filler = rng.choices(FILLERS, weights=f_weights)[0]
+                text = f"{filler} {text}"
+        rows.append((group, text))
+    return SynthWorld(
+        config=config,
+        lexicon=lexicon,
+        labeled_rows=rows,
+        grammar_text=grammar_text(),
+    )

@@ -300,6 +300,20 @@ def test_analyze_bad_bound_exits_two(tmp_path, workspace, flag, value):
     assert not (tmp_path / "an").exists()
 
 
+@pytest.mark.parametrize("flag", ["--size", "--seed"])
+def test_synth_negative_bound_exits_two(tmp_path, flag):
+    # --size -5 used to write an empty bundle, --seed -5 the bundle of --seed 5
+    proc = run_cli("synth", flag, "-5", "--out-dir", tmp_path / "bundle")
+    assert proc.returncode == 2
+    assert f"argument {flag}" in proc.stderr
+    assert not (tmp_path / "bundle").exists()
+
+
+def test_synth_accepts_size_zero(tmp_path):
+    assert main(["synth", "--size", "0", "--out-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "corpus.tsv").read_text(encoding="utf-8") == ""
+
+
 def test_analyze_accepts_bound_edges(tmp_path, workspace):
     proc = run_cli(
         "analyze", "--lexicon", workspace / "lexicon.lex",

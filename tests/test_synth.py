@@ -1,3 +1,11 @@
+import hashlib
+import json
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+import oracle
+from classlm.cli import main
 from classlm.normalize import GROUPS
 from classlm.grammar import parse_grammar_text
 from classlm.synth import (
@@ -71,3 +79,28 @@ def test_generation_is_fast(world):
     start = time.perf_counter()
     generate_world(SynthConfig())
     assert time.perf_counter() - start < 5.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(size=st.integers(0, 3000), seed=st.integers(0, 10**6))
+def test_generate_world_matches_naive_oracle(size, seed):
+    config = SynthConfig(size=size, seed=seed)
+    world = generate_world(config)
+    naive = oracle.naive_generate_world(config)
+    assert world.labeled_rows == naive.labeled_rows
+    assert world.grammar_text == naive.grammar_text
+
+
+def test_seed7_bundle_matches_recorded_digests(tmp_path):
+    expected = json.loads(
+        (Path(__file__).resolve().parents[1] / "perfbench" / "expected_seed7.json")
+        .read_text(encoding="utf-8")
+    )["grammar-5k"]["digests"]
+    bundle = {
+        name.split("/", 1)[1]: digest
+        for name, digest in expected.items() if name.startswith("bundle/")
+    }
+    assert len(bundle) == 6
+    assert main(["synth", "--size", "5000", "--seed", "7", "--out-dir", str(tmp_path)]) == 0
+    for name, digest in sorted(bundle.items()):
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
