@@ -36,13 +36,19 @@ def write_labeled_corpus(path, rows) -> None:
 
 
 def label_nus(lexicon: ClassLexicon, rows: list[tuple[str, str]]) -> LabeledNUs:
-    """(group, NU) rows; each distinct raw text is normalized once."""
+    """(group, NU) rows; each distinct raw text is normalized once.
+
+    Equal NUs are one shared tuple, so the histograms, sets and dicts built
+    over them later match keys by identity.
+    """
     memo: dict[str, NU] = {}
+    canon: dict[NU, NU] = {}
     labeled = []
     for group, text in rows:
         nu = memo.get(text)
         if nu is None:
-            nu = memo[text] = normalize(lexicon, text)
+            nu = normalize(lexicon, text)
+            nu = memo[text] = canon.setdefault(nu, nu)
         labeled.append((group, nu))
     return labeled
 
@@ -102,6 +108,8 @@ def coverage_curve(ranking_corpus: list[NU], measured_corpus: list[NU]) -> Cover
 
 def check_sizes(sizes, corpus_len: int) -> list[int]:
     sizes = list(sizes)
+    if not corpus_len:
+        raise CorpusError("training corpus is empty")
     if not sizes:
         raise CorpusError("no training sizes given")
     if sorted(sizes) != sizes:

@@ -44,7 +44,8 @@ def _grid_arg(text: str) -> list:
 
 
 def _sizes_arg(text: str) -> list:
-    """argparse type for --sizes; 'all' resolves once the corpus is read."""
+    """argparse type for --sizes: integers >= 1 or 'all', which resolves once
+    the corpus is read; errors exit 2."""
     sizes: list = []
     for part in text.split(","):
         part = part.strip()
@@ -52,11 +53,11 @@ def _sizes_arg(text: str) -> list:
             continue
         if part == "all":
             sizes.append("all")
-        elif part.isdigit():
+        elif part.isdigit() and int(part) >= 1:
             sizes.append(int(part))
         else:
             raise argparse.ArgumentTypeError(
-                f"bad size {part!r} (expected integer or 'all')"
+                f"bad size {part!r} (expected integer >= 1 or 'all')"
             )
     if not sizes:
         raise argparse.ArgumentTypeError("empty size list")
@@ -89,9 +90,19 @@ def _count_arg(text: str) -> int:
     return value
 
 
+def _positive_arg(text: str) -> int:
+    """argparse type for --order, --max-depth and --max-sentences: an integer
+    >= 1; errors exit 2."""
+    value = _count_arg(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not positive")
+    return value
+
+
 def _resolve_sizes(sizes: list, corpus_len: int) -> list[int]:
+    """Sorted distinct sizes, 'all' as ``corpus_len``; each must fit the corpus."""
     resolved = {corpus_len if s == "all" else s for s in sizes}
-    return sorted(resolved)
+    return analysis.check_sizes(sorted(resolved), corpus_len)
 
 
 def _read_nus(path, labeled: bool, lexicon) -> analysis.LabeledNUs:
@@ -212,13 +223,13 @@ def cmd_generalize(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    out_dir = _out_dir(args)
     lexicon = load_lexicon(args.lexicon)
     labeled_train = _read_nus(args.corpus, True, lexicon)
     labeled_test = _read_nus(args.test_corpus, True, lexicon)
+    sizes = _resolve_sizes(args.sizes, len(labeled_train))
+    out_dir = _out_dir(args)
     train_nus = analysis.nus_of(labeled_train)
     test_nus = analysis.nus_of(labeled_test)
-    sizes = _resolve_sizes(args.sizes, len(labeled_train))
     fmt = args.format
 
     curve_train = analysis.coverage_curve(train_nus, train_nus)
@@ -281,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a smoothed backoff model")
     p.add_argument("--lexicon", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--order", "-n", type=int, default=3)
+    p.add_argument("--order", "-n", type=_positive_arg, default=3)
     p.add_argument("--out", required=True)
     p.add_argument("--labeled", action="store_true")
     p.set_defaults(func=cmd_train)
@@ -298,8 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="exhaustively expand a grammar")
     p.add_argument("--grammar", required=True)
-    p.add_argument("--max-depth", type=int, default=12)
-    p.add_argument("--max-sentences", type=int, default=100000)
+    p.add_argument("--max-depth", type=_positive_arg, default=12)
+    p.add_argument("--max-sentences", type=_positive_arg, default=100000)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 
@@ -310,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lexicon", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--grammar", required=True)
-    p.add_argument("--order", "-n", type=int, default=3)
+    p.add_argument("--order", "-n", type=_positive_arg, default=3)
     p.add_argument("--grid", type=_grid_arg, default=list(generalize.DEFAULT_GRID),
                    help="comma-separated balance-factor candidates")
     p.add_argument("--tune-corpus")
@@ -321,8 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labeled", action="store_true")
     p.add_argument("--unweighted-unknown", action="store_true",
                    help="add unknown events with count 1 instead of the factor")
-    p.add_argument("--max-depth", type=int, default=12)
-    p.add_argument("--max-sentences", type=int, default=100000)
+    p.add_argument("--max-depth", type=_positive_arg, default=12)
+    p.add_argument("--max-sentences", type=_positive_arg, default=100000)
     add_common(p, out_dir=True, fmt=True)
     p.set_defaults(func=cmd_generalize)
 
@@ -330,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lexicon", required=True)
     p.add_argument("--corpus", required=True, help="labeled training corpus")
     p.add_argument("--test-corpus", required=True, help="labeled test corpus")
-    p.add_argument("--order", "-n", type=int, default=3)
+    p.add_argument("--order", "-n", type=_positive_arg, default=3)
     p.add_argument("--sizes", type=_sizes_arg, default="100,500,1000,2000,all",
                    help="training prefix sizes; 'all' is the full corpus")
     p.add_argument("--min-count", type=_count_arg, default=3)

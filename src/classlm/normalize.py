@@ -2,27 +2,30 @@
 
 A normalized utterance (NU) is a token tuple in which every maximal run of
 tokens matching a class member has been replaced by the class tag. NUs are
-the unit of identity for all frequency analyses. The longest-match search
-runs only at a token that is the first word of some member
-(:attr:`ClassLexicon.first_words`), since no member can start elsewhere.
+the unit of identity for all frequency analyses. One-word members, usually
+nearly all of a lexicon, are replaced through one dict map
+(:attr:`ClassLexicon.word_tag`); the greedy longest-match search runs only
+on a line with a token that begins a multi-word member
+(:attr:`ClassLexicon.multi_word_starts`), and only at such tokens.
 
 Corpus files, plain and labeled, are read here too (:func:`read_corpus`).
 """
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from collections.abc import Iterable, Sequence
 
 from .errors import CorpusError, open_text
-from .vocab import RESERVED, SENT_END, SENT_START, ClassLexicon
+from .vocab import SENT_END, SENT_START, ClassLexicon
 
 NU = tuple[str, ...]
 
 # request groups of a labeled corpus
 GROUPS = ("City", "Date", "Time", "Other")
 
-_PUNCT = str.maketrans({c: " " for c in ".,;:!?"})
+_PUNCT = re.compile("[.,;:!?]")
 
 
 def tokenize(text: str) -> list[str]:
@@ -31,48 +34,54 @@ def tokenize(text: str) -> list[str]:
     Case is preserved here; :func:`normalize` lowercases everything that is
     not a known class tag or reserved tag.
     """
-    return text.translate(_PUNCT).split()
+    return _PUNCT.sub(" ", text).split()
 
 
 def normalize(lexicon: ClassLexicon, utterance: str | Sequence[str]) -> NU:
     """Replace class members with their tags, greedy longest match first.
 
     Unknown words pass through lowercased; existing tags pass through
-    unchanged, which makes the function idempotent. A match is tried only at
-    a token that begins some member.
+    unchanged, which makes the function idempotent. A match longer than one
+    token is tried only at a token that begins a multi-word member.
     """
-    tokens = tokenize(utterance) if isinstance(utterance, str) else list(utterance)
-    cased = [
-        t if (t in lexicon.classes or t in RESERVED) else t.lower() for t in tokens
-    ]
-    first_words = lexicon.first_words
+    verbatim = lexicon.verbatim
+    if isinstance(utterance, str):
+        # whitespace lowercases to itself and bounds every case context, so
+        # the lowered line splits into the lowered tokens
+        stripped = _PUNCT.sub(" ", utterance)
+        lowered = stripped.lower()
+        cased = lowered.split()
+        if lowered != stripped:
+            tokens = stripped.split()
+            if not verbatim.isdisjoint(tokens):
+                cased = [t if t in verbatim else c for t, c in zip(tokens, cased)]
+    else:
+        cased = [t if t in verbatim else t.lower() for t in utterance]
+    word_tag = lexicon.word_tag
+    starts = lexicon.multi_word_starts
+    if starts.isdisjoint(cased):
+        return tuple(map(word_tag.get, cased, cased))
     out: list[str] = []
     i = 0
     n = len(cased)
     while i < n:
         token = cased[i]
-        if token in lexicon.classes or token in RESERVED or token not in first_words:
-            out.append(token)
-            i += 1
-            continue
-        matched = False
-        max_len = min(lexicon.max_member_words, n - i)
-        for length in range(max_len, 0, -1):
-            tag = lexicon.tag_for_sequence(tuple(cased[i : i + length]))
-            if tag is not None:
-                out.append(tag)
-                i += length
-                matched = True
-                break
-        if not matched:
-            out.append(token)
-            i += 1
+        tag = None
+        if token in starts and token not in verbatim:
+            for length in range(min(lexicon.max_member_words, n - i), 1, -1):
+                tag = lexicon.tag_for_sequence(tuple(cased[i : i + length]))
+                if tag is not None:
+                    break
+        if tag is None:
+            tag, length = word_tag.get(token, token), 1
+        out.append(tag)
+        i += length
     return tuple(out)
 
 
 def nu_histogram(corpus: Iterable[NU]) -> Counter:
     """Occurrence count per distinct NU; total equals the corpus size."""
-    return Counter(tuple(nu) for nu in corpus)
+    return Counter(map(tuple, corpus))
 
 
 def reject_boundary_tags(path, lineno: int, text: str) -> None:

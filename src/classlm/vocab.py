@@ -45,8 +45,14 @@ class ClassLexicon:
                 self._seq_tag[parts] = tag
                 if len(parts) > self._max_member_words:
                     self._max_member_words = len(parts)
-        # first word of every member: a match can only start at one of these
-        self.first_words = frozenset(parts[0] for parts in self._seq_tag)
+        # one-word member -> tag, and the first word of every multi-word
+        # member: a match longer than one token can only start at one of these
+        self.word_tag = {parts[0]: tag for parts, tag in self._seq_tag.items()
+                         if len(parts) == 1}
+        self.multi_word_starts = frozenset(
+            parts[0] for parts in self._seq_tag if len(parts) > 1)
+        # tokens normalization keeps as written: tags and reserved tags
+        self.verbatim = frozenset(self.classes) | RESERVED
 
     @property
     def tags(self) -> frozenset[str]:

@@ -16,7 +16,6 @@ import random
 
 from classlm.errors import GrammarError
 from classlm.grammar import SentenceSet, Terminal
-from classlm.normalize import tokenize
 from classlm.synth import (
     FILLER_EXPONENT, FILLER_RATE, FILLERS, GROUP_SAMPLING, GROUP_TEMPLATES,
     NOISE_RATE, NOISE_UTTERANCES, SynthConfig, SynthWorld, build_lexicon,
@@ -82,10 +81,16 @@ def naive_extract(corpus, n):
 def naive_normalize(lexicon, utterance):
     """NU by greedy longest match, trying every member length at every token.
 
-    Tags and reserved tags are kept, other tokens lowercased; a run of tokens
-    equal to a member split at ``_`` becomes the member's tag.
+    Text is split at whitespace after each of ``.,;:!?`` becomes a space.
+    Tags and reserved tags are kept, other tokens lowercased one by one; a
+    run of tokens equal to a member split at ``_`` becomes the member's tag.
     """
-    tokens = tokenize(utterance) if isinstance(utterance, str) else list(utterance)
+    if isinstance(utterance, str):
+        for mark in ".,;:!?":
+            utterance = utterance.replace(mark, " ")
+        tokens = utterance.split()
+    else:
+        tokens = list(utterance)
     keep = set(lexicon.classes) | RESERVED
     tokens = [t if t in keep else t.lower() for t in tokens]
     tag_of = {tuple(member.split("_")): tag

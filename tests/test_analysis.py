@@ -19,7 +19,7 @@ from classlm.analysis import (
 )
 from classlm.errors import CorpusError
 from classlm.lm import perplexity
-from classlm.normalize import normalize
+from classlm.normalize import normalize, nu_histogram
 
 
 def test_read_labeled_corpus(tmp_path):
@@ -122,6 +122,8 @@ def test_sweep_deterministic_and_validated(splits, lexicon):
         partial_training_sweep(labeled, [401], test, lexicon, 3)
     with pytest.raises(CorpusError):
         partial_training_sweep(labeled, [], test, lexicon, 3)
+    with pytest.raises(CorpusError, match="training corpus is empty"):
+        partial_training_sweep([], [1], test, lexicon, 3)
 
 
 def test_unseen_split_edges():
@@ -214,3 +216,19 @@ def test_label_nus_with_repeated_lines_matches_per_row_normalize(world, lexicon)
     assert len({text for _, text in rows}) * 2 < len(rows)
     labeled = label_nus(lexicon, rows)
     assert labeled == [(group, normalize(lexicon, text)) for group, text in rows]
+
+
+def test_label_nus_shares_one_tuple_per_distinct_nu(world, lexicon):
+    rows = world.splits()[0]
+    labeled = label_nus(lexicon, rows)
+    nus = nus_of(labeled)
+    assert nus == [normalize(lexicon, text) for _, text in rows]
+    # distinct raw lines that normalize alike share one tuple too
+    assert len(set(nus)) < len({text for _, text in rows})
+    first = {}
+    assert all(first.setdefault(nu, nu) is nu for nu in nus)
+    fresh = [tuple(list(nu)) for nu in nus]
+    assert not any(a is b for a, b in zip(nus, fresh))
+    shared_hist, fresh_hist = nu_histogram(nus), nu_histogram(fresh)
+    assert shared_hist == fresh_hist
+    assert list(shared_hist.items()) == list(fresh_hist.items())

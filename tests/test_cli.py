@@ -300,6 +300,48 @@ def test_analyze_bad_bound_exits_two(tmp_path, workspace, flag, value):
     assert not (tmp_path / "an").exists()
 
 
+_BOUND_COMMANDS = {
+    "train": "train --labeled --lexicon {w}/lexicon.lex --corpus {w}/corpus_train.tsv "
+             "--out out/model.arpa",
+    "analyze": "analyze --lexicon {w}/lexicon.lex --corpus {w}/corpus_train.tsv "
+               "--test-corpus {w}/corpus_test.tsv --out-dir out",
+    "generate": "generate --grammar {w}/grammar.bnf --out out/sentences.txt",
+    "generalize": "generalize --labeled --lexicon {w}/lexicon.lex "
+                  "--corpus {w}/corpus_train.tsv --grammar {w}/grammar.bnf "
+                  "--tune-corpus {w}/corpus_tune.tsv --out-dir out",
+}
+
+
+def _bound_command(command, workspace):
+    return [part.format(w=workspace) for part in _BOUND_COMMANDS[command].split()]
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("train", "--order", "0"), ("analyze", "--order", "0"),
+    ("generalize", "--order", "0"), ("generalize", "--order", "-1"),
+    ("analyze", "--sizes", "0"), ("analyze", "--sizes", "0,all"),
+    ("generate", "--max-depth", "0"), ("generate", "--max-sentences", "0"),
+    ("generalize", "--max-depth", "0"), ("generalize", "--max-sentences", "0"),
+])
+def test_bound_below_one_exits_two_before_any_work(tmp_path, workspace, command, flag, value):
+    # these used to exit 1 as data errors, analyze --sizes 0 after writing
+    # its coverage tables
+    (tmp_path / "out").mkdir()
+    proc = run_cli(*_bound_command(command, workspace), f"{flag}={value}", cwd=tmp_path)
+    assert proc.returncode == 2
+    assert f"argument {flag}" in proc.stderr
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_analyze_size_past_corpus_writes_nothing(tmp_path, workspace):
+    # the 600-utterance bundle trains on 480; the check used to run after
+    # the coverage tables were written
+    proc = run_cli(*_bound_command("analyze", workspace), "--sizes", "100,481", cwd=tmp_path)
+    assert proc.returncode == 1
+    assert "training size 481 outside 1..480" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("flag", ["--size", "--seed"])
 def test_synth_negative_bound_exits_two(tmp_path, flag):
     # --size -5 used to write an empty bundle, --seed -5 the bundle of --seed 5

@@ -1,6 +1,6 @@
 from collections import Counter
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from classlm.normalize import normalize, nu_histogram, tokenize
 from classlm.synth import SynthConfig, generate_world
@@ -98,8 +98,11 @@ def test_histogram_matches_independent_recount(lexicon):
     assert hist.most_common(1)[0][1] == top[1]
 
 
-_PARTS = ["new", "york", "san", "jose", "rome", "x"]
-_TAGS = ["CITY", "DAY", "X"]
+# non-ASCII parts lowercase with context: "ΟΔΟΣ" -> "οδος" (final sigma),
+# "İstanbul" -> "i̇stanbul" (two code points), "STRASSE" is not "straße"
+_PARTS = ["new", "york", "san", "jose", "rome", "x", "town", "οδος", "i̇stanbul", "straße"]
+# "town" is also a part: a token spelling a lowercase tag stays the tag
+_TAGS = ["CITY", "DAY", "X", "town", "ΣΑΣ"]
 
 
 @st.composite
@@ -112,25 +115,55 @@ def lexicons(draw):
                          max_size=len(members)))
     classes: dict[str, list[str]] = {}
     for member, tag in zip(members, tags):
-        classes.setdefault(tag, []).append(member)
+        if member not in tags:  # a member may not spell a tag
+            classes.setdefault(tag, []).append(member)
+    assume(classes)
     return ClassLexicon(classes)
 
 
+# one-word members that also begin multi-word members, built directly with
+# lowercase tags too
+_OVERLAPPING_LEXICONS = [
+    ClassLexicon({"A": ["new"], "B": ["new_york", "new_york_town"], "C": ["york"]}),
+    ClassLexicon({"town": ["new", "york_new"], "city": ["new_york", "york"]}),
+    ClassLexicon({"X": ["x", "x_x"], "town": ["x_x_x", "οδος", "οδος_x"]}),
+    # a tag that begins a multi-word member still stays the tag
+    ClassLexicon({"town": ["rome", "town_x"], "X": ["x", "x_town"]}),
+]
+
 # member parts, tags and reserved tags in any case, and a joined member as one token
-_TOKENS = st.tuples(
-    st.sampled_from(_PARTS + _TAGS + ["<s>", "</s>", "<unk>", "new_york", "from"]),
-    st.sampled_from([str, str.upper, str.title]),
+_WORDS = st.tuples(
+    st.sampled_from(_PARTS + _TAGS + ["<s>", "</s>", "<unk>", "new_york", "from",
+                                      "İstanbul", "ΟΔΟΣ", "ΣΑΣ", "STRASSE"]),
+    st.sampled_from([str, str.upper, str.title, str.lower]),
 ).map(lambda pair: pair[1](pair[0]))
+# in text, punctuation glued to either side of a word and the separator after it
+_SPELLINGS = st.tuples(
+    st.sampled_from(["", ",", "!?"]),
+    _WORDS,
+    st.sampled_from(["", ".", ";", ":"]),
+    st.sampled_from([" ", "\t", "  ", " \t\n", "\u00a0"]),
+)
 
 
-@settings(max_examples=300, deadline=None)
-@given(lexicons(), st.lists(_TOKENS, max_size=10))
-def test_normalize_matches_naive_oracle(lex, tokens):
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(lexicons(), st.sampled_from(_OVERLAPPING_LEXICONS)),
+       st.lists(_SPELLINGS, max_size=10))
+def test_normalize_matches_naive_oracle(lex, spellings):
+    tokens = [word for _, word, _, _ in spellings]
     assert normalize(lex, tokens) == oracle.naive_normalize(lex, tokens)
-    text = " ".join(tokens)
+    text = "".join("".join(spelling) for spelling in spellings)
     assert normalize(lex, text) == oracle.naive_normalize(lex, text)
 
 
+def test_normalize_keeps_lowercase_tags():
+    lex = _OVERLAPPING_LEXICONS[1]
+    assert normalize(lex, "Town NEW york, new") == ("town", "city", "town")
+    assert normalize(lex, ["town", "York", "new"]) == ("town", "town")
+    lex = _OVERLAPPING_LEXICONS[3]
+    assert normalize(lex, "Town x, x town") == ("town", "X", "X")
+
+
 def test_normalize_matches_naive_oracle_on_synthetic_corpus(world, lexicon):
-    for _, text in world.labeled_rows[:2000]:
+    for _, text in world.labeled_rows:
         assert normalize(lexicon, text) == oracle.naive_normalize(lexicon, text)
