@@ -19,6 +19,11 @@ from .ngrams import extract, parse_count
 from .normalize import read_corpus
 from .vocab import load_lexicon
 
+# analyze's training prefix sizes when --sizes is not given; those below the
+# training corpus length are used, then the full corpus
+DEFAULT_SIZES = (100, 500, 1000, 2000)
+
+
 class UsageError(Exception):
     """Bad flag combination; maps to exit code 2 like argparse errors."""
 
@@ -99,8 +104,13 @@ def _positive_arg(text: str) -> int:
     return value
 
 
-def _resolve_sizes(sizes: list, corpus_len: int) -> list[int]:
-    """Sorted distinct sizes, 'all' as ``corpus_len``; each must fit the corpus."""
+def _resolve_sizes(sizes: list | None, corpus_len: int) -> list[int]:
+    """Sorted distinct sizes, 'all' as ``corpus_len``; each must fit the corpus.
+
+    Without explicit sizes, the default steps below ``corpus_len`` and 'all'.
+    """
+    if sizes is None:
+        sizes = [s for s in DEFAULT_SIZES if s < corpus_len] + ["all"]
     resolved = {corpus_len if s == "all" else s for s in sizes}
     return analysis.check_sizes(sorted(resolved), corpus_len)
 
@@ -342,8 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True, help="labeled training corpus")
     p.add_argument("--test-corpus", required=True, help="labeled test corpus")
     p.add_argument("--order", "-n", type=_positive_arg, default=3)
-    p.add_argument("--sizes", type=_sizes_arg, default="100,500,1000,2000,all",
-                   help="training prefix sizes; 'all' is the full corpus")
+    p.add_argument("--sizes", type=_sizes_arg,
+                   help="training prefix sizes; 'all' is the full corpus "
+                        "(default: 100,500,1000,2000 where below its length, and all)")
     p.add_argument("--min-count", type=_count_arg, default=3)
     p.add_argument("--threshold", type=_fraction_arg, default=0.001)
     emission = p.add_mutually_exclusive_group()

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ModelError, open_text
 from .ngrams import Gram, NGramTable
@@ -99,6 +98,11 @@ def train(table: NGramTable, lexicon: ClassLexicon) -> ClassNGramLM:
     already-smoothed lower level. Counts may be fractional (rescaled
     tables); type counts are always integers. Raises :class:`ModelError`
     when a context's count mass does not fit a float.
+
+    Each unigram probability and backoff weight is one quotient of exact
+    counts, ``num / den``. On int counts that is int true division, which
+    rounds correctly, so it gives the float of the exact rational; on
+    Fraction counts it is Fraction division, rounded once by ``float``.
     """
     table.validate()
     unigram_counts = {g[0]: c for g, c in table if len(g) == 1 and c > 0}
@@ -113,13 +117,13 @@ def train(table: NGramTable, lexicon: ClassLexicon) -> ClassNGramLM:
     raw_bow: dict[Gram, float] = {}
 
     # unigram level: interpolate with the uniform distribution over vocab
+    # (count + t_root / size) / (n_total + t_root), as one exact quotient
     n_total = sum(unigram_counts.values())
     t_root = len(unigram_counts)
-    p_uniform = Fraction(1, len(vocab))
-    denom = n_total + t_root
+    size = len(vocab)
+    denom = (n_total + t_root) * size
     for word in vocab:
-        count = unigram_counts.get(word, 0)
-        raw[(word,)] = float((Fraction(count) + t_root * p_uniform) / denom)
+        raw[(word,)] = float((unigram_counts.get(word, 0) * size + t_root) / denom)
 
     def lookup(context: Gram, word: str) -> float:
         acc = 1.0
@@ -146,7 +150,7 @@ def train(table: NGramTable, lexicon: ClassLexicon) -> ClassNGramLM:
                 raise ModelError(
                     f"counts of context {' '.join(context)!r} sum past the float range"
                 ) from exc
-            raw_bow[context] = float(Fraction(types) / (mass + types))
+            raw_bow[context] = float(types / (mass + types))
             for word, count in events:
                 p_low = lookup(context[1:], word)
                 raw[context + (word,)] = (float(count) + types * p_low) / scale

@@ -21,6 +21,7 @@ as ints.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from collections.abc import Callable, Collection, Iterable, Iterator, Mapping
 from fractions import Fraction
 
@@ -256,16 +257,49 @@ def extract(corpus: Iterable[NU], n: int) -> NGramTable:
     position has a full-length context and closure holds with equality on
     interior contexts.
 
-    Each distinct NU is counted once, weighted by its multiplicity, in order
-    of first occurrence, so the table iterates in the same order as counting
-    utterance by utterance would give.
+    Only the n-gram window ending at each scored position is counted, one
+    step per position, each distinct NU once weighted by its multiplicity.
+    The shorter grams follow level by level: a k-gram that does not open the
+    padded utterance is the k-suffix of the (k+1)-gram ending at the same
+    position, and for k < n the k-gram that opens it is a run of k start
+    tags. So the k-gram counts are suffix sums over the distinct (k+1)-grams
+    plus one start-tag run per utterance, which gives the run of k start
+    tags the n-k occurrences it has inside the padding.
+
+    The table iterates in the order an utterance-by-utterance count first
+    meets each gram: in each padded utterance the unigrams left to right,
+    then the bigrams, and so on. An NU whose windows were all seen before
+    brings no new gram, because each of its grams is a suffix of a seen
+    window or a start-tag run that the first NU brought. So only an NU that
+    brings a new window walks its k-grams to place them.
     """
-    counts: dict[Gram, int] = {}
+    histogram = nu_histogram(corpus)
     lead = (SENT_START,) * (n - 1)
-    for nu, weight in nu_histogram(corpus).items():
+    windows: Counter[Gram] = Counter()
+    first_seen: dict[Gram, None] = {}  # every gram, in counting order
+    for nu, weight in histogram.items():
         padded = lead + nu + (SENT_END,)
-        for k in range(1, n + 1):
-            for i in range(len(padded) - k + 1):
-                gram = padded[i : i + k]
-                counts[gram] = counts.get(gram, 0) + weight
-    return NGramTable.from_counts(n, counts)
+        known = len(windows)
+        grams = zip(*[padded[j:] for j in range(n)])
+        # Counter.update counts in C; generated sentences are all distinct
+        if weight == 1:
+            windows.update(grams)
+        else:
+            for window in grams:
+                windows[window] += weight
+        if len(windows) > known:
+            for k in range(1, n + 1):
+                first_seen.update(dict.fromkeys(zip(*[padded[j:] for j in range(k)])))
+    utterances = sum(histogram.values())
+    totals = dict(windows)
+    level = windows
+    for k in range(n - 1, 0, -1):
+        shorter: dict[Gram, int] = {}
+        for gram, count in level.items():
+            suffix = gram[1:]
+            shorter[suffix] = shorter.get(suffix, 0) + count
+        run = lead[:k]
+        shorter[run] = shorter.get(run, 0) + utterances
+        totals.update(shorter)
+        level = shorter
+    return NGramTable.from_counts(n, {gram: totals[gram] for gram in first_seen})

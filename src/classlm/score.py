@@ -2,7 +2,9 @@
 
 :meth:`Scorer.score_utterance` is the one scoring path: it maps tokens
 outside the vocabulary to the unknown tag, pads the utterance with start
-tags and an end tag, and walks the backoff tables position by position.
+tags and an end tag, and looks up the full-order window ending at each
+scored position, walking the backoff tables only where that window is not
+stored.
 """
 
 from __future__ import annotations
@@ -35,33 +37,39 @@ class Scorer:
         The end tag is scored, the start padding is not. Raises
         :class:`KeyError` for a token without a unigram, which only a model
         lacking the ``<unk>`` unigram can reach.
+
+        Each scored position is the last token of one full-order window. A
+        window stored in the model costs one lookup and one add; only a
+        miss walks the backoff chain, adding the backoff weights it passes
+        to the probability it ends on before adding that to the total.
         """
         vocab = self.vocab
-        mapped = tuple(t if t in vocab else UNK for t in nu)
-        oov = sum(1 for t in nu if t not in vocab) if UNK in mapped else 0
+        mapped = tuple(nu)
+        oov = 0
+        if not vocab.issuperset(mapped):
+            oov = sum(1 for t in mapped if t not in vocab)
+            mapped = tuple(t if t in vocab else UNK for t in mapped)
         tokens = self._lead + mapped + (SENT_END,)
-        order = self.order
         probs10, bows10, emis10 = self._probs10, self._bows10, self._emis10
         total = 0.0
-        for i in range(order - 1, len(tokens)):
-            acc = 0.0
-            start = i - order + 1
-            while True:
-                gram = tokens[start : i + 1]
-                prob = probs10.get(gram)
-                if prob is not None:
-                    total += acc + prob
-                    break
-                if start == i:
-                    # unigram miss; without this check start would pass i
-                    # and the empty slices after it would loop forever
-                    raise KeyError(tokens[i])
-                bow = bows10.get(gram[:-1])
-                if bow is not None:
-                    acc += bow
-                start += 1
+        for gram in zip(*[tokens[j:] for j in range(self.order)]):
+            prob = probs10.get(gram)
+            if prob is not None:
+                # the walk below would add 0.0 + prob, which is prob
+                total += prob
+            else:
+                acc = 0.0
+                while prob is None:
+                    if len(gram) == 1:
+                        raise KeyError(gram[0])
+                    bow = bows10.get(gram[:-1])
+                    if bow is not None:
+                        acc += bow
+                    gram = gram[1:]
+                    prob = probs10.get(gram)
+                total += acc + prob
             if emission:
-                emit = emis10.get(tokens[i])
+                emit = emis10.get(gram[-1])
                 if emit is not None:
                     total += emit
         return total, len(mapped) + 1, oov

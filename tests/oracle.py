@@ -5,17 +5,22 @@ in the raw probability domain, reading only the model's stored tables. The
 counter enumerates every padded window gram by gram, one utterance at a time.
 The normalizer tries every member length at every token. The grammar
 generator enumerates every derivation lazily. The corpus sampler passes raw
-weights on every draw and splits each template as it fills it. They
-deliberately share no code with the package's scoring loop, table internals,
-normalization shortcuts, stack-driven generation or precomputed sampling
-tables.
+weights on every draw and splits each template as it fills it. The trainer
+builds a Fraction for every unigram probability and backoff weight, and the
+utterance scorer slices each position's backoff grams by index; both are the
+package's earlier kernels, kept as they were. The rest deliberately share no
+code with the package's scoring loop, table internals, normalization
+shortcuts, stack-driven generation or precomputed sampling tables.
 """
 
 import math
 import random
+from fractions import Fraction
 
-from classlm.errors import GrammarError
+from classlm.errors import GrammarError, ModelError
 from classlm.grammar import SentenceSet, Terminal
+from classlm.lm import ClassNGramLM
+from classlm.ngrams import Gram
 from classlm.synth import (
     FILLER_EXPONENT, FILLER_RATE, FILLERS, GROUP_SAMPLING, GROUP_TEMPLATES,
     NOISE_RATE, NOISE_UTTERANCES, SynthConfig, SynthWorld, build_lexicon,
@@ -49,6 +54,109 @@ def nu_log_prob(model, nu, emission=False):
             prob *= 1.0 / model.class_sizes[padded[i]]
         total += math.log(prob)
     return total
+
+
+def naive_train(table, lexicon):
+    """Estimate a model from a closure-valid count table.
+
+    Levels are built bottom-up so each conditional can interpolate with the
+    already-smoothed lower level. Counts may be fractional (rescaled
+    tables); type counts are always integers. Raises :class:`ModelError`
+    when a context's count mass does not fit a float.
+    """
+    table.validate()
+    unigram_counts = {g[0]: c for g, c in table if len(g) == 1 and c > 0}
+    if not unigram_counts:
+        raise ModelError("cannot train on an empty table")
+
+    # injected grams can mention tokens that never occur as unigrams, so the
+    # closed vocabulary collects tokens from every gram position
+    table_tokens = {token for gram, _ in table for token in gram}
+    vocab = sorted(table_tokens | set(lexicon.tags) | {SENT_START, SENT_END, UNK})
+    raw: dict[Gram, float] = {}
+    raw_bow: dict[Gram, float] = {}
+
+    # unigram level: interpolate with the uniform distribution over vocab
+    n_total = sum(unigram_counts.values())
+    t_root = len(unigram_counts)
+    p_uniform = Fraction(1, len(vocab))
+    denom = n_total + t_root
+    for word in vocab:
+        count = unigram_counts.get(word, 0)
+        raw[(word,)] = float((Fraction(count) + t_root * p_uniform) / denom)
+
+    def lookup(context: Gram, word: str) -> float:
+        acc = 1.0
+        while context:
+            prob = raw.get(context + (word,))
+            if prob is not None:
+                return acc * prob
+            acc *= raw_bow.get(context, 1.0)
+            context = context[1:]
+        return acc * raw[(word,)]
+
+    for k in range(2, table.order + 1):
+        groups: dict[Gram, list[tuple[str, object]]] = {}
+        for gram, count in table:
+            if len(gram) == k and count > 0:
+                groups.setdefault(gram[:-1], []).append((gram[-1], count))
+        for context in sorted(groups):
+            events = sorted(groups[context])
+            mass = sum(count for _, count in events)
+            types = len(events)
+            try:
+                scale = float(mass + types)
+            except OverflowError as exc:
+                raise ModelError(
+                    f"counts of context {' '.join(context)!r} sum past the float range"
+                ) from exc
+            raw_bow[context] = float(Fraction(types) / (mass + types))
+            for word, count in events:
+                p_low = lookup(context[1:], word)
+                raw[context + (word,)] = (float(count) + types * p_low) / scale
+
+    probs10 = {gram: math.log10(p) for gram, p in raw.items()}
+    bows10 = {context: math.log10(b) for context, b in raw_bow.items()}
+    class_sizes = {tag: lexicon.class_size(tag) for tag in sorted(lexicon.tags)}
+    return ClassNGramLM(table.order, probs10, bows10, class_sizes)
+
+
+def naive_score_utterance(scorer, nu, emission):
+    """(log10 total, scored token count, oov count) for one utterance.
+
+    The end tag is scored, the start padding is not. Raises
+    :class:`KeyError` for a token without a unigram, which only a model
+    lacking the ``<unk>`` unigram can reach.
+    """
+    vocab = scorer.vocab
+    mapped = tuple(t if t in vocab else UNK for t in nu)
+    oov = sum(1 for t in nu if t not in vocab) if UNK in mapped else 0
+    tokens = scorer._lead + mapped + (SENT_END,)
+    order = scorer.order
+    probs10, bows10, emis10 = scorer._probs10, scorer._bows10, scorer._emis10
+    total = 0.0
+    for i in range(order - 1, len(tokens)):
+        acc = 0.0
+        start = i - order + 1
+        while True:
+            gram = tokens[start : i + 1]
+            prob = probs10.get(gram)
+            if prob is not None:
+                total += acc + prob
+                break
+            if start == i:
+                # unigram miss; without this check start would pass i
+                # and the empty slices after it would loop forever
+                raise KeyError(tokens[i])
+            bow = bows10.get(gram[:-1])
+            if bow is not None:
+                acc += bow
+            start += 1
+        if emission:
+            emit = emis10.get(tokens[i])
+            if emit is not None:
+                total += emit
+    return total, len(mapped) + 1, oov
 
 
 def corpus_perplexity(model, corpus, emission=False):

@@ -342,6 +342,17 @@ def test_analyze_size_past_corpus_writes_nothing(tmp_path, workspace):
     assert not (tmp_path / "out").exists()
 
 
+def test_analyze_default_sizes_fit_a_short_corpus(tmp_path, workspace):
+    # the default steps 500, 1000 and 2000 lie past the 480 training lines;
+    # they used to end the run with "training size 500 outside 1..480"
+    proc = run_cli(*_bound_command("analyze", workspace), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    rows = (tmp_path / "out" / "pp_sweep.csv").read_text(encoding="utf-8").splitlines()
+    assert sorted({int(row.split(",")[0]) for row in rows[1:]}) == [100, 480]
+    header = (tmp_path / "out" / "saturation.csv").read_text(encoding="utf-8").splitlines()[0]
+    assert header == "group,100,480"
+
+
 @pytest.mark.parametrize("flag", ["--size", "--seed"])
 def test_synth_negative_bound_exits_two(tmp_path, flag):
     # --size -5 used to write an empty bundle, --seed -5 the bundle of --seed 5

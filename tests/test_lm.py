@@ -1,13 +1,16 @@
 import hashlib
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from classlm.errors import ModelError
+from classlm.generalize import DEFAULT_GRID, merge_tables
 from classlm.lm import export_model, import_model, log_prob, perplexity, train
 from classlm.ngrams import NGramTable, extract
-from classlm.vocab import ClassLexicon, UNK
+from classlm.vocab import SENT_START, ClassLexicon, UNK
 
 import oracle
 
@@ -205,3 +208,56 @@ def test_imported_model_scores_identically(tmp_path, model_small, splits):
     loaded = import_model(path)
     for nu in splits["nus"]["test"][:20]:
         assert log_prob(loaded, nu, True) == log_prob(model_small, nu, True)
+
+
+# -- exact division against the Fraction-built oracle ---------------------------
+
+_train_lexicon = ClassLexicon({"CITY": {"rome", "oslo", "new_york"}, "DAY": {"monday"}})
+_train_nus = st.lists(
+    st.lists(st.sampled_from(["a", "b", "c", "CITY", SENT_START]), max_size=6).map(tuple),
+    min_size=1, max_size=8,
+)
+
+
+def assert_train_matches_oracle(table):
+    model = train(table, _train_lexicon)
+    naive = oracle.naive_train(table, _train_lexicon)
+    assert model.probs10 == naive.probs10
+    assert model.bows10 == naive.bows10
+
+
+@settings(max_examples=150, deadline=None)
+@given(_train_nus, st.integers(min_value=1, max_value=4))
+def test_train_matches_fraction_oracle_on_extracted_tables(corpus, n):
+    assert_train_matches_oracle(extract(corpus, n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_train_nus, _train_nus, st.sampled_from(DEFAULT_GRID),
+       st.integers(min_value=1, max_value=4), st.booleans())
+def test_train_matches_fraction_oracle_on_merged_tables(corpus, sentences, factor, n,
+                                                        weight_unknown):
+    # factor 1/2 leaves Fraction counts, which train divides as Fractions
+    merged = merge_tables(extract(corpus, n), extract(sentences, n), factor, weight_unknown)
+    assert_train_matches_oracle(merged)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_train_nus, st.integers(min_value=2**53, max_value=2**80),
+       st.integers(min_value=1, max_value=4))
+def test_train_matches_fraction_oracle_past_float_precision(corpus, factor, n):
+    # context masses past 2**53 have no exact float; int true division still
+    # rounds the exact quotient once
+    table = extract(corpus, n)
+    table.scale(factor, selector=lambda gram: len(gram) % 2 == 1)
+    assert_train_matches_oracle(table)
+
+
+def test_train_rounds_a_backoff_weight_once():
+    # 1 / float(mass + 1) rounds twice and lands one ulp off this weight,
+    # far enough that its log10 differs too
+    mass = 1332507270757778810
+    assert math.log10(1 / float(mass + 1)) != math.log10(Fraction(1, mass + 1))
+    table = NGramTable.from_counts(2, {("a",): mass, ("a", "b"): mass, ("b",): mass})
+    assert_train_matches_oracle(table)
+    assert train(table, _train_lexicon).bows10[("a",)] == math.log10(Fraction(1, mass + 1))

@@ -94,6 +94,28 @@ def test_extract_with_heavy_repeats_matches_naive_oracle(pool, data, n):
     assert_matches_oracle([pool[i] if i % 2 else tuple(pool[i]) for i in picks], n)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.lists(st.sampled_from(["a", "b", SENT_START, SENT_END]), max_size=6)
+             .map(tuple), max_size=60),
+    st.booleans(),
+    st.integers(min_value=1, max_value=5),
+)
+def test_extract_on_overlapping_corpora_matches_naive_oracle(nus, distinct, n):
+    # over two letters most NUs bring no window the NUs before them lack, so
+    # extract places their grams by the skip rule; sorted distinct NUs are
+    # the shape of a generated-sentence corpus, and empty NUs, NUs spelling
+    # the boundary tags and the empty corpus all occur
+    corpus = sorted(set(nus)) if distinct else nus
+    assert_matches_oracle(corpus, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_extract_empty_corpus(n):
+    assert extract([], n).order == n
+    assert_matches_oracle([], n)
+
+
 def test_extract_order_independent(splits):
     corpus = splits["nus"]["train"][:50]
     assert extract(corpus, 3) == extract(list(reversed(corpus)), 3)
