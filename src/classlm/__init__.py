@@ -52,8 +52,8 @@ from .lm import (
     perplexity,
     train,
 )
-from .ngrams import NGramTable, extract, load_table
-from .normalize import NU, normalize, nu_histogram, tokenize
+from .ngrams import NGramTable, extract, load_table, window_types
+from .normalize import NU, normalize, normalize_sentences, nu_histogram, tokenize
 from .synth import SynthConfig, SynthWorld, generate_world
 from .vocab import ClassLexicon, load_lexicon
 
@@ -95,6 +95,7 @@ __all__ = [
     "log_prob",
     "merge_tables",
     "normalize",
+    "normalize_sentences",
     "nu_coverage",
     "nu_histogram",
     "partial_training_sweep",
@@ -107,4 +108,5 @@ __all__ = [
     "train",
     "tune_balance_factor",
     "unseen_split",
+    "window_types",
 ]

@@ -15,6 +15,11 @@ rule. The balance factor is picked by grid search, minimizing perplexity on a
 tuning corpus (held out by default; tests may deliberately tune on their
 evaluation set to mirror older setups).
 
+The grammar side enters only through the distinct top-order windows of the
+generated sentences (:func:`classlm.ngrams.window_types`), which are
+normalized with each distinct token mapped once
+(:func:`classlm.normalize.normalize_sentences`).
+
 The known-bad alternative of appending the generated sentences to the
 training text is kept available as mode="naive-sentences" so its failure is
 demonstrable.
@@ -29,8 +34,8 @@ from .analysis import write_csv
 from .errors import DataError, TableError
 from .grammar import Grammar, generate
 from .lm import ClassNGramLM, perplexity, train
-from .ngrams import Count, Gram, NGramTable, exact_count, extract
-from .normalize import NU, normalize
+from .ngrams import Count, Gram, NGramTable, exact_count, extract, window_types
+from .normalize import NU, normalize_sentences
 from .vocab import ClassLexicon
 
 MODE_INJECTION = "ngram-injection"
@@ -190,9 +195,9 @@ def build_generalized_lm(
         raise DataError(f"unknown mode {mode!r}")
     train_nus = [tuple(nu) for nu in train_nus]
     sentences = generate(grammar, max_depth, max_sentences)
-    sentence_nus = sorted({normalize(lexicon, s) for s in sentences if s})
+    sentence_nus = normalize_sentences(lexicon, sentences)
     train_table = extract(train_nus, n)
-    grammar_table = extract(sentence_nus, n)
+    grammar_table = window_types(sentence_nus, n)
     partition = classify_events(train_table, grammar_table, n)
     baseline = train(train_table, lexicon)
 

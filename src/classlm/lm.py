@@ -103,8 +103,11 @@ def train(table: NGramTable, lexicon: ClassLexicon) -> ClassNGramLM:
     counts, ``num / den``. On int counts that is int true division, which
     rounds correctly, so it gives the float of the exact rational; on
     Fraction counts it is Fraction division, rounded once by ``float``.
+
+    The table is not validated here: :func:`classlm.ngrams.extract` and
+    :meth:`NGramTable.closed` build closure-valid tables, and
+    :func:`classlm.ngrams.load_table` validates the ones read from files.
     """
-    table.validate()
     unigram_counts = {g[0]: c for g, c in table if len(g) == 1 and c > 0}
     if not unigram_counts:
         raise ModelError("cannot train on an empty table")

@@ -6,12 +6,14 @@ is that every context can pay for its extensions::
     count(c) >= sum over w of count(c + (w,))
 
 Every table is built by :meth:`NGramTable.from_counts`, which stores the
-non-zero counts; :func:`extract` satisfies the invariant by construction and
-:meth:`NGramTable.validate` checks it. Every edit (:meth:`NGramTable.inject`,
-:meth:`NGramTable.scale`, :func:`classlm.generalize.merge_tables`) goes
-through the one repair rule, :meth:`NGramTable.closed`: a violated context is
-raised exactly to the sum of its extensions, never higher, so the empirical
-distribution is perturbed as little as possible.
+non-zero counts; :func:`extract` satisfies the invariant by construction, and
+:meth:`NGramTable.validate` checks it on tables from outside, as
+:func:`load_table` does. :func:`window_types` and every edit
+(:meth:`NGramTable.inject`, :meth:`NGramTable.scale`,
+:func:`classlm.generalize.merge_tables`) go through the one repair rule,
+:meth:`NGramTable.closed`: a violated context is raised exactly to the sum
+of its extensions, never higher, so the empirical distribution is perturbed
+as little as possible.
 
 Counts are exact numbers (int, or Fraction after non-integer scaling), so
 rescaling experiments are reproducible bit for bit; integral values are kept
@@ -250,6 +252,16 @@ def load_table(path, order: int | None = None) -> NGramTable:
     return table
 
 
+def _padded(nu: NU, n: int) -> Gram:
+    """``nu`` with the n-1 start tags and the end tag of order-n counting."""
+    return (SENT_START,) * (n - 1) + nu + (SENT_END,)
+
+
+def _grams(padded: Gram, k: int) -> Iterator[Gram]:
+    """The k-grams of ``padded``, left to right."""
+    return zip(*[padded[j:] for j in range(k)])
+
+
 def extract(corpus: Iterable[NU], n: int) -> NGramTable:
     """Count all k-grams (k = 1..n) of each utterance padded with boundaries.
 
@@ -278,9 +290,9 @@ def extract(corpus: Iterable[NU], n: int) -> NGramTable:
     windows: Counter[Gram] = Counter()
     first_seen: dict[Gram, None] = {}  # every gram, in counting order
     for nu, weight in histogram.items():
-        padded = lead + nu + (SENT_END,)
+        padded = _padded(nu, n)
         known = len(windows)
-        grams = zip(*[padded[j:] for j in range(n)])
+        grams = _grams(padded, n)
         # Counter.update counts in C; generated sentences are all distinct
         if weight == 1:
             windows.update(grams)
@@ -289,7 +301,7 @@ def extract(corpus: Iterable[NU], n: int) -> NGramTable:
                 windows[window] += weight
         if len(windows) > known:
             for k in range(1, n + 1):
-                first_seen.update(dict.fromkeys(zip(*[padded[j:] for j in range(k)])))
+                first_seen.update(dict.fromkeys(_grams(padded, k)))
     utterances = sum(histogram.values())
     totals = dict(windows)
     level = windows
@@ -303,3 +315,18 @@ def extract(corpus: Iterable[NU], n: int) -> NGramTable:
         totals.update(shorter)
         level = shorter
     return NGramTable.from_counts(n, {gram: totals[gram] for gram in first_seen})
+
+
+def window_types(corpus: Iterable[NU], n: int) -> NGramTable:
+    """Each distinct padded n-gram window of the corpus once, at count 1, closed.
+
+    Its n-gram set equals ``extract(corpus, n).gram_set(n)``; shorter grams
+    are only the contexts :meth:`NGramTable.closed` adds. This is the table
+    of a corpus that enters only through its distinct top-order windows, as
+    the generated sentences do in :mod:`classlm.generalize`. The windows go
+    in sorted order, so the table does not depend on string hashing.
+    """
+    windows: set[Gram] = set()
+    for nu in corpus:
+        windows.update(_grams(_padded(tuple(nu), n), n))
+    return NGramTable.closed(n, dict.fromkeys(sorted(windows), 1))

@@ -7,6 +7,7 @@ nearly all of a lexicon, are replaced through one dict map
 (:attr:`ClassLexicon.word_tag`); the greedy longest-match search runs only
 on a line with a token that begins a multi-word member
 (:attr:`ClassLexicon.multi_word_starts`), and only at such tokens.
+:func:`normalize_sentences` maps each distinct token of a sentence set once.
 
 Corpus files, plain and labeled, are read here too (:func:`read_corpus`).
 """
@@ -77,6 +78,33 @@ def normalize(lexicon: ClassLexicon, utterance: str | Sequence[str]) -> NU:
         out.append(tag)
         i += length
     return tuple(out)
+
+
+def normalize_sentences(
+    lexicon: ClassLexicon, sentences: Iterable[Sequence[str]]
+) -> list[NU]:
+    """Sorted distinct NUs of the non-empty token sequences in ``sentences``.
+
+    Equals ``sorted({normalize(lexicon, s) for s in sentences if s})``. Each
+    distinct token is cased and mapped through :attr:`ClassLexicon.word_tag`
+    once per call, as :func:`normalize` does for a token sequence; a sentence
+    holding a token that begins a multi-word member goes through
+    :func:`normalize` itself.
+    """
+    sentences = [s for s in sentences if s]
+    verbatim = lexicon.verbatim
+    word_tag = lexicon.word_tag
+    starts = lexicon.multi_word_starts
+    tag_of: dict[str, str] = {}
+    greedy: set[str] = set()  # tokens that begin a multi-word member once cased
+    for token in set().union(*sentences):
+        cased = token if token in verbatim else token.lower()
+        tag_of[token] = word_tag.get(cased, cased)
+        if cased in starts:
+            greedy.add(token)
+    tag = tag_of.__getitem__
+    return sorted({tuple(map(tag, s)) if greedy.isdisjoint(s) else normalize(lexicon, s)
+                   for s in sentences})
 
 
 def nu_histogram(corpus: Iterable[NU]) -> Counter:

@@ -8,7 +8,9 @@ generator enumerates every derivation lazily. The corpus sampler passes raw
 weights on every draw and splits each template as it fills it. The trainer
 builds a Fraction for every unigram probability and backoff weight, and the
 utterance scorer slices each position's backoff grams by index; both are the
-package's earlier kernels, kept as they were. The rest deliberately share no
+package's earlier kernels, kept as they were. The generalization pipeline is
+composed from these pieces alone, the obvious way: every count table in full,
+one merge and one training per grid factor. The rest deliberately share no
 code with the package's scoring loop, table internals, normalization
 shortcuts, stack-driven generation or precomputed sampling tables.
 """
@@ -20,7 +22,7 @@ from fractions import Fraction
 from classlm.errors import GrammarError, ModelError
 from classlm.grammar import SentenceSet, Terminal
 from classlm.lm import ClassNGramLM
-from classlm.ngrams import Gram
+from classlm.ngrams import Gram, NGramTable
 from classlm.synth import (
     FILLER_EXPONENT, FILLER_RATE, FILLERS, GROUP_SAMPLING, GROUP_TEMPLATES,
     NOISE_RATE, NOISE_UTTERANCES, SynthConfig, SynthWorld, build_lexicon,
@@ -268,6 +270,63 @@ def naive_merge(train_counts, grammar_counts, n, factor, weight_unknown=True):
     for gram in grams:
         count(gram)
     return merged
+
+
+def naive_generalize(train_nus, grammar, lexicon, n, grid, tuning_corpus, test_corpus,
+                     max_depth, max_sentences, emission, mode, weight_unknown):
+    """The generalization experiment by its definition, as a dict.
+
+    Keys: ``fields`` (event counts and the factor as the report writes
+    them), ``factor`` (None in naive-sentences mode), ``curve`` ((factor, pp)
+    pairs of the grid search), ``model``, ``baseline``, ``sentence_nus`` and
+    ``perplexities`` (corpus label -> (baseline pp, generalized pp)).
+    """
+    sentences = naive_generate(grammar, max_depth, max_sentences).sentences
+    sentence_nus = sorted({naive_normalize(lexicon, s) for s in sentences if s})
+    train_counts = naive_extract(train_nus, n)
+    grammar_counts = naive_extract(sentence_nus, n)
+    train_top = {gram for gram in train_counts if len(gram) == n}
+    grammar_top = {gram for gram in grammar_counts if len(gram) == n}
+
+    def model_of(counts):
+        return naive_train(NGramTable.from_counts(n, counts), lexicon)
+
+    baseline = model_of(train_counts)
+    factor = None
+    curve = []
+    if mode == "naive-sentences":
+        model = model_of(naive_extract(list(train_nus) + sentence_nus, n))
+    else:
+        best_pp = None
+        for candidate in sorted({Fraction(f) for f in grid}):
+            merged = model_of(naive_merge(train_counts, grammar_counts, n, candidate,
+                                          weight_unknown))
+            pp = corpus_perplexity(merged, tuning_corpus, emission)
+            curve.append((candidate, pp))
+            if best_pp is None or pp < best_pp:
+                factor, best_pp = candidate, pp
+        model = model_of(naive_merge(train_counts, grammar_counts, n, factor,
+                                     weight_unknown))
+    perplexities = {}
+    for label, corpus in (("tuning", tuning_corpus), ("test", test_corpus),
+                          ("grammar", sentence_nus)):
+        if corpus:
+            perplexities[label] = (corpus_perplexity(baseline, corpus, emission),
+                                   corpus_perplexity(model, corpus, emission))
+    return {
+        "fields": {
+            "used": len(train_top & grammar_top),
+            "rare": len(train_top - grammar_top),
+            "unknown": len(grammar_top - train_top),
+            "balance_factor": "" if factor is None else str(factor),
+        },
+        "factor": factor,
+        "curve": curve,
+        "model": model,
+        "baseline": baseline,
+        "sentence_nus": sentence_nus,
+        "perplexities": perplexities,
+    }
 
 
 def naive_generate(grammar, max_depth, max_sentences):

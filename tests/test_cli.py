@@ -196,10 +196,11 @@ def test_missing_file_is_data_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def run_cli(*argv, cwd=None, timeout=60):
-    """``python -m classlm argv`` in a subprocess; it must not print a traceback."""
+def run_cli(*argv, cwd=None, timeout=60, env=None):
+    """``python -m classlm argv`` in a subprocess, with ``env`` added to the
+    environment; it must not print a traceback."""
     src = str(Path(classlm.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **(env or {}), PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run(
         [sys.executable, "-m", "classlm", *map(str, argv)],
@@ -214,6 +215,26 @@ def run_data_error(*argv):
     proc = run_cli(*argv)
     assert proc.returncode == 1
     return proc.stderr
+
+
+@pytest.mark.parametrize("mode", ["ngram-injection", "naive-sentences"])
+def test_generalize_bytes_do_not_depend_on_string_hashing(tmp_path, workspace, mode):
+    # the grammar's windows are collected in a set, whose order follows
+    # the string hash seed
+    outputs = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"hash-seed-{seed}"
+        proc = run_cli(
+            "generalize", "--labeled", "--lexicon", workspace / "lexicon.lex",
+            "--corpus", workspace / "corpus_train.tsv", "--grammar", workspace / "grammar.bnf",
+            "--tune-corpus", workspace / "corpus_tune.tsv",
+            "--test-corpus", workspace / "corpus_test.tsv", "--mode", mode,
+            "--out-dir", out, env={"PYTHONHASHSEED": seed})
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((proc.stdout, {path.name: path.read_bytes()
+                                      for path in sorted(out.iterdir())}))
+    assert outputs[0] == outputs[1]
+    assert "model.arpa" in outputs[0][1]
 
 
 def test_ambiguous_grammar_generates_quickly(tmp_path):

@@ -1,8 +1,10 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from classlm.analysis import label_nus, nus_of
 from classlm.errors import DataError, TableError
 from classlm.generalize import (
     DEFAULT_GRID,
@@ -16,6 +18,7 @@ from classlm.generalize import (
 from classlm.grammar import parse_grammar_text
 from classlm.lm import export_model, perplexity, train
 from classlm.ngrams import NGramTable, extract
+from classlm.synth import SynthConfig, generate_world
 from classlm.vocab import ClassLexicon
 
 import oracle
@@ -263,6 +266,66 @@ def test_exact_cover_grammar_reproduces_baseline(lexicon):
     )
     assert run.partition.unknown == frozenset()
     assert run.model == run.baseline
+
+
+def assert_close(actual, expected):
+    assert math.isclose(actual, expected, rel_tol=1e-9, abs_tol=0.0)
+
+
+# alternatives put first in CityRequest, so even the first few generated
+# sentences hold them: case variants, and a member spelled out in one terminal
+# or across two; each normalizes like the alternative "from CITY-NAME"
+_CITY_VARIANTS = ["", '"From CITY-NAME" | "FROM" "CITY-NAME" | ',
+                  '"from monte bianco" | "from monte" "bianco" | ']
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    size=st.integers(min_value=200, max_value=1000),
+    seed=st.integers(min_value=0, max_value=2**16),
+    n=st.integers(min_value=2, max_value=4),
+    grid=st.lists(st.sampled_from([1, Fraction(3, 2), 2, 4, 10]), max_size=3),
+    max_sentences=st.sampled_from([20, 150, 600]),
+    emission=st.booleans(),
+    mode=st.sampled_from(["ngram-injection", "naive-sentences"]),
+    weight_unknown=st.booleans(),
+    variant=st.sampled_from(_CITY_VARIANTS),
+)
+def test_pipeline_matches_naive_generalize(size, seed, n, grid, max_sentences, emission,
+                                           mode, weight_unknown, variant):
+    world = generate_world(SynthConfig(size=size, seed=seed))
+    assert "monte_bianco" in world.lexicon.classes["CITY-NAME"]
+    train_nus, tune_nus, test_nus = (
+        nus_of(label_nus(world.lexicon, rows)) for rows in world.splits())
+    assert world.grammar_text.count("CityRequest -> ") == 1
+    grammar = parse_grammar_text(
+        world.grammar_text.replace("CityRequest -> ", "CityRequest -> " + variant),
+        source="bundled-grammar")
+    grid = [Fraction(1, 2)] + grid
+    kwargs = dict(max_depth=12, max_sentences=max_sentences, emission=emission, mode=mode,
+                  weight_unknown=weight_unknown)
+    result = build_generalized_lm(train_nus, grammar, world.lexicon, n, grid=grid,
+                                  tuning_corpus=tune_nus, test_corpus=test_nus, **kwargs)
+    expected = oracle.naive_generalize(train_nus, grammar, world.lexicon, n, grid,
+                                       tune_nus, test_nus, **kwargs)
+    assert result.report_fields() == expected["fields"]
+    assert result.sentence_nus == expected["sentence_nus"]
+    for got, want in ((result.model, expected["model"]),
+                      (result.baseline, expected["baseline"])):
+        assert got.probs10 == want.probs10
+        assert got.bows10 == want.bows10
+    if mode == "naive-sentences":
+        assert result.balance_factor is None and expected["factor"] is None
+    else:
+        assert result.balance_factor.value == expected["factor"]
+        assert [f for f, _ in result.balance_factor.curve] == [f for f, _ in expected["curve"]]
+        for (_, pp), (_, want) in zip(result.balance_factor.curve, expected["curve"]):
+            assert_close(pp, want)
+    assert list(result.perplexities) == list(expected["perplexities"])
+    for label, (base_pp, gen_pp) in result.perplexities.items():
+        want_base, want_gen = expected["perplexities"][label]
+        assert_close(base_pp, want_base)
+        assert_close(gen_pp, want_gen)
 
 
 def test_naive_mode_has_no_factor(generalization_runs):

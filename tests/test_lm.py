@@ -1,7 +1,9 @@
 import hashlib
 import math
 import random
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from classlm.errors import ModelError
 from classlm.generalize import DEFAULT_GRID, merge_tables
 from classlm.lm import export_model, import_model, log_prob, perplexity, train
-from classlm.ngrams import NGramTable, extract
+from classlm.ngrams import NGramTable, extract, window_types
 from classlm.vocab import SENT_START, ClassLexicon, UNK
 
 import oracle
@@ -234,11 +236,13 @@ def test_train_matches_fraction_oracle_on_extracted_tables(corpus, n):
 
 @settings(max_examples=150, deadline=None)
 @given(_train_nus, _train_nus, st.sampled_from(DEFAULT_GRID),
-       st.integers(min_value=1, max_value=4), st.booleans())
+       st.integers(min_value=1, max_value=4), st.booleans(),
+       st.sampled_from([extract, window_types]))
 def test_train_matches_fraction_oracle_on_merged_tables(corpus, sentences, factor, n,
-                                                        weight_unknown):
+                                                        weight_unknown, grammar_table):
     # factor 1/2 leaves Fraction counts, which train divides as Fractions
-    merged = merge_tables(extract(corpus, n), extract(sentences, n), factor, weight_unknown)
+    merged = merge_tables(extract(corpus, n), grammar_table(sentences, n), factor,
+                          weight_unknown)
     assert_train_matches_oracle(merged)
 
 
@@ -261,3 +265,40 @@ def test_train_rounds_a_backoff_weight_once():
     table = NGramTable.from_counts(2, {("a",): mass, ("a", "b"): mass, ("b",): mass})
     assert_train_matches_oracle(table)
     assert train(table, _train_lexicon).bows10[("a",)] == math.log10(Fraction(1, mass + 1))
+
+
+# -- tables built in the package train without validation ----------------------
+
+def assert_export_round_trip(model, directory):
+    first, second = directory / "first.arpa", directory / "second.arpa"
+    export_model(model, first)
+    loaded = import_model(first)
+    export_model(loaded, second)
+    assert second.read_bytes() == first.read_bytes()
+    assert loaded == model
+
+
+def built_tables(corpus, sentences, n):
+    """Every kind of table the package trains on without validating it."""
+    train_table = extract(corpus, n)
+    grammar_table = window_types(sentences, n)
+    return [train_table, grammar_table] + [
+        merge_tables(train_table, grammar_table, factor, weight_unknown)
+        for factor in DEFAULT_GRID for weight_unknown in (True, False)]
+
+
+# train does not validate; import_model rejects a k-gram whose prefix is not
+# stored, which is what a table breaking closure would train into
+def test_models_of_built_tables_round_trip(tmp_path, splits, sentence_nus, lexicon):
+    for table in built_tables(splits["nus"]["train"][:1000], sentence_nus, 3):
+        table.validate()
+        assert_export_round_trip(train(table, lexicon), tmp_path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_train_nus, _train_nus, st.integers(min_value=1, max_value=4))
+def test_models_of_built_tables_round_trip_random(corpus, sentences, n):
+    with tempfile.TemporaryDirectory() as directory:
+        for table in built_tables(corpus, sentences, n):
+            table.validate()
+            assert_export_round_trip(train(table, _train_lexicon), Path(directory))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from classlm.errors import TableError
-from classlm.ngrams import NGramTable, extract, load_table
+from classlm.ngrams import NGramTable, extract, load_table, window_types
 from classlm.vocab import SENT_END, SENT_START
 
 import oracle
@@ -114,6 +114,27 @@ def test_extract_on_overlapping_corpora_matches_naive_oracle(nus, distinct, n):
 def test_extract_empty_corpus(n):
     assert extract([], n).order == n
     assert_matches_oracle([], n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.lists(st.sampled_from(["a", "b", SENT_START, SENT_END]), max_size=5)
+             .map(lambda nu: tuple(nu) if len(nu) % 2 else nu), max_size=12),
+    st.integers(min_value=1, max_value=4),
+)
+def test_window_types_holds_each_top_order_window_once(corpus, n):
+    # NUs come as lists and tuples, as extract takes them
+    table = window_types(corpus, n)
+    top = table.gram_set(n)
+    assert top == extract(corpus, n).gram_set(n)
+    assert top == {gram for gram in oracle.naive_extract(corpus, n) if len(gram) == n}
+    assert all(table.count(gram) == 1 for gram in top)
+    # every shorter gram is a context the closure added, counting the
+    # windows that extend it
+    for gram, count in table:
+        if len(gram) < n:
+            assert count == sum(1 for window in top if window[:len(gram)] == gram) > 0
+    table.validate()
 
 
 def test_extract_order_independent(splits):

@@ -2,7 +2,7 @@ from collections import Counter
 
 from hypothesis import assume, given, settings, strategies as st
 
-from classlm.normalize import normalize, nu_histogram, tokenize
+from classlm.normalize import normalize, normalize_sentences, nu_histogram, tokenize
 from classlm.synth import SynthConfig, generate_world
 from classlm.vocab import ClassLexicon
 
@@ -167,3 +167,17 @@ def test_normalize_keeps_lowercase_tags():
 def test_normalize_matches_naive_oracle_on_synthetic_corpus(world, lexicon):
     for _, text in world.labeled_rows:
         assert normalize(lexicon, text) == oracle.naive_normalize(lexicon, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(lexicons(), st.sampled_from(_OVERLAPPING_LEXICONS)),
+       st.lists(st.lists(_WORDS, max_size=6).map(tuple), max_size=6), st.data())
+def test_normalize_sentences_matches_normalize(lex, pool, data):
+    # repeats: sentences of the pool drawn again, in any order
+    sentences = pool + (data.draw(st.lists(st.sampled_from(pool), max_size=4)) if pool else [])
+    expected = sorted({normalize(lex, s) for s in sentences if s})
+    assert normalize_sentences(lex, sentences) == expected
+
+
+def test_normalize_sentences_on_the_bundle_grammar(lexicon, sentences, sentence_nus):
+    assert normalize_sentences(lexicon, sentences) == sentence_nus
