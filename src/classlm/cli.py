@@ -192,7 +192,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_generalize(args) -> int:
-    out_dir = _out_dir(args)
+    if args.mode == generalize.MODE_INJECTION and not args.tune_corpus:
+        raise UsageError("need --tune-corpus for the factor search")
     lexicon = load_lexicon(args.lexicon)
 
     def read_nus(path):
@@ -201,9 +202,8 @@ def cmd_generalize(args) -> int:
     train_nus = read_nus(args.corpus)
     gram = grammar_mod.parse_grammar(args.grammar)
     test_nus = read_nus(args.test_corpus)
-    if args.mode == generalize.MODE_INJECTION and not args.tune_corpus:
-        raise UsageError("need --tune-corpus for the factor search")
     tuning = read_nus(args.tune_corpus)
+    out_dir = _out_dir(args)
     result = generalize.build_generalized_lm(
         train_nus,
         gram,

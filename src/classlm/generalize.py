@@ -103,7 +103,7 @@ def merge_tables(
     for gram in partition.usual:
         counts[gram] *= factor
     unknown_count = factor if weight_unknown else 1
-    for gram in sorted(partition.unknown):
+    for gram in partition.unknown:
         counts[gram] = unknown_count
     return NGramTable.closed(n, counts)
 

@@ -97,7 +97,8 @@ def train(table: NGramTable, lexicon: ClassLexicon) -> ClassNGramLM:
     Levels are built bottom-up so each conditional can interpolate with the
     already-smoothed lower level. Counts may be fractional (rescaled
     tables); type counts are always integers. Raises :class:`ModelError`
-    when a context's count mass does not fit a float.
+    when a context's count mass does not fit a float, naming the smallest
+    such context of the lowest order that has one.
 
     Each unigram probability and backoff weight is one quotient of exact
     counts, ``num / den``. On int counts that is int true division, which
@@ -115,7 +116,7 @@ def train(table: NGramTable, lexicon: ClassLexicon) -> ClassNGramLM:
     # injected grams can mention tokens that never occur as unigrams, so the
     # closed vocabulary collects tokens from every gram position
     table_tokens = {token for gram, _ in table for token in gram}
-    vocab = sorted(table_tokens | set(lexicon.tags) | {SENT_START, SENT_END, UNK})
+    vocab = table_tokens | lexicon.tags | {SENT_START, SENT_END, UNK}
     raw: dict[Gram, float] = {}
     raw_bow: dict[Gram, float] = {}
 
@@ -143,24 +144,27 @@ def train(table: NGramTable, lexicon: ClassLexicon) -> ClassNGramLM:
         for gram, count in table:
             if len(gram) == k and count > 0:
                 groups.setdefault(gram[:-1], []).append((gram[-1], count))
-        for context in sorted(groups):
-            events = sorted(groups[context])
+        overflowed = []
+        for context, events in groups.items():
             mass = sum(count for _, count in events)
             types = len(events)
             try:
                 scale = float(mass + types)
-            except OverflowError as exc:
-                raise ModelError(
-                    f"counts of context {' '.join(context)!r} sum past the float range"
-                ) from exc
+            except OverflowError:
+                overflowed.append(context)
+                continue
             raw_bow[context] = float(types / (mass + types))
             for word, count in events:
                 p_low = lookup(context[1:], word)
                 raw[context + (word,)] = (float(count) + types * p_low) / scale
+        if overflowed:
+            raise ModelError(
+                f"counts of context {' '.join(min(overflowed))!r} sum past the float range"
+            )
 
     probs10 = {gram: math.log10(p) for gram, p in raw.items()}
     bows10 = {context: math.log10(b) for context, b in raw_bow.items()}
-    class_sizes = {tag: lexicon.class_size(tag) for tag in sorted(lexicon.tags)}
+    class_sizes = {tag: lexicon.class_size(tag) for tag in lexicon.tags}
     return ClassNGramLM(table.order, probs10, bows10, class_sizes)
 
 
@@ -218,8 +222,9 @@ def import_model(path) -> ClassNGramLM:
     """Read a model written by :func:`export_model`.
 
     Raises :class:`ModelError` on malformed lines, non-finite values,
-    log-probs above 0, a missing ``<s>``, ``</s>`` or ``<unk>`` unigram, and a
-    k-gram whose (k-1)-prefix is not stored.
+    log-probs above 0, a k-gram section the header does not declare, a
+    missing ``<s>``, ``</s>`` or ``<unk>`` unigram, and a k-gram whose
+    (k-1)-prefix is not stored.
     """
     header: dict[int, int] = {}
     probs10: dict[Gram, float] = {}
@@ -252,6 +257,10 @@ def import_model(path) -> ClassNGramLM:
                     section = int(stripped[1:-7])
                 except ValueError as exc:
                     raise ModelError(f"{path}:{lineno}: bad section {stripped!r}") from exc
+                if section not in header:
+                    raise ModelError(
+                        f"{path}:{lineno}: section {stripped!r} not declared in the header"
+                    )
                 continue
             if stripped == "\\end\\":
                 saw_end = True

@@ -18,12 +18,16 @@ as little as possible.
 Counts are exact numbers (int, or Fraction after non-integer scaling), so
 rescaling experiments are reproducible bit for bit; integral values are kept
 as ints.
+
+A table is a multiset: its iteration order is unspecified and nothing built
+from it may depend on that order. The writers sort what they write
+(:meth:`NGramTable.save` and :func:`classlm.lm.export_model`), so the same
+counts give the same bytes.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter
 from collections.abc import Callable, Collection, Iterable, Iterator, Mapping
 from fractions import Fraction
 
@@ -81,7 +85,7 @@ class NGramTable:
 
     @classmethod
     def from_counts(cls, order: int, counts: Mapping[Gram, Count]) -> "NGramTable":
-        """Table holding the non-zero ``counts``, in their iteration order.
+        """Table holding the non-zero ``counts``.
 
         No closure repair is done, so callers holding outside data call
         :meth:`validate`.
@@ -277,31 +281,13 @@ def extract(corpus: Iterable[NU], n: int) -> NGramTable:
     tags. So the k-gram counts are suffix sums over the distinct (k+1)-grams
     plus one start-tag run per utterance, which gives the run of k start
     tags the n-k occurrences it has inside the padding.
-
-    The table iterates in the order an utterance-by-utterance count first
-    meets each gram: in each padded utterance the unigrams left to right,
-    then the bigrams, and so on. An NU whose windows were all seen before
-    brings no new gram, because each of its grams is a suffix of a seen
-    window or a start-tag run that the first NU brought. So only an NU that
-    brings a new window walks its k-grams to place them.
     """
     histogram = nu_histogram(corpus)
     lead = (SENT_START,) * (n - 1)
-    windows: Counter[Gram] = Counter()
-    first_seen: dict[Gram, None] = {}  # every gram, in counting order
+    windows: dict[Gram, int] = {}
     for nu, weight in histogram.items():
-        padded = _padded(nu, n)
-        known = len(windows)
-        grams = _grams(padded, n)
-        # Counter.update counts in C; generated sentences are all distinct
-        if weight == 1:
-            windows.update(grams)
-        else:
-            for window in grams:
-                windows[window] += weight
-        if len(windows) > known:
-            for k in range(1, n + 1):
-                first_seen.update(dict.fromkeys(_grams(padded, k)))
+        for window in _grams(_padded(nu, n), n):
+            windows[window] = windows.get(window, 0) + weight
     utterances = sum(histogram.values())
     totals = dict(windows)
     level = windows
@@ -314,7 +300,7 @@ def extract(corpus: Iterable[NU], n: int) -> NGramTable:
         shorter[run] = shorter.get(run, 0) + utterances
         totals.update(shorter)
         level = shorter
-    return NGramTable.from_counts(n, {gram: totals[gram] for gram in first_seen})
+    return NGramTable.from_counts(n, totals)
 
 
 def window_types(corpus: Iterable[NU], n: int) -> NGramTable:
@@ -323,10 +309,9 @@ def window_types(corpus: Iterable[NU], n: int) -> NGramTable:
     Its n-gram set equals ``extract(corpus, n).gram_set(n)``; shorter grams
     are only the contexts :meth:`NGramTable.closed` adds. This is the table
     of a corpus that enters only through its distinct top-order windows, as
-    the generated sentences do in :mod:`classlm.generalize`. The windows go
-    in sorted order, so the table does not depend on string hashing.
+    the generated sentences do in :mod:`classlm.generalize`.
     """
     windows: set[Gram] = set()
     for nu in corpus:
         windows.update(_grams(_padded(tuple(nu), n), n))
-    return NGramTable.closed(n, dict.fromkeys(sorted(windows), 1))
+    return NGramTable.closed(n, dict.fromkeys(windows, 1))

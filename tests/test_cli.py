@@ -593,14 +593,17 @@ def test_malformed_lexicon_is_data_error(tmp_path, workspace, capsys):
 
 
 def test_missing_tune_source_is_usage_error(tmp_path, workspace, capsys):
-    code = main([
-        "generalize", "--lexicon", str(workspace / "lexicon.lex"),
-        "--corpus", str(workspace / "corpus_tune.tsv"),
-        "--grammar", str(workspace / "grammar.bnf"), "--labeled",
-        "--out-dir", str(tmp_path / "x"),
-    ])
-    assert code == 2
-    assert "usage error: need --tune-corpus for the factor search" in capsys.readouterr().err
+    # the flag is checked before any input is read or the output made
+    for lexicon in ("lexicon.lex", "missing.lex"):
+        code = main([
+            "generalize", "--lexicon", str(workspace / lexicon),
+            "--corpus", str(workspace / "corpus_tune.tsv"),
+            "--grammar", str(workspace / "grammar.bnf"), "--labeled",
+            "--out-dir", str(tmp_path / "x"),
+        ])
+        assert code == 2
+        assert "usage error: need --tune-corpus for the factor search" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
 
 def test_bad_flag_value_exits_two(workspace):

@@ -1,4 +1,3 @@
-import hashlib
 import math
 import random
 import tempfile
@@ -133,14 +132,38 @@ def test_export_import_round_trip(tmp_path, model_small):
     assert path.read_bytes() == again.read_bytes()
 
 
-def test_export_is_deterministic(tmp_path, table_small, lexicon):
-    a = tmp_path / "a.arpa"
-    b = tmp_path / "b.arpa"
-    export_model(train(table_small, lexicon), a)
-    export_model(train(table_small.copy(), lexicon), b)
-    assert hashlib.sha256(a.read_bytes()).hexdigest() == hashlib.sha256(
-        b.read_bytes()
-    ).hexdigest()
+def test_export_is_deterministic(tmp_path, table_small, sentence_nus, lexicon):
+    # a table's iteration order is unspecified: the model and its file must
+    # not depend on the order its counts were inserted in
+    grammar_table = window_types(sentence_nus, table_small.order)
+    tables = [table_small, grammar_table] + [
+        merge_tables(table_small, grammar_table, factor) for factor in (Fraction(1, 2), 2)
+    ]
+    expected, rebuilt_file = tmp_path / "expected.arpa", tmp_path / "rebuilt.arpa"
+    rng = random.Random(11)
+    for table in tables:
+        model = train(table, lexicon)
+        export_model(model, expected)
+        shuffled = list(table)
+        rng.shuffle(shuffled)
+        for grams in (list(table)[::-1], shuffled):
+            rebuilt = train(NGramTable.from_counts(table.order, dict(grams)), lexicon)
+            assert rebuilt == model
+            export_model(rebuilt, rebuilt_file)
+            assert rebuilt_file.read_bytes() == expected.read_bytes()
+
+
+def test_import_rejects_undeclared_section(tmp_path):
+    # a section the header does not declare would be stored and never scored
+    path = tmp_path / "model.arpa"
+    path.write_text(
+        "# classlm model format v1\n\n\\data\\\nngram 1=3\n\n\\class-sizes:\n\n"
+        "\\1-grams:\n-0.5\t<s>\t-0.3\n-0.5\t</s>\n-0.5\t<unk>\n\n"
+        "\\2-grams:\n-0.1\t<s> </s>\n\n\\end\\\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ModelError, match=f"{path}:13: section .*2-grams.* not declared"):
+        import_model(path)
 
 
 def test_import_rejects_truncated_file(tmp_path, model_small):
@@ -255,6 +278,19 @@ def test_train_matches_fraction_oracle_past_float_precision(corpus, factor, n):
     table = extract(corpus, n)
     table.scale(factor, selector=lambda gram: len(gram) % 2 == 1)
     assert_train_matches_oracle(table)
+
+
+def test_train_overflow_names_the_smallest_context():
+    # contexts c and b sum past the float range, a does not; the message
+    # names the same context whatever order the table iterates in
+    big = 10**400
+    table = NGramTable.from_counts(2, {
+        ("c", "x"): big, ("a", "x"): 1, ("b", "x"): big,
+        ("c",): big, ("a",): 1, ("b",): big, ("x",): 2 * big + 1,
+    })
+    table.validate()
+    with pytest.raises(ModelError, match="counts of context 'b' sum past the float range"):
+        train(table, _train_lexicon)
 
 
 def test_train_rounds_a_backoff_weight_once():
