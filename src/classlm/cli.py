@@ -203,7 +203,6 @@ def cmd_generalize(args) -> int:
     gram = grammar_mod.parse_grammar(args.grammar)
     test_nus = read_nus(args.test_corpus)
     tuning = read_nus(args.tune_corpus)
-    out_dir = _out_dir(args)
     result = generalize.build_generalized_lm(
         train_nus,
         gram,
@@ -218,6 +217,7 @@ def cmd_generalize(args) -> int:
         mode=args.mode,
         weight_unknown=not args.unweighted_unknown,
     )
+    out_dir = _out_dir(args)
     export_model(result.model, out_dir / "model.arpa")
     export_model(result.baseline, out_dir / "baseline.arpa")
     written = generalize.write_report(result, out_dir, args.format)

@@ -9,11 +9,11 @@ Top-order n-grams are split into three event kinds:
   by the balance factor
 
 Lower orders start from the training table and are repaired by the minimal
-context-closure rule of :meth:`classlm.ngrams.NGramTable.closed`, so grammar
-sentences never contribute frequency mass beyond the once-per-unknown-gram
-rule. The balance factor is picked by grid search, minimizing perplexity on a
-tuning corpus (held out by default; tests may deliberately tune on their
-evaluation set to mirror older setups).
+context-closure rule every :class:`classlm.ngrams.NGramTable` is built with,
+so grammar sentences never contribute frequency mass beyond the
+once-per-unknown-gram rule. The balance factor is picked by grid search,
+minimizing perplexity on the tuning corpus; the test corpus is only
+evaluated, never tuned on.
 
 The grammar side enters only through the distinct top-order windows of the
 generated sentences (:func:`classlm.ngrams.window_types`), which are
@@ -105,7 +105,7 @@ def merge_tables(
     unknown_count = factor if weight_unknown else 1
     for gram in partition.unknown:
         counts[gram] = unknown_count
-    return NGramTable.closed(n, counts)
+    return NGramTable(n, counts)
 
 
 def tune_balance_factor(

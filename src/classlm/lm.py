@@ -105,9 +105,8 @@ def train(table: NGramTable, lexicon: ClassLexicon) -> ClassNGramLM:
     rounds correctly, so it gives the float of the exact rational; on
     Fraction counts it is Fraction division, rounded once by ``float``.
 
-    The table is not validated here: :func:`classlm.ngrams.extract` and
-    :meth:`NGramTable.closed` build closure-valid tables, and
-    :func:`classlm.ngrams.load_table` validates the ones read from files.
+    The table is not validated here: every :class:`NGramTable` holds the
+    closure invariant once it is built.
     """
     unigram_counts = {g[0]: c for g, c in table if len(g) == 1 and c > 0}
     if not unigram_counts:

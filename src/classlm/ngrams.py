@@ -5,15 +5,14 @@ is that every context can pay for its extensions::
 
     count(c) >= sum over w of count(c + (w,))
 
-Every table is built by :meth:`NGramTable.from_counts`, which stores the
-non-zero counts; :func:`extract` satisfies the invariant by construction, and
-:meth:`NGramTable.validate` checks it on tables from outside, as
-:func:`load_table` does. :func:`window_types` and every edit
-(:meth:`NGramTable.inject`, :meth:`NGramTable.scale`,
-:func:`classlm.generalize.merge_tables`) go through the one repair rule,
-:meth:`NGramTable.closed`: a violated context is raised exactly to the sum
-of its extensions, never higher, so the empirical distribution is perturbed
-as little as possible.
+The constructor is the only way to build a table, and every table holds the
+invariant: a context that falls short of the sum of its extensions is raised
+exactly to that sum, never higher, so the empirical distribution is perturbed
+as little as possible. Tables from :func:`extract` hold it as counted; the
+grammar windows of :func:`window_types`, the edits :meth:`NGramTable.inject`
+and :meth:`NGramTable.scale`, and :func:`classlm.generalize.merge_tables` are
+repaired by it. :func:`load_table` rejects a file that breaks it rather than
+repairing the file.
 
 Counts are exact numbers (int, or Fraction after non-integer scaling), so
 rescaling experiments are reproducible bit for bit; integral values are kept
@@ -77,47 +76,36 @@ class NGramTable:
 
     __slots__ = ("order", "_counts")
 
-    def __init__(self, order: int):
+    def __init__(self, order: int,
+                 counts: Mapping[Gram, Count] | Iterable[tuple[Gram, Count]] = ()):
+        """Table of the non-zero ``counts`` with the closure invariant restored.
+
+        ``counts`` is a mapping or (gram, count) pairs, as a table iterates.
+        A gram length outside 1..order or a negative count raises
+        :class:`TableError`. Longest contexts are repaired first, so a
+        raised k-gram feeds the sum of its own (k-1)-prefix.
+        """
         if order < 1:
             raise TableError(f"order must be >= 1, got {order}")
         self.order = order
-        self._counts: dict[Gram, Count] = {}
-
-    @classmethod
-    def from_counts(cls, order: int, counts: Mapping[Gram, Count]) -> "NGramTable":
-        """Table holding the non-zero ``counts``.
-
-        No closure repair is done, so callers holding outside data call
-        :meth:`validate`.
-        """
-        table = cls(order)
-        stored = table._counts
-        for gram, count in counts.items():
+        levels: list[dict[Gram, Count]] = [{} for _ in range(order + 1)]
+        for gram, count in dict(counts).items():
+            if not 1 <= len(gram) <= order:
+                raise TableError(f"gram length {len(gram)} outside 1..{order}: {gram}")
+            # canonical counts first: summing Fractions that are integral is slow
             count = exact_count(count)
+            if count < 0:
+                raise TableError(f"negative count {count} for {gram}")
             if count:
-                stored[gram] = count
-        return table
-
-    @classmethod
-    def closed(cls, order: int, counts: Mapping[Gram, Count]) -> "NGramTable":
-        """Table of ``counts`` with the closure invariant restored.
-
-        Every context whose count falls short of the sum of its extensions
-        is raised exactly to that sum, never higher. Longest contexts go
-        first, so a raised k-gram feeds the sum of its own (k-1)-prefix.
-        """
-        # canonical counts first: summing Fractions that are integral is slow
-        counts = {gram: exact_count(count) for gram, count in counts.items()}
+                levels[len(gram)][gram] = count
         for k in range(order, 1, -1):
-            need: dict[Gram, Count] = {}
-            for gram, count in counts.items():
-                if len(gram) == k:
-                    context = gram[:-1]
-                    need[context] = need.get(context, 0) + count
-            for context, total in need.items():
-                if counts.get(context, 0) < total:
-                    counts[context] = exact_count(total)
-        return cls.from_counts(order, counts)
+            contexts = levels[k - 1]
+            for context, total in _extension_sums(levels[k].items()).items():
+                if contexts.get(context, 0) < total:
+                    contexts[context] = exact_count(total)
+        self._counts: dict[Gram, Count] = {}
+        for level in levels:
+            self._counts.update(level)
 
     # -- basic access ------------------------------------------------------
 
@@ -147,31 +135,21 @@ class NGramTable:
     def total(self, length: int) -> Count:
         return sum(c for g, c in self._counts.items() if len(g) == length)
 
-    def copy(self) -> "NGramTable":
-        return NGramTable.from_counts(self.order, self._counts)
-
     # -- mutation ----------------------------------------------------------
 
     def inject(self, gram: Gram, count) -> None:
         """Add an artificial gram, incorporating any missing contexts.
 
         Every proper prefix whose closure would otherwise break is raised to
-        the minimal sufficient count (see :meth:`closed`). ``count == 0`` is
-        a no-op.
+        the minimal sufficient count. ``count == 0`` leaves the counts as
+        they are.
         """
         gram = tuple(gram)
-        if not 1 <= len(gram) <= self.order:
-            raise TableError(
-                f"gram length {len(gram)} outside 1..{self.order}: {gram}"
-            )
         count = exact_count(count)
         if count < 0:
             raise TableError(f"negative injection count {count} for {gram}")
-        if count == 0:
-            return
-        counts = dict(self._counts)
-        counts[gram] = counts.get(gram, 0) + count
-        self._counts = NGramTable.closed(self.order, counts)._counts
+        counts = {**self._counts, gram: self._counts.get(gram, 0) + count}
+        self._counts = NGramTable(self.order, counts)._counts
 
     def scale(self, factor, selector: Callable[[Gram], bool] | Collection[Gram] | None = None) -> None:
         """Multiply selected gram counts by a positive factor, then repair.
@@ -188,30 +166,14 @@ class NGramTable:
             return
         counts = {g: c * factor if selector is None or selector(g) else c
                   for g, c in self._counts.items()}
-        self._counts = NGramTable.closed(self.order, counts)._counts
+        self._counts = NGramTable(self.order, counts)._counts
 
     # -- validation --------------------------------------------------------
 
     def validate(self) -> None:
-        """Raise :class:`TableError` on a bad gram length, a negative count, or
-        a context whose count is below the sum of its extensions."""
-        need: dict[Gram, Count] = {}
-        for gram, cnt in self._counts.items():
-            if not 1 <= len(gram) <= self.order:
-                raise TableError(f"gram {gram} outside orders 1..{self.order}")
-            if cnt < 0:
-                raise TableError(f"negative count {cnt} for {gram}")
-            if len(gram) > 1:
-                need[gram[:-1]] = need.get(gram[:-1], 0) + cnt
-        counts = self._counts
-        bad = [(context, counts.get(context, 0), total)
-               for context, total in need.items() if counts.get(context, 0) < total]
-        if bad:
-            context, have, total = min(bad)
-            raise TableError(
-                f"context closure violated at {context}: count {have} < "
-                f"extension sum {total} ({len(bad)} violations)"
-            )
+        """Raise :class:`TableError` on a context whose count is below the
+        sum of its extensions."""
+        _check_closure(self._counts)
 
     # -- persistence -------------------------------------------------------
 
@@ -251,9 +213,31 @@ def load_table(path, order: int | None = None) -> NGramTable:
     for gram in counts:
         if len(gram) > order:
             raise TableError(f"{path}: gram {gram} longer than order {order}")
-    table = NGramTable.from_counts(order, counts)
-    table.validate()
-    return table
+    _check_closure(counts)
+    return NGramTable(order, counts)
+
+
+def _extension_sums(grams: Iterable[tuple[Gram, Count]]) -> dict[Gram, Count]:
+    """context -> sum of the counts of ``grams``, each extending it by one token."""
+    sums: dict[Gram, Count] = {}
+    for gram, count in grams:
+        context = gram[:-1]
+        sums[context] = sums.get(context, 0) + count
+    return sums
+
+
+def _check_closure(counts: Mapping[Gram, Count]) -> None:
+    """Raise :class:`TableError` naming the smallest context of ``counts``
+    below its extension sum, and how many there are."""
+    sums = _extension_sums((gram, count) for gram, count in counts.items() if len(gram) > 1)
+    bad = [(context, counts.get(context, 0), total)
+           for context, total in sums.items() if counts.get(context, 0) < total]
+    if bad:
+        context, have, total = min(bad)
+        raise TableError(
+            f"context closure violated at {context}: count {have} < "
+            f"extension sum {total} ({len(bad)} violations)"
+        )
 
 
 def _padded(nu: NU, n: int) -> Gram:
@@ -300,18 +284,18 @@ def extract(corpus: Iterable[NU], n: int) -> NGramTable:
         shorter[run] = shorter.get(run, 0) + utterances
         totals.update(shorter)
         level = shorter
-    return NGramTable.from_counts(n, totals)
+    return NGramTable(n, totals)
 
 
 def window_types(corpus: Iterable[NU], n: int) -> NGramTable:
     """Each distinct padded n-gram window of the corpus once, at count 1, closed.
 
     Its n-gram set equals ``extract(corpus, n).gram_set(n)``; shorter grams
-    are only the contexts :meth:`NGramTable.closed` adds. This is the table
+    are only the contexts the closure repair adds. This is the table
     of a corpus that enters only through its distinct top-order windows, as
     the generated sentences do in :mod:`classlm.generalize`.
     """
     windows: set[Gram] = set()
     for nu in corpus:
         windows.update(_grams(_padded(tuple(nu), n), n))
-    return NGramTable.closed(n, dict.fromkeys(windows, 1))
+    return NGramTable(n, dict.fromkeys(windows, 1))

@@ -8,11 +8,12 @@ generator enumerates every derivation lazily. The corpus sampler passes raw
 weights on every draw and splits each template as it fills it. The trainer
 builds a Fraction for every unigram probability and backoff weight, and the
 utterance scorer slices each position's backoff grams by index; both are the
-package's earlier kernels, kept as they were. The generalization pipeline is
-composed from these pieces alone, the obvious way: every count table in full,
-one merge and one training per grid factor. The rest deliberately share no
-code with the package's scoring loop, table internals, normalization
-shortcuts, stack-driven generation or precomputed sampling tables.
+package's earlier kernels, kept as they were. The generalization pipeline and
+the training-size sweep are composed from these pieces alone, the obvious
+way: every count table in full, one merge and one training per grid factor
+or prefix. The rest deliberately share no code with the package's scoring
+loop, table internals, normalization shortcuts, stack-driven generation or
+precomputed sampling tables.
 """
 
 import math
@@ -272,6 +273,41 @@ def naive_merge(train_counts, grammar_counts, n, factor, weight_unknown=True):
     return merged
 
 
+def naive_model(counts, n, lexicon):
+    """``naive_train`` on closed gram -> count data, as the table it is.
+
+    The counts are closed by their own definition, so the table constructor
+    must store them as given: a constructor that repaired them further would
+    otherwise go unseen here.
+    """
+    table = NGramTable(n, counts)
+    assert dict(table) == counts
+    return naive_train(table, lexicon)
+
+
+def naive_sweep(labeled_corpus, sizes, labeled_test, lexicon, n, emission=True):
+    """The training-size sweep by its definition.
+
+    One ``(size, {group: (pp, tokens, oov)})`` row per size: the counts of
+    the first ``size`` training NUs, extracted whole and trained on, score
+    each test group utterance by utterance.
+    """
+    groups = {}
+    for group, nu in labeled_test:
+        groups.setdefault(group, []).append(nu)
+    rows = []
+    for size in sizes:
+        model = naive_model(naive_extract([nu for _, nu in labeled_corpus[:size]], n),
+                            n, lexicon)
+        rows.append((size, {
+            group: (corpus_perplexity(model, nus, emission),
+                    sum(len(nu) + 1 for nu in nus),
+                    sum(token not in model.vocab for nu in nus for token in nu))
+            for group, nus in sorted(groups.items())
+        }))
+    return rows
+
+
 def naive_generalize(train_nus, grammar, lexicon, n, grid, tuning_corpus, test_corpus,
                      max_depth, max_sentences, emission, mode, weight_unknown):
     """The generalization experiment by its definition, as a dict.
@@ -289,7 +325,7 @@ def naive_generalize(train_nus, grammar, lexicon, n, grid, tuning_corpus, test_c
     grammar_top = {gram for gram in grammar_counts if len(gram) == n}
 
     def model_of(counts):
-        return naive_train(NGramTable.from_counts(n, counts), lexicon)
+        return naive_model(counts, n, lexicon)
 
     baseline = model_of(train_counts)
     factor = None

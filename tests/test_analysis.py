@@ -1,6 +1,8 @@
+import math
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from classlm.analysis import (
     coverage_curve,
@@ -20,6 +22,9 @@ from classlm.analysis import (
 from classlm.errors import CorpusError
 from classlm.lm import perplexity
 from classlm.normalize import normalize, nu_histogram
+from classlm.synth import SynthConfig, generate_world
+
+import oracle
 
 
 def test_read_labeled_corpus(tmp_path):
@@ -124,6 +129,32 @@ def test_sweep_deterministic_and_validated(splits, lexicon):
         partial_training_sweep(labeled, [], test, lexicon, 3)
     with pytest.raises(CorpusError, match="training corpus is empty"):
         partial_training_sweep([], [1], test, lexicon, 3)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    size=st.integers(min_value=200, max_value=1000),
+    seed=st.integers(min_value=0, max_value=2**16),
+    n=st.integers(min_value=2, max_value=4),
+    emission=st.booleans(),
+    data=st.data(),
+)
+def test_sweep_matches_naive_sweep(size, seed, n, emission, data):
+    world = generate_world(SynthConfig(size=size, seed=seed))
+    labeled_train, _, labeled_test = (label_nus(world.lexicon, rows) for rows in world.splits())
+    sizes = sorted(data.draw(st.lists(st.integers(min_value=1, max_value=len(labeled_train)),
+                                      min_size=1, max_size=3), label="sizes"))
+    rows = partial_training_sweep(labeled_train, sizes, labeled_test, world.lexicon, n,
+                                  emission)
+    expected = oracle.naive_sweep(labeled_train, sizes, labeled_test, world.lexicon, n,
+                                  emission)
+    assert [size for size, _ in rows] == [size for size, _ in expected] == sizes
+    for (_, per_group), (_, want) in zip(rows, expected):
+        assert list(per_group) == list(want)
+        for group, report in per_group.items():
+            pp, tokens, oov = want[group]
+            assert (report.token_count, report.oov_count) == (tokens, oov)
+            assert math.isclose(report.pp, pp, rel_tol=1e-9, abs_tol=0.0)
 
 
 def test_unseen_split_edges():

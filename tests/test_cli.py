@@ -289,6 +289,8 @@ def test_balance_factor_past_float_range_is_data_error(tmp_path, workspace):
         "--grid", "1" + "0" * 307, "--out-dir", tmp_path / "gen",
     )
     assert "sum past the float range" in stderr
+    # the run failed inside the pipeline, before it had anything to write
+    assert not (tmp_path / "gen").exists()
 
 
 def test_grid_in_exponent_notation_exits_two(tmp_path, workspace):

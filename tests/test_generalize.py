@@ -43,7 +43,7 @@ def test_classify_definitional_example():
 
 def test_classify_identical_tables():
     table = table_of(3, [(("a", "b", "c"), 2)])
-    part = classify_events(table, table.copy(), 3)
+    part = classify_events(table, NGramTable(table.order, table), 3)
     assert part.rare == frozenset() and part.unknown == frozenset()
     assert part.usual == {("a", "b", "c")}
 

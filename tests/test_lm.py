@@ -147,7 +147,7 @@ def test_export_is_deterministic(tmp_path, table_small, sentence_nus, lexicon):
         shuffled = list(table)
         rng.shuffle(shuffled)
         for grams in (list(table)[::-1], shuffled):
-            rebuilt = train(NGramTable.from_counts(table.order, dict(grams)), lexicon)
+            rebuilt = train(NGramTable(table.order, grams), lexicon)
             assert rebuilt == model
             export_model(rebuilt, rebuilt_file)
             assert rebuilt_file.read_bytes() == expected.read_bytes()
@@ -284,7 +284,7 @@ def test_train_overflow_names_the_smallest_context():
     # contexts c and b sum past the float range, a does not; the message
     # names the same context whatever order the table iterates in
     big = 10**400
-    table = NGramTable.from_counts(2, {
+    table = NGramTable(2, {
         ("c", "x"): big, ("a", "x"): 1, ("b", "x"): big,
         ("c",): big, ("a",): 1, ("b",): big, ("x",): 2 * big + 1,
     })
@@ -298,7 +298,7 @@ def test_train_rounds_a_backoff_weight_once():
     # far enough that its log10 differs too
     mass = 1332507270757778810
     assert math.log10(1 / float(mass + 1)) != math.log10(Fraction(1, mass + 1))
-    table = NGramTable.from_counts(2, {("a",): mass, ("a", "b"): mass, ("b",): mass})
+    table = NGramTable(2, {("a",): mass, ("a", "b"): mass, ("b",): mass})
     assert_train_matches_oracle(table)
     assert train(table, _train_lexicon).bows10[("a",)] == math.log10(Fraction(1, mass + 1))
 

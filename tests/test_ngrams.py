@@ -167,6 +167,14 @@ def test_inject_validation():
         table.inject(("a",), -1)
 
 
+@pytest.mark.parametrize("counts", [
+    {("a", "b", "c"): 1}, {(): 1}, {("a",): -2}, {("a", "b", "c"): 0},
+])
+def test_constructor_rejects_bad_lengths_and_negative_counts(counts):
+    with pytest.raises(TableError):
+        NGramTable(2, counts)
+
+
 def test_scale_all():
     table = NGramTable(2)
     table.inject(("a", "b"), 5)
@@ -263,9 +271,17 @@ def test_load_sums_duplicate_lines(tmp_path):
 _tokens = st.sampled_from("abcd")
 _grams = st.lists(_tokens, min_size=1, max_size=3).map(tuple)
 
+_raw_counts = st.one_of(
+    st.integers(min_value=0, max_value=9),
+    st.fractions(min_value=0, max_value=9, max_denominator=4),
+)
+
 _operations = st.lists(
     st.one_of(
         st.tuples(st.just("inject"), _grams, st.integers(min_value=0, max_value=9)),
+        # a table built from raw counts: zeros, Fractions (integral ones
+        # too) and grams whose prefixes are missing or fall short
+        st.tuples(st.just("rebuild"), st.dictionaries(_grams, _raw_counts, max_size=8)),
         st.tuples(
             st.just("scale"),
             st.sampled_from([Fraction(1, 2), 1, 2, Fraction(7, 3)]),
@@ -288,11 +304,17 @@ def test_closure_invariant_under_random_operations(corpus, operations):
             _, gram, count = op
             edited[gram] = edited.get(gram, 0) + count
             table.inject(gram, count)
+        elif op[0] == "rebuild":
+            edited = op[1]
+            table = NGramTable(3, edited)
         else:
             _, factor, length = op
             edited = {g: c * factor if len(g) == length else c for g, c in edited.items()}
             table.scale(factor, selector=lambda g, k=length: len(g) == k)
         table.validate()
+        # counts are stored non-zero and in canonical exact form
+        assert all(count > 0 and (isinstance(count, int) or count.denominator > 1)
+                   for _, count in table)
         # the repair raises a context to its extension sum and never higher
         sums = oracle.naive_extension_sums(dict(table))
         for gram in set(edited) | set(g for g, _ in table):
