@@ -53,7 +53,15 @@ from .lm import (
     train,
 )
 from .ngrams import NGramTable, extract, load_table, window_types
-from .normalize import NU, normalize, normalize_sentences, nu_histogram, tokenize
+from .normalize import (
+    NU,
+    Corpus,
+    normalize,
+    normalize_sentences,
+    nu_histogram,
+    read_nus,
+    tokenize,
+)
 from .synth import SynthConfig, SynthWorld, generate_world
 from .vocab import ClassLexicon, load_lexicon
 
@@ -63,6 +71,7 @@ __all__ = [
     "BalanceFactor",
     "ClassLexicon",
     "ClassNGramLM",
+    "Corpus",
     "CorpusError",
     "CoverageCurve",
     "DEFAULT_GRID",
@@ -103,6 +112,7 @@ __all__ = [
     "parse_grammar",
     "parse_grammar_text",
     "read_labeled_corpus",
+    "read_nus",
     "saturation_table",
     "tokenize",
     "train",

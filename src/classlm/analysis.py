@@ -1,26 +1,43 @@
 """Corpus studies: coverage curves, training-size sweeps, rare-NU behavior.
 
+Each study takes its corpora as :class:`~classlm.normalize.Corpus` values,
+which :func:`classlm.normalize.read_nus` builds in one pass over a file,
+and reads the histograms, per-group lists and first occurrences each value
+holds, so a corpus is counted once however many studies use it. A study
+given a list of NUs or (group, NU) rows builds that value first.
+
 All functions are pure over their inputs and all CSV writers emit sorted,
 repr-formatted rows, so outputs are byte-identical across runs.
 
 Labeled corpus format: ``group<TAB>utterance text`` per line, with groups
-drawn from the closed set City, Date, Time, Other (read by
-:func:`classlm.normalize.read_corpus`). Partial training sets are corpus
-prefixes, so corpus files must preserve acquisition order.
+drawn from the closed set City, Date, Time, Other. Partial training sets are
+corpus prefixes, so corpus files must preserve acquisition order.
 """
 
 from __future__ import annotations
 
 import csv
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import CorpusError, DataError
 from .lm import PerplexityReport, perplexity, train
 from .ngrams import extract
-from .normalize import NU, normalize, nu_histogram, read_corpus
+# by_group is one of this module's public names too
+from .normalize import NU, Corpus, by_group, normalize, read_corpus  # noqa: F401
 from .vocab import ClassLexicon
 
 LabeledNUs = list[tuple[str, NU]]
+
+
+def _labeled(corpus: Corpus | LabeledNUs) -> Corpus:
+    """``corpus`` itself if it is a :class:`Corpus`, else the value of its rows."""
+    return corpus if isinstance(corpus, Corpus) else Corpus(corpus)
+
+
+def _plain(corpus: Corpus | list[NU]) -> Corpus:
+    """``corpus`` itself if it is a :class:`Corpus`, else the value of its NUs."""
+    return corpus if isinstance(corpus, Corpus) else Corpus(("", nu) for nu in corpus)
 
 
 def read_labeled_corpus(path) -> list[tuple[str, str]]:
@@ -57,13 +74,6 @@ def nus_of(labeled: LabeledNUs) -> list[NU]:
     return [nu for _, nu in labeled]
 
 
-def by_group(labeled: LabeledNUs) -> dict[str, list[NU]]:
-    grouped: dict[str, list[NU]] = {}
-    for group, nu in labeled:
-        grouped.setdefault(group, []).append(nu)
-    return grouped
-
-
 # -- coverage curve ----------------------------------------------------------
 
 
@@ -82,23 +92,24 @@ class CoverageCurve:
         return covered
 
 
-def coverage_curve(ranking_corpus: list[NU], measured_corpus: list[NU]) -> CoverageCurve:
+def coverage_curve(
+    ranking_corpus: Corpus | list[NU], measured_corpus: Corpus | list[NU]
+) -> CoverageCurve:
     """Rank NUs by frequency in one corpus, measure cumulative cover on another.
 
     Ties in frequency break lexicographically, so the curve is deterministic.
     """
-    ranking_corpus = list(ranking_corpus)
-    if not ranking_corpus:
+    ranking = _plain(ranking_corpus)
+    if not len(ranking):
         raise CorpusError("ranking corpus is empty")
-    measured_corpus = list(measured_corpus)
-    ranking = nu_histogram(ranking_corpus)
-    ranked = sorted(ranking.items(), key=lambda item: (-item[1], item[0]))
-    measured = nu_histogram(measured_corpus)
-    total = len(measured_corpus)
+    measured = _plain(measured_corpus)
+    ranked = sorted(ranking.histogram.items(), key=lambda item: (-item[1], item[0]))
+    counts = measured.histogram
+    total = len(measured)
     points = []
     covered = 0
     for rank, (nu, _) in enumerate(ranked, start=1):
-        covered += measured.get(nu, 0)
+        covered += counts.get(nu, 0)
         points.append((rank, covered / total if total else 0.0))
     return CoverageCurve(points=tuple(points))
 
@@ -121,23 +132,23 @@ def check_sizes(sizes, corpus_len: int) -> list[int]:
 
 
 def partial_training_sweep(
-    labeled_corpus: LabeledNUs,
+    labeled_corpus: Corpus | LabeledNUs,
     sizes,
-    labeled_test: LabeledNUs,
+    labeled_test: Corpus | LabeledNUs,
     lexicon: ClassLexicon,
     n: int,
     emission: bool = True,
 ) -> list[tuple[int, dict[str, PerplexityReport]]]:
     """Train on each corpus prefix, evaluate perplexity per request group."""
-    sizes = check_sizes(sizes, len(labeled_corpus))
-    test_groups = by_group(labeled_test)
+    corpus = _labeled(labeled_corpus)
+    sizes = check_sizes(sizes, len(corpus))
+    test_groups = sorted(_labeled(labeled_test).groups.items())
     rows = []
     for size in sizes:
-        prefix_nus = nus_of(labeled_corpus[:size])
-        model = train(extract(prefix_nus, n), lexicon)
+        model = train(extract(corpus.nus[:size], n), lexicon)
         per_group = {
             group: perplexity(model, group_nus, emission)
-            for group, group_nus in sorted(test_groups.items())
+            for group, group_nus in test_groups
         }
         rows.append((size, per_group))
     return rows
@@ -160,13 +171,15 @@ class UnseenSplit:
         return len(set(self.unseen))
 
 
-def unseen_split(training_corpus: list[NU], test_corpus: list[NU]) -> UnseenSplit:
+def unseen_split(
+    training_corpus: Corpus | list[NU], test_corpus: Corpus | list[NU]
+) -> UnseenSplit:
     """Split test utterances by whether their NU occurs in training at all."""
-    known = set(nu_histogram(training_corpus))
+    known = _plain(training_corpus).histogram
     seen = []
     unseen = []
-    for nu in test_corpus:
-        (seen if tuple(nu) in known else unseen).append(tuple(nu))
+    for nu in _plain(test_corpus).nus:
+        (seen if nu in known else unseen).append(nu)
     return UnseenSplit(seen=tuple(seen), unseen=tuple(unseen))
 
 
@@ -174,49 +187,44 @@ def unseen_split(training_corpus: list[NU], test_corpus: list[NU]) -> UnseenSpli
 
 
 def saturation_table(
-    labeled_corpus: LabeledNUs, sizes, min_count: int = 3
+    labeled_corpus: Corpus | LabeledNUs, sizes, min_count: int = 3
 ) -> dict[str, list[int]]:
     """Growth of frequent NUs (count > min_count in the full corpus) with size.
 
     Frequencies and presence are both taken within each request group; each
-    row is non-decreasing because partial sets are prefixes.
+    row is non-decreasing because partial sets are prefixes. A frequent NU
+    is present in a prefix of ``size`` rows when its first row index within
+    its group is below ``size``.
     """
-    sizes = check_sizes(sizes, len(labeled_corpus))
-    frequent = {
-        group: {nu for nu, c in nu_histogram(nus).items() if c > min_count}
-        for group, nus in by_group(labeled_corpus).items()
-    }
-    table: dict[str, list[int]] = {group: [] for group in sorted(frequent)}
-    for size in sizes:
-        present: dict[str, set] = {group: set() for group in table}
-        for group, nu in labeled_corpus[:size]:
-            present[group].add(nu)
-        for group in table:
-            table[group].append(len(frequent[group] & present[group]))
-    return table
+    corpus = _labeled(labeled_corpus)
+    sizes = check_sizes(sizes, len(corpus))
+    firsts: dict[str, list[int]] = {}  # ascending, as pairs are in first-occurrence order
+    for (group, _), count, first in zip(corpus.pairs, corpus.counts, corpus.firsts):
+        group_firsts = firsts.setdefault(group, [])
+        if count > min_count:
+            group_firsts.append(first)
+    return {group: [bisect_left(firsts[group], size) for size in sizes]
+            for group in sorted(firsts)}
 
 
 # -- frequency overlap --------------------------------------------------------
 
 
 def frequency_overlap(
-    labeled_train: LabeledNUs, labeled_test: LabeledNUs, threshold: float = 0.001
+    labeled_train: Corpus | LabeledNUs,
+    labeled_test: Corpus | LabeledNUs,
+    threshold: float = 0.001,
 ) -> dict[str, float]:
     """Per group: fraction of distinct test NUs whose training frequency
     (relative to the group) exceeds the threshold."""
-    train_groups = by_group(labeled_train)
-    test_groups = by_group(labeled_test)
+    train_counts = _labeled(labeled_train).group_histograms
+    test_counts = _labeled(labeled_test).group_histograms
     overlap = {}
-    for group in sorted(test_groups):
-        test_types = set(test_groups[group])
-        if not test_types:
-            continue
-        group_train = train_groups.get(group, [])
-        counts = nu_histogram(group_train)
-        total = len(group_train)
-        selected = {
-            nu for nu, c in counts.items() if total and c / total > threshold
-        }
+    for group in sorted(test_counts):
+        test_types = test_counts[group].keys()
+        counts = train_counts.get(group, {})
+        total = sum(counts.values())
+        selected = {nu for nu, c in counts.items() if c / total > threshold}
         overlap[group] = len(test_types & selected) / len(test_types)
     return overlap
 

@@ -16,7 +16,7 @@ from . import analysis, generalize, grammar as grammar_mod, synth
 from .errors import DataError
 from .lm import export_model, import_model, perplexity, train
 from .ngrams import extract, parse_count
-from .normalize import read_corpus
+from .normalize import read_nus
 from .vocab import load_lexicon
 
 # analyze's training prefix sizes when --sizes is not given; those below the
@@ -115,18 +115,6 @@ def _resolve_sizes(sizes: list | None, corpus_len: int) -> list[int]:
     return analysis.check_sizes(sorted(resolved), corpus_len)
 
 
-def _read_nus(path, labeled: bool, lexicon) -> analysis.LabeledNUs:
-    """(group, NU) rows; plain corpora get an empty group.
-
-    Without a lexicon the text is taken as already normalized: normalizing
-    it again would lowercase its class tags.
-    """
-    rows = analysis.read_labeled_corpus(path) if labeled else read_corpus(path)
-    if lexicon is None:
-        return [(group, tuple(text.split())) for group, text in rows]
-    return analysis.label_nus(lexicon, rows)
-
-
 # -- commands -----------------------------------------------------------------
 
 
@@ -145,17 +133,17 @@ def cmd_synth(args) -> int:
 
 def cmd_normalize(args) -> int:
     lexicon = load_lexicon(args.lexicon)
-    labeled = _read_nus(args.corpus, args.labeled, lexicon)
+    corpus = read_nus(args.corpus, args.labeled, lexicon)
     if args.labeled:
-        analysis.write_labeled_corpus(args.out, labeled)
+        analysis.write_labeled_corpus(args.out, corpus.rows)
     else:
-        grammar_mod.write_sentences(args.out, analysis.nus_of(labeled))
+        grammar_mod.write_sentences(args.out, corpus.nus)
     return 0
 
 
 def cmd_train(args) -> int:
     lexicon = load_lexicon(args.lexicon)
-    nus = analysis.nus_of(_read_nus(args.corpus, args.labeled, lexicon))
+    nus = read_nus(args.corpus, args.labeled, lexicon).nus
     model = train(extract(nus, args.order), lexicon)
     export_model(model, args.out)
     print(f"trained order-{args.order} model on {len(nus)} utterances -> {args.out}")
@@ -167,12 +155,12 @@ def cmd_perplexity(args) -> int:
     # normalize raw text (already-normalized corpora score as-is)
     model = import_model(args.model)
     lexicon = load_lexicon(args.lexicon) if args.lexicon else None
-    labeled = _read_nus(args.corpus, args.labeled, lexicon)
-    report = perplexity(model, analysis.nus_of(labeled), args.emission)
+    corpus = read_nus(args.corpus, args.labeled, lexicon)
+    report = perplexity(model, corpus.nus, args.emission)
     print(
         f"pp={report.pp:.4f} tokens={report.token_count} oov={report.oov_count}"
     )
-    groups = analysis.by_group(labeled) if args.labeled else {}
+    groups = corpus.groups if args.labeled else {}
     for group, nus in sorted(groups.items()):
         sub = perplexity(model, nus, args.emission)
         print(f"pp[{group}]={sub.pp:.4f} tokens={sub.token_count} oov={sub.oov_count}")
@@ -196,13 +184,13 @@ def cmd_generalize(args) -> int:
         raise UsageError("need --tune-corpus for the factor search")
     lexicon = load_lexicon(args.lexicon)
 
-    def read_nus(path):
-        return analysis.nus_of(_read_nus(path, args.labeled, lexicon)) if path else None
+    def nus(path):
+        return read_nus(path, args.labeled, lexicon).nus if path else None
 
-    train_nus = read_nus(args.corpus)
+    train_nus = nus(args.corpus)
     gram = grammar_mod.parse_grammar(args.grammar)
-    test_nus = read_nus(args.test_corpus)
-    tuning = read_nus(args.tune_corpus)
+    test_nus = nus(args.test_corpus)
+    tuning = nus(args.tune_corpus)
     result = generalize.build_generalized_lm(
         train_nus,
         gram,
@@ -234,31 +222,29 @@ def cmd_generalize(args) -> int:
 
 def cmd_analyze(args) -> int:
     lexicon = load_lexicon(args.lexicon)
-    labeled_train = _read_nus(args.corpus, True, lexicon)
-    labeled_test = _read_nus(args.test_corpus, True, lexicon)
-    sizes = _resolve_sizes(args.sizes, len(labeled_train))
+    train_corpus = read_nus(args.corpus, True, lexicon)
+    test_corpus = read_nus(args.test_corpus, True, lexicon)
+    sizes = _resolve_sizes(args.sizes, len(train_corpus))
     out_dir = _out_dir(args)
-    train_nus = analysis.nus_of(labeled_train)
-    test_nus = analysis.nus_of(labeled_test)
     fmt = args.format
 
-    curve_train = analysis.coverage_curve(train_nus, train_nus)
-    curve_test = analysis.coverage_curve(train_nus, test_nus)
+    curve_train = analysis.coverage_curve(train_corpus, train_corpus)
+    curve_test = analysis.coverage_curve(train_corpus, test_corpus)
     analysis.write_coverage_csv(out_dir / f"coverage_train.{fmt}", curve_train, fmt)
     analysis.write_coverage_csv(out_dir / f"coverage_test.{fmt}", curve_test, fmt)
 
     sweep = analysis.partial_training_sweep(
-        labeled_train, sizes, labeled_test, lexicon, args.order, args.emission
+        train_corpus, sizes, test_corpus, lexicon, args.order, args.emission
     )
     analysis.write_sweep_csv(out_dir / f"pp_sweep.{fmt}", sweep, fmt)
 
-    table = analysis.saturation_table(labeled_train, sizes, args.min_count)
+    table = analysis.saturation_table(train_corpus, sizes, args.min_count)
     analysis.write_saturation_csv(out_dir / f"saturation.{fmt}", sizes, table, fmt)
 
-    overlap = analysis.frequency_overlap(labeled_train, labeled_test, args.threshold)
+    overlap = analysis.frequency_overlap(train_corpus, test_corpus, args.threshold)
     analysis.write_overlap_csv(out_dir / f"frequency_overlap.{fmt}", overlap, fmt)
 
-    split = analysis.unseen_split(train_nus, test_nus)
+    split = analysis.unseen_split(train_corpus, test_corpus)
     analysis.write_unseen_csv(out_dir / f"unseen_split.{fmt}", split, fmt)
 
     print(f"wrote analysis tables to {out_dir}")

@@ -213,7 +213,7 @@ def load_table(path, order: int | None = None) -> NGramTable:
     for gram in counts:
         if len(gram) > order:
             raise TableError(f"{path}: gram {gram} longer than order {order}")
-    _check_closure(counts)
+    _check_closure(counts, f"{path}: ")
     return NGramTable(order, counts)
 
 
@@ -226,16 +226,17 @@ def _extension_sums(grams: Iterable[tuple[Gram, Count]]) -> dict[Gram, Count]:
     return sums
 
 
-def _check_closure(counts: Mapping[Gram, Count]) -> None:
+def _check_closure(counts: Mapping[Gram, Count], where: str = "") -> None:
     """Raise :class:`TableError` naming the smallest context of ``counts``
-    below its extension sum, and how many there are."""
+    below its extension sum, and how many there are; the message starts
+    with ``where``."""
     sums = _extension_sums((gram, count) for gram, count in counts.items() if len(gram) > 1)
     bad = [(context, counts.get(context, 0), total)
            for context, total in sums.items() if counts.get(context, 0) < total]
     if bad:
         context, have, total = min(bad)
         raise TableError(
-            f"context closure violated at {context}: count {have} < "
+            f"{where}context closure violated at {context}: count {have} < "
             f"extension sum {total} ({len(bad)} violations)"
         )
 

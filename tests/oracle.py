@@ -11,7 +11,8 @@ utterance scorer slices each position's backoff grams by index; both are the
 package's earlier kernels, kept as they were. The generalization pipeline and
 the training-size sweep are composed from these pieces alone, the obvious
 way: every count table in full, one merge and one training per grid factor
-or prefix. The rest deliberately share no code with the package's scoring
+or prefix. The corpus studies (coverage, saturation, overlap, unseen split)
+count with plain loops over the row lists, with no histogram. The rest deliberately share no code with the package's scoring
 loop, table internals, normalization shortcuts, stack-driven generation or
 precomputed sampling tables.
 """
@@ -306,6 +307,65 @@ def naive_sweep(labeled_corpus, sizes, labeled_test, lexicon, n, emission=True):
             for group, nus in sorted(groups.items())
         }))
     return rows
+
+
+def naive_coverage(ranking_nus, measured_nus):
+    """The coverage curve's (rank, fraction) points by counting with loops.
+
+    NUs are ranked by their count in ``ranking_nus``, ties broken by the NU
+    itself; each point is the share of ``measured_nus`` that equals one of
+    the NUs ranked so far.
+    """
+    distinct = []
+    for nu in ranking_nus:
+        if nu not in distinct:
+            distinct.append(nu)
+    ranked = sorted(distinct, key=lambda nu: (-sum(1 for x in ranking_nus if x == nu), nu))
+    points = []
+    covered = 0
+    for rank, nu in enumerate(ranked, start=1):
+        covered += sum(1 for x in measured_nus if x == nu)
+        points.append((rank, covered / len(measured_nus) if measured_nus else 0.0))
+    return points
+
+
+def naive_saturation(labeled_corpus, sizes, min_count):
+    """Group -> number of the group's frequent NUs present in each prefix.
+
+    A NU is frequent when it occurs more than ``min_count`` times in its
+    group in the whole corpus; presence is checked row by row in the first
+    ``size`` rows.
+    """
+    table = {}
+    for group in sorted({group for group, _ in labeled_corpus}):
+        group_nus = [nu for g, nu in labeled_corpus if g == group]
+        frequent = [nu for nu in set(group_nus) if group_nus.count(nu) > min_count]
+        table[group] = [
+            sum(1 for nu in frequent if (group, nu) in labeled_corpus[:size])
+            for size in sizes
+        ]
+    return table
+
+
+def naive_overlap(labeled_train, labeled_test, threshold):
+    """Group -> share of the group's distinct test NUs whose count among
+    the group's training rows, over the number of those rows, exceeds
+    ``threshold``."""
+    overlap = {}
+    for group in sorted({group for group, _ in labeled_test}):
+        test_types = {nu for g, nu in labeled_test if g == group}
+        group_train = [nu for g, nu in labeled_train if g == group]
+        selected = [nu for nu in test_types
+                    if group_train and group_train.count(nu) / len(group_train) > threshold]
+        overlap[group] = len(selected) / len(test_types)
+    return overlap
+
+
+def naive_unseen(train_nus, test_nus):
+    """(seen, unseen): the test NUs, in order, that do and do not occur in training."""
+    seen = tuple(nu for nu in test_nus if nu in train_nus)
+    unseen = tuple(nu for nu in test_nus if nu not in train_nus)
+    return seen, unseen
 
 
 def naive_generalize(train_nus, grammar, lexicon, n, grid, tuning_corpus, test_corpus,

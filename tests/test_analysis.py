@@ -14,14 +14,16 @@ from classlm.analysis import (
     saturation_table,
     unseen_split,
     write_coverage_csv,
+    write_labeled_corpus,
     write_overlap_csv,
     write_saturation_csv,
     write_sweep_csv,
     write_unseen_csv,
 )
 from classlm.errors import CorpusError
-from classlm.lm import perplexity
-from classlm.normalize import normalize, nu_histogram
+from classlm.lm import perplexity, train
+from classlm.ngrams import extract
+from classlm.normalize import normalize, nu_histogram, read_nus
 from classlm.synth import SynthConfig, generate_world
 
 import oracle
@@ -155,6 +157,52 @@ def test_sweep_matches_naive_sweep(size, seed, n, emission, data):
             pp, tokens, oov = want[group]
             assert (report.token_count, report.oov_count) == (tokens, oov)
             assert math.isclose(report.pp, pp, rel_tol=1e-9, abs_tol=0.0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    size=st.integers(min_value=200, max_value=1000),
+    seed=st.integers(min_value=0, max_value=2**16),
+    min_count=st.integers(min_value=0, max_value=6),
+    threshold=st.floats(min_value=0.0, max_value=0.2),
+    emission=st.booleans(),
+    data=st.data(),
+)
+def test_studies_on_read_corpora_match_naive_twins(tmp_path_factory, size, seed, min_count,
+                                                   threshold, emission, data):
+    world = generate_world(SynthConfig(size=size, seed=seed))
+    train_rows, _, test_rows = world.splits()
+    directory = tmp_path_factory.mktemp("studies")
+    write_labeled_corpus(directory / "train.tsv", train_rows)
+    write_labeled_corpus(directory / "test.tsv", test_rows)
+    train_corpus = read_nus(directory / "train.tsv", True, world.lexicon)
+    test_corpus = read_nus(directory / "test.tsv", True, world.lexicon)
+    labeled_train = label_nus(world.lexicon, train_rows)
+    labeled_test = label_nus(world.lexicon, test_rows)
+    train_nus, test_nus = nus_of(labeled_train), nus_of(labeled_test)
+    sizes = sorted(data.draw(st.lists(st.integers(min_value=1, max_value=len(train_nus)),
+                                      min_size=1, max_size=4), label="sizes"))
+
+    for measured, measured_nus in ((train_corpus, train_nus), (test_corpus, test_nus)):
+        curve = coverage_curve(train_corpus, measured)
+        assert list(curve.points) == oracle.naive_coverage(train_nus, measured_nus)
+    assert saturation_table(train_corpus, sizes, min_count) == \
+        oracle.naive_saturation(labeled_train, sizes, min_count)
+    assert frequency_overlap(train_corpus, test_corpus, threshold) == \
+        oracle.naive_overlap(labeled_train, labeled_test, threshold)
+    split = unseen_split(train_corpus, test_corpus)
+    assert (split.seen, split.unseen) == oracle.naive_unseen(train_nus, test_nus)
+
+    # each group's test utterances are scored in corpus order, so the float
+    # sums, and the reports, are exactly those of the group's row list
+    groups = sorted({group for group, _ in labeled_test})
+    rows = partial_training_sweep(train_corpus, sizes, test_corpus, world.lexicon, 2, emission)
+    for (swept, per_group), size in zip(rows, sizes):
+        model = train(extract(train_nus[:size], 2), world.lexicon)
+        assert swept == size and list(per_group) == groups
+        for group in groups:
+            group_nus = [nu for g, nu in labeled_test if g == group]
+            assert per_group[group] == perplexity(model, group_nus, emission)
 
 
 def test_unseen_split_edges():

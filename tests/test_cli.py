@@ -18,8 +18,8 @@ from classlm.errors import (
 from classlm.grammar import parse_grammar
 from classlm.lm import import_model
 from classlm.ngrams import load_table
-from classlm.normalize import read_corpus
-from classlm.vocab import load_lexicon
+from classlm.normalize import read_corpus, read_nus
+from classlm.vocab import ClassLexicon, load_lexicon
 
 
 @pytest.fixture(scope="module")
@@ -449,6 +449,10 @@ READERS = [
     pytest.param(functools.partial(read_corpus, labeled=True), CorpusError,
                  id="read_corpus_labeled-CorpusError"),
     (read_labeled_corpus, CorpusError),
+    (read_nus, CorpusError),
+    pytest.param(functools.partial(read_nus, labeled=True,
+                                   lexicon=ClassLexicon({"CITY-NAME": {"rome", "new_york"}})),
+                 CorpusError, id="read_nus_labeled-CorpusError"),
     (parse_grammar, GrammarError),
     (load_table, TableError),
     (import_model, ModelError),

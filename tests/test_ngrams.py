@@ -241,8 +241,9 @@ def test_load_errors(tmp_path):
         load_table(bad)
     bad.write_text("1\ta\n3/2\ta b\n1/2\ta c\n2\tb\n1\tc\n", encoding="utf-8")
     with pytest.raises(TableError, match=r"closure violated at \('a',\): count 1 < "
-                       r"extension sum 2 \(1 violations\)"):
+                       r"extension sum 2 \(1 violations\)") as caught:
         load_table(bad)
+    assert str(caught.value).startswith(f"{bad}: context closure violated")
     empty = tmp_path / "empty.tsv"
     empty.write_text("", encoding="utf-8")
     with pytest.raises(TableError):

@@ -1,8 +1,13 @@
 from collections import Counter
 
-from hypothesis import assume, given, settings, strategies as st
+import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from classlm.normalize import normalize, normalize_sentences, nu_histogram, tokenize
+from classlm.analysis import label_nus
+from classlm.errors import CorpusError
+from classlm.normalize import (
+    normalize, normalize_sentences, nu_histogram, read_corpus, read_nus, tokenize,
+)
 from classlm.synth import SynthConfig, generate_world
 from classlm.vocab import ClassLexicon
 
@@ -181,3 +186,74 @@ def test_normalize_sentences_matches_normalize(lex, pool, data):
 
 def test_normalize_sentences_on_the_bundle_grammar(lexicon, sentences, sentence_nus):
     assert normalize_sentences(lexicon, sentences) == sentence_nus
+
+
+_READER_LEXICON = ClassLexicon({"CITY-NAME": {"naples", "rome", "new_york"},
+                                "HOUR-NUMBER": {"five"}})
+# (line without its end, bad in a labeled file, bad in a plain file)
+_READER_LINES = [
+    ("City\tfrom naples to new york", False, False),
+    ("City\tfrom Naples, to  ROME!", False, False),
+    ("Time\tat five", False, False),
+    ("Time\tat  five ", False, False),
+    ("Other\tCITY-NAME at <unk>", False, False),
+    ("Other\tfrom a<s>b", False, False),
+    ("Date\t", False, False),
+    ("Other\t   ", False, False),
+    ("", False, False),
+    ("   ", False, False),
+    ("\t", False, False),
+    ("City from naples", True, False),
+    ("Weather\tsunny", True, False),
+    ("City\thello <s> rome", True, True),
+    ("at </S>.", True, True),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    lines=st.lists(st.tuples(st.sampled_from(_READER_LINES), st.sampled_from(["\n", "\r\n"])),
+                   max_size=25),
+    last_end=st.booleans(),
+    bom=st.booleans(),
+    labeled=st.booleans(),
+)
+# a bad line that repeats is reported at its first occurrence
+@example(lines=[(_READER_LINES[0], "\n"), (_READER_LINES[12], "\n")] * 2, last_end=True,
+         bom=False, labeled=True)
+def test_read_nus_matches_read_corpus_then_label_nus(tmp_path_factory, lines, last_end,
+                                                      bom, labeled):
+    text = "".join(line + end for (line, _, _), end in lines)
+    if lines and not last_end:
+        text = text[: -len(lines[-1][1])]
+    path = tmp_path_factory.mktemp("reader") / "corpus.tsv"
+    path.write_bytes((("\ufeff" if bom else "") + text).encode("utf-8"))
+    bad = [i for i, ((_, bad_labeled, bad_plain), _) in enumerate(lines, start=1)
+           if (bad_labeled if labeled else bad_plain)]
+    if bad:
+        with pytest.raises(CorpusError) as want:
+            read_corpus(path, labeled)
+        assert str(want.value).startswith(f"{path}:{bad[0]}: ")
+        for lexicon in (_READER_LEXICON, None):
+            with pytest.raises(CorpusError) as got:
+                read_nus(path, labeled, lexicon)
+            assert str(got.value) == str(want.value)
+        return
+    rows = read_corpus(path, labeled)
+    corpus = read_nus(path, labeled, _READER_LEXICON)
+    assert corpus.rows == label_nus(_READER_LEXICON, rows)
+    assert read_nus(path, labeled).rows == [(group, tuple(text.split())) for group, text in rows]
+    # the counted views against plain recounts of the rows
+    nus = [nu for _, nu in corpus.rows]
+    assert len(corpus) == len(rows) and corpus.nus == nus
+    first = {}
+    assert all(first.setdefault(nu, nu) is nu for nu in nus)
+    assert corpus.histogram == Counter(nus)
+    assert corpus.groups == {group: [nu for g, nu in corpus.rows if g == group]
+                             for group, _ in corpus.rows}
+    assert corpus.group_histograms == {
+        group: Counter(group_nus) for group, group_nus in corpus.groups.items()}
+    assert corpus.pairs == list(dict.fromkeys(corpus.rows))
+    assert corpus.firsts == [corpus.rows.index(pair) for pair in corpus.pairs]
+    assert corpus.counts == [corpus.rows.count(pair) for pair in corpus.pairs]
+
