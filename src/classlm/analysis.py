@@ -53,21 +53,9 @@ def write_labeled_corpus(path, rows) -> None:
 
 
 def label_nus(lexicon: ClassLexicon, rows: list[tuple[str, str]]) -> LabeledNUs:
-    """(group, NU) rows; each distinct raw text is normalized once.
-
-    Equal NUs are one shared tuple, so the histograms, sets and dicts built
-    over them later match keys by identity.
-    """
-    memo: dict[str, NU] = {}
-    canon: dict[NU, NU] = {}
-    labeled = []
-    for group, text in rows:
-        nu = memo.get(text)
-        if nu is None:
-            nu = normalize(lexicon, text)
-            nu = memo[text] = canon.setdefault(nu, nu)
-        labeled.append((group, nu))
-    return labeled
+    """(group, NU) rows, one :func:`normalize` per row: the plain reference
+    of :func:`classlm.normalize.read_nus`."""
+    return [(group, normalize(lexicon, text)) for group, text in rows]
 
 
 def nus_of(labeled: LabeledNUs) -> list[NU]:

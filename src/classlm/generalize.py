@@ -193,7 +193,6 @@ def build_generalized_lm(
     """
     if mode not in (MODE_INJECTION, MODE_NAIVE):
         raise DataError(f"unknown mode {mode!r}")
-    train_nus = [tuple(nu) for nu in train_nus]
     sentences = generate(grammar, max_depth, max_sentences)
     sentence_nus = normalize_sentences(lexicon, sentences)
     train_table = extract(train_nus, n)

@@ -22,12 +22,14 @@ scores add log(1/class_size) per tag occurrence; class-level scores skip
 that term.
 
 Perplexity convention: the end tag is scored once per utterance, start
-padding is never scored.
+padding is never scored. The model scores itself through the inherited
+:class:`~classlm.score.Scorer` methods.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import ModelError, open_text
@@ -47,8 +49,9 @@ class PerplexityReport:
     oov_count: int
 
 
-class ClassNGramLM:
-    """Trained model: log10 conditional probabilities plus backoff weights."""
+class ClassNGramLM(Scorer):
+    """Trained model: log10 conditional probabilities plus backoff weights.
+    It scores utterances itself, through the :class:`Scorer` methods."""
 
     def __init__(
         self,
@@ -65,14 +68,13 @@ class ClassNGramLM:
         self._emis10 = {
             tag: -math.log10(size) for tag, size in class_sizes.items() if size > 1
         }
-        self._scorer: Scorer | None = None
+        # no gram longer than the window is stored, nor a backoff weight on one
+        # as long, so a longer window scores like its suffix of this length
+        window = max(max(map(len, probs10), default=1), max(map(len, bows10), default=0) + 1)
+        self._lead = (SENT_START,) * (min(order, window) - 1)
 
-    def scorer(self) -> Scorer:
-        if self._scorer is None:
-            self._scorer = Scorer(
-                self.order, self.probs10, self.bows10, self._emis10, self.vocab
-            )
-        return self._scorer
+    def scorer(self) -> ClassNGramLM:  # read by the benchmark manifest
+        return self
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ClassNGramLM):
@@ -108,7 +110,7 @@ def train(table: NGramTable, lexicon: ClassLexicon) -> ClassNGramLM:
     The table is not validated here: every :class:`NGramTable` holds the
     closure invariant once it is built.
     """
-    unigram_counts = {g[0]: c for g, c in table if len(g) == 1 and c > 0}
+    unigram_counts = {g[0]: c for g, c in table if len(g) == 1}
     if not unigram_counts:
         raise ModelError("cannot train on an empty table")
 
@@ -141,7 +143,7 @@ def train(table: NGramTable, lexicon: ClassLexicon) -> ClassNGramLM:
     for k in range(2, table.order + 1):
         groups: dict[Gram, list[tuple[str, object]]] = {}
         for gram, count in table:
-            if len(gram) == k and count > 0:
+            if len(gram) == k:
                 groups.setdefault(gram[:-1], []).append((gram[-1], count))
         overflowed = []
         for context, events in groups.items():
@@ -169,17 +171,15 @@ def train(table: NGramTable, lexicon: ClassLexicon) -> ClassNGramLM:
 
 def log_prob(model: ClassNGramLM, nu: NU, emission: bool = False) -> float:
     """Natural-log probability of an NU (end tag scored, start padding not)."""
-    total10, _, _ = model.scorer().score_utterance(nu, emission)
+    total10, _, _ = model.score_utterance(nu, emission)
     return total10 * LN10
 
 
 def perplexity(model, corpus, emission: bool = False) -> PerplexityReport:
-    corpus = list(corpus)
-    if not corpus:
+    nus = [tuple(nu) for nu in corpus]
+    if not nus:
         raise ModelError("cannot evaluate perplexity on an empty corpus")
-    total10, tokens, oov = model.scorer().score_corpus(
-        [tuple(nu) for nu in corpus], emission
-    )
+    total10, tokens, oov = model.score_corpus(nus, emission)
     pp = 10.0 ** (-total10 / tokens)
     return PerplexityReport(pp, total10 * LN10, tokens, oov)
 
@@ -221,7 +221,8 @@ def import_model(path) -> ClassNGramLM:
     """Read a model written by :func:`export_model`.
 
     Raises :class:`ModelError` on malformed lines, non-finite values,
-    log-probs above 0, a k-gram section the header does not declare, a
+    log-probs above 0, a header that does not declare each order 1..K
+    exactly once, a k-gram section the header does not declare, a
     missing ``<s>``, ``</s>`` or ``<unk>`` unigram, and a k-gram whose
     (k-1)-prefix is not stored.
     """
@@ -269,9 +270,13 @@ def import_model(path) -> ClassNGramLM:
                     raise ModelError(f"{path}:{lineno}: expected 'ngram k=count'")
                 try:
                     k_part, count_part = stripped[6:].split("=")
-                    header[int(k_part)] = int(count_part)
+                    k, count = int(k_part), int(count_part)
                 except ValueError as exc:
                     raise ModelError(f"{path}:{lineno}: bad header line") from exc
+                if k < 1 or k in header:
+                    problem = "below 1" if k < 1 else "declared twice"
+                    raise ModelError(f"{path}:{lineno}: order {k} {problem}")
+                header[k] = count
             elif section == "classes":
                 parts = stripped.split()
                 if len(parts) != 2 or not parts[1].isdigit():
@@ -307,12 +312,16 @@ def import_model(path) -> ClassNGramLM:
         raise ModelError(f"{path}: truncated file (no \\end\\ marker)")
     if not header:
         raise ModelError(f"{path}: empty header")
-    order = max(header)
+    # distinct orders >= 1, none missing below their count: exactly 1..order
+    order = len(header)
+    missing = next((k for k in range(1, order + 1) if k not in header), None)
+    if missing is not None:
+        raise ModelError(f"{path}: header declares order {max(header)} but not order {missing}")
+    found = Counter(map(len, probs10))
     for k, expected in header.items():
-        actual = sum(1 for g in probs10 if len(g) == k)
-        if actual != expected:
+        if found[k] != expected:
             raise ModelError(
-                f"{path}: header promises {expected} {k}-grams, found {actual}"
+                f"{path}: header promises {expected} {k}-grams, found {found[k]}"
             )
     missing = [tag for tag in (SENT_START, SENT_END, UNK) if (tag,) not in probs10]
     if missing:

@@ -2,14 +2,13 @@
 
 :meth:`Scorer.score_utterance` is the one scoring path: it maps tokens
 outside the vocabulary to the unknown tag, pads the utterance with start
-tags and an end tag, and looks up the full-order window ending at each
-scored position, walking the backoff tables only where that window is not
-stored.
+tags and an end tag, and looks up the window ending at each scored
+position, walking the backoff tables only where that window is not stored.
 """
 
 from __future__ import annotations
 
-from .vocab import SENT_END, SENT_START, UNK
+from .vocab import SENT_END, UNK
 
 
 # read by the benchmark manifest; there is no compiled kernel
@@ -18,18 +17,11 @@ def extension_available() -> bool:
 
 
 class Scorer:
-    """Scores utterances against one model's log10 tables."""
+    """Scoring half of :class:`~classlm.lm.ClassNGramLM`, which sets the
+    ``probs10``, ``bows10``, ``vocab``, ``_emis10`` and ``_lead`` it reads."""
 
     # read by the benchmark manifest
     backend = "python"
-
-    def __init__(self, order, probs10, bows10, emis10, vocab):
-        self.order = order
-        self._probs10 = probs10
-        self._bows10 = bows10
-        self._emis10 = emis10
-        self.vocab = vocab
-        self._lead = (SENT_START,) * (order - 1)
 
     def score_utterance(self, nu, emission: bool) -> tuple[float, int, int]:
         """(log10 total, scored token count, oov count) for one utterance.
@@ -38,10 +30,10 @@ class Scorer:
         :class:`KeyError` for a token without a unigram, which only a model
         lacking the ``<unk>`` unigram can reach.
 
-        Each scored position is the last token of one full-order window. A
-        window stored in the model costs one lookup and one add; only a
-        miss walks the backoff chain, adding the backoff weights it passes
-        to the probability it ends on before adding that to the total.
+        Each scored position is the last token of one window. A window
+        stored in the model costs one lookup and one add; only a miss walks
+        the backoff chain, adding the backoff weights it passes to the
+        probability it ends on before adding that to the total.
         """
         vocab = self.vocab
         mapped = tuple(nu)
@@ -50,9 +42,9 @@ class Scorer:
             oov = sum(1 for t in mapped if t not in vocab)
             mapped = tuple(t if t in vocab else UNK for t in mapped)
         tokens = self._lead + mapped + (SENT_END,)
-        probs10, bows10, emis10 = self._probs10, self._bows10, self._emis10
+        probs10, bows10, emis10 = self.probs10, self.bows10, self._emis10
         total = 0.0
-        for gram in zip(*[tokens[j:] for j in range(self.order)]):
+        for gram in zip(*[tokens[j:] for j in range(len(self._lead) + 1)]):
             prob = probs10.get(gram)
             if prob is not None:
                 # the walk below would add 0.0 + prob, which is prob

@@ -38,25 +38,19 @@ class ClassLexicon:
             self.classes[tag] = frozenset(members)
         # member split at "_" -> tag; one-word members are 1-tuples
         self._seq_tag: dict[tuple[str, ...], str] = {}
-        self._max_member_words = 1
         for tag in sorted(self.classes):
             for member in self.classes[tag]:
-                parts = tuple(member.split("_"))
-                self._seq_tag[parts] = tag
-                if len(parts) > self._max_member_words:
-                    self._max_member_words = len(parts)
+                self._seq_tag[tuple(member.split("_"))] = tag
+        self.max_member_words = max(map(len, self._seq_tag), default=1)
         # one-word member -> tag, and the first word of every multi-word
         # member: a match longer than one token can only start at one of these
         self.word_tag = {parts[0]: tag for parts, tag in self._seq_tag.items()
                          if len(parts) == 1}
         self.multi_word_starts = frozenset(
             parts[0] for parts in self._seq_tag if len(parts) > 1)
+        self.tags = frozenset(self.classes)
         # tokens normalization keeps as written: tags and reserved tags
-        self.verbatim = frozenset(self.classes) | RESERVED
-
-    @property
-    def tags(self) -> frozenset[str]:
-        return frozenset(self.classes)
+        self.verbatim = self.tags | RESERVED
 
     def class_of(self, word: str) -> str | None:
         """Tag of the class containing ``word``, or None for classless words."""
@@ -70,10 +64,6 @@ class ClassLexicon:
     def tag_for_sequence(self, words: tuple[str, ...]) -> str | None:
         """Tag matching a multi-word member written as consecutive tokens."""
         return self._seq_tag.get(words)
-
-    @property
-    def max_member_words(self) -> int:
-        return self._max_member_words
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ClassLexicon):

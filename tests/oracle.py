@@ -125,19 +125,21 @@ def naive_train(table, lexicon):
     return ClassNGramLM(table.order, probs10, bows10, class_sizes)
 
 
-def naive_score_utterance(scorer, nu, emission):
+def naive_score_utterance(model, nu, emission):
     """(log10 total, scored token count, oov count) for one utterance.
 
     The end tag is scored, the start padding is not. Raises
     :class:`KeyError` for a token without a unigram, which only a model
-    lacking the ``<unk>`` unigram can reach.
+    lacking the ``<unk>`` unigram can reach. Every window is of the model's
+    full declared order.
     """
-    vocab = scorer.vocab
+    vocab = model.vocab
     mapped = tuple(t if t in vocab else UNK for t in nu)
     oov = sum(1 for t in nu if t not in vocab) if UNK in mapped else 0
-    tokens = scorer._lead + mapped + (SENT_END,)
-    order = scorer.order
-    probs10, bows10, emis10 = scorer._probs10, scorer._bows10, scorer._emis10
+    order = model.order
+    tokens = (SENT_START,) * (order - 1) + mapped + (SENT_END,)
+    probs10, bows10 = model.probs10, model.bows10
+    emis10 = {tag: -math.log10(size) for tag, size in model.class_sizes.items() if size > 1}
     total = 0.0
     for i in range(order - 1, len(tokens)):
         acc = 0.0

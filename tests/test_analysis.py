@@ -23,7 +23,7 @@ from classlm.analysis import (
 from classlm.errors import CorpusError
 from classlm.lm import perplexity, train
 from classlm.ngrams import extract
-from classlm.normalize import normalize, nu_histogram, read_nus
+from classlm.normalize import normalize, read_nus
 from classlm.synth import SynthConfig, generate_world
 
 import oracle
@@ -295,19 +295,3 @@ def test_label_nus_with_repeated_lines_matches_per_row_normalize(world, lexicon)
     assert len({text for _, text in rows}) * 2 < len(rows)
     labeled = label_nus(lexicon, rows)
     assert labeled == [(group, normalize(lexicon, text)) for group, text in rows]
-
-
-def test_label_nus_shares_one_tuple_per_distinct_nu(world, lexicon):
-    rows = world.splits()[0]
-    labeled = label_nus(lexicon, rows)
-    nus = nus_of(labeled)
-    assert nus == [normalize(lexicon, text) for _, text in rows]
-    # distinct raw lines that normalize alike share one tuple too
-    assert len(set(nus)) < len({text for _, text in rows})
-    first = {}
-    assert all(first.setdefault(nu, nu) is nu for nu in nus)
-    fresh = [tuple(list(nu)) for nu in nus]
-    assert not any(a is b for a, b in zip(nus, fresh))
-    shared_hist, fresh_hist = nu_histogram(nus), nu_histogram(fresh)
-    assert shared_hist == fresh_hist
-    assert list(shared_hist.items()) == list(fresh_hist.items())

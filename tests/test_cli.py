@@ -4,6 +4,8 @@ import os
 import shutil
 import subprocess
 import sys
+import time
+import types
 from pathlib import Path
 
 import pytest
@@ -419,6 +421,92 @@ def test_model_without_prefix_is_data_error(tmp_path, model_file_without, model_
     corpus.write_text("from rome to naples\n", encoding="utf-8")
     stderr = run_data_error("perplexity", "--model", model, "--corpus", corpus)
     assert f"{model}: 3-gram" in stderr and "has no stored prefix" in stderr
+
+
+def write_unigram_model(path, header_lines):
+    """A model file of three unigrams under the given ``ngram k=count`` lines."""
+    path.write_text(
+        "# classlm model format v1\n\n\\data\\\n" + "\n".join(header_lines)
+        + "\n\n\\class-sizes:\n\n\\1-grams:\n"
+        "-0.5\t<s>\t-0.3\n-0.5\t</s>\n-0.5\t<unk>\n\n\\end\\\n",
+        encoding="utf-8",
+    )
+    return path
+
+
+@pytest.mark.parametrize("top", [10**20, 10**6])
+def test_model_header_with_a_gap_is_data_error(tmp_path, top):
+    # an order past any index, and one that would cost a window of that size
+    model = write_unigram_model(tmp_path / "gap.arpa", ["ngram 1=3", f"ngram {top}=0"])
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("from rome\n", encoding="utf-8")
+    stderr = run_data_error("perplexity", "--model", model, "--corpus", corpus)
+    assert stderr == f"error: {model}: header declares order {top} but not order 2\n"
+
+
+def test_model_declared_far_above_its_grams_scores_quickly(tmp_path):
+    # the <s> unigram carries a backoff weight, so every window longer than
+    # two tokens scores like its last two
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("from rome to naples\nfrom oslo\n", encoding="utf-8")
+    outputs = []
+    for order in (2, 20000):
+        header = ["ngram 1=3"] + [f"ngram {k}=0" for k in range(2, order + 1)]
+        model = write_unigram_model(tmp_path / f"order{order}.arpa", header)
+        start = time.perf_counter()
+        proc = run_cli("perplexity", "--model", model, "--corpus", corpus)
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 0
+        outputs.append(proc.stdout)
+    assert elapsed < 2.0  # of the order-20000 run
+    assert outputs[0] == outputs[1]
+
+
+def load_benchmark_tracer():
+    """perfbench/tracing.py as a fresh module, compiled in memory so that no
+    bytecode is written next to it."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    module = types.ModuleType("benchmark_tracing")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), vars(module))
+    return module
+
+
+def test_benchmark_tracer_wraps_the_scoring_names(tmp_path, workspace):
+    # the benchmark wraps these names; a rename or a subclass override of
+    # score_corpus would drop their spans
+    model = tmp_path / "m.arpa"
+    corpus = workspace / "corpus_train.tsv"
+    lexicon = workspace / "lexicon.lex"
+    assert main(["train", "--lexicon", str(lexicon), "--corpus", str(corpus),
+                 "--labeled", "--out", str(model)]) == 0
+    tracer = load_benchmark_tracer().Tracer()
+    tracer.install()
+    try:
+        assert main(["perplexity", "--model", str(model), "--corpus", str(corpus),
+                     "--labeled", "--lexicon", str(lexicon)]) == 0
+    finally:
+        tracer.remove()
+    names = {span[0] for span in tracer.spans}
+    assert {"lm.import_model", "lm.perplexity", "score.score_corpus"} <= names
+
+
+def test_readme_library_example_scores_like_the_cli(tmp_path, workspace, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    example = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    shutil.copytree(workspace, tmp_path / "work")
+    texts = [line.split("\t", 1)[1] for line in
+             (workspace / "corpus_train.tsv").read_text(encoding="utf-8").splitlines()]
+    # blank lines between utterances, which the CLI skips
+    (tmp_path / "corpus.txt").write_text("\n\n".join(texts) + "\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(example, "README.md", "exec"), {})
+    pp = float(capsys.readouterr().out)
+    assert main(["train", "--lexicon", "work/lexicon.lex", "--corpus", "corpus.txt",
+                 "--order", "3", "--out", "m.arpa"]) == 0
+    capsys.readouterr()
+    assert main(["perplexity", "--model", "m.arpa", "--corpus", "corpus.txt",
+                 "--lexicon", "work/lexicon.lex", "--emission"]) == 0
+    assert capsys.readouterr().out.split()[0] == f"pp={pp:.4f}"
 
 
 def test_boundary_tag_in_corpus_is_data_error(tmp_path, workspace):

@@ -1,8 +1,9 @@
+import functools
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from classlm.analysis import label_nus, nus_of
 from classlm.errors import DataError, TableError
@@ -15,7 +16,7 @@ from classlm.generalize import (
     tune_balance_factor,
     write_report,
 )
-from classlm.grammar import parse_grammar_text
+from classlm.grammar import Terminal, parse_grammar_text
 from classlm.lm import export_model, perplexity, train
 from classlm.ngrams import NGramTable, extract
 from classlm.synth import SynthConfig, generate_world
@@ -278,32 +279,74 @@ def assert_close(actual, expected):
 _CITY_VARIANTS = ["", '"From CITY-NAME" | "FROM" "CITY-NAME" | ',
                   '"from monte bianco" | "from monte" "bianco" | ']
 
+# terminals of the drawn grammars: NU tokens of the synthetic world, alone
+# and in pairs
+_WORLD_TERMINALS = ["from", "to", "CITY-NAME", "WEEK-DAY", "please", "the DAY-NUMBER",
+                    "from CITY-NAME"]
 
-@settings(max_examples=10, deadline=None)
-@given(
-    size=st.integers(min_value=200, max_value=1000),
-    seed=st.integers(min_value=0, max_value=2**16),
-    n=st.integers(min_value=2, max_value=4),
-    grid=st.lists(st.sampled_from([1, Fraction(3, 2), 2, 4, 10]), max_size=3),
-    max_sentences=st.sampled_from([20, 150, 600]),
-    emission=st.booleans(),
-    mode=st.sampled_from(["ngram-injection", "naive-sentences"]),
-    weight_unknown=st.booleans(),
-    variant=st.sampled_from(_CITY_VARIANTS),
-)
-def test_pipeline_matches_naive_generalize(size, seed, n, grid, max_sentences, emission,
-                                           mode, weight_unknown, variant):
-    world = generate_world(SynthConfig(size=size, seed=seed))
-    assert "monte_bianco" in world.lexicon.classes["CITY-NAME"]
+
+@st.composite
+def _recursive_grammar_texts(draw):
+    """Grammar text of 2-4 nonterminals, each with 1-3 alternatives of 1-3
+    items over world NU tokens, recursive through a drawn cycle of 1 (self
+    recursion) to 4 (mutual) nonterminals that starts at the start symbol.
+
+    Each nonterminal has an alternative of terminals only, so it derives a
+    sentence at every depth. One off the cycle may instead be an optional
+    terminal, the only empty alternative: an empty one on a rule that names
+    nonterminals makes the naive enumeration exponential.
+    """
+    names = ["S", "A", "B", "C"][: draw(st.integers(min_value=2, max_value=4))]
+    terminal = st.sampled_from(_WORLD_TERMINALS).map('"{}"'.format)
+    item = st.one_of(terminal, st.sampled_from(names))
+    cycle = names[: draw(st.integers(min_value=1, max_value=len(names)))]
+    rules = []
+    for name in names:
+        if name not in cycle and draw(st.booleans()):
+            rules.append(f"{name} -> {draw(terminal)} | ;")
+            continue
+        alternatives = draw(st.lists(st.lists(terminal, min_size=1, max_size=3).map(" ".join),
+                                     min_size=1, max_size=2))
+        if len(alternatives) + (name in cycle) < 3:
+            alternatives += draw(st.lists(st.lists(item, min_size=1, max_size=3).map(" ".join),
+                                          max_size=1))
+        if name in cycle:
+            successor = cycle[(cycle.index(name) + 1) % len(cycle)]
+            recursive = draw(st.permutations([draw(item), successor]))
+            alternatives.insert(draw(st.integers(0, len(alternatives))), " ".join(recursive))
+        rules.append(f"{name} -> {' | '.join(alternatives)};")
+    return "start S;\n" + "\n".join(rules)
+
+
+def _naive_generation_steps(grammar, max_depth):
+    """How many partial derivations ``oracle.naive_generate`` walks at most:
+    it enumerates every derivation, many of them alike in an ambiguous
+    grammar."""
+
+    @functools.cache
+    def derivations(name, depth):
+        if depth > max_depth:
+            return 0, 1
+        count = steps = 0
+        for alternative in grammar.productions[name]:
+            product = 1
+            for item in alternative:
+                if not isinstance(item, Terminal):
+                    item_count, item_steps = derivations(item, depth + 1)
+                    steps += product * item_steps
+                    product *= item_count
+            count += product
+            steps += product
+        return count, steps
+
+    return derivations(grammar.start, 1)[1]
+
+
+def assert_generalize_matches_naive(world, grammar, n, grid, **kwargs):
+    """build_generalized_lm on the world's splits equals oracle.naive_generalize."""
     train_nus, tune_nus, test_nus = (
         nus_of(label_nus(world.lexicon, rows)) for rows in world.splits())
-    assert world.grammar_text.count("CityRequest -> ") == 1
-    grammar = parse_grammar_text(
-        world.grammar_text.replace("CityRequest -> ", "CityRequest -> " + variant),
-        source="bundled-grammar")
     grid = [Fraction(1, 2)] + grid
-    kwargs = dict(max_depth=12, max_sentences=max_sentences, emission=emission, mode=mode,
-                  weight_unknown=weight_unknown)
     result = build_generalized_lm(train_nus, grammar, world.lexicon, n, grid=grid,
                                   tuning_corpus=tune_nus, test_corpus=test_nus, **kwargs)
     expected = oracle.naive_generalize(train_nus, grammar, world.lexicon, n, grid,
@@ -314,7 +357,7 @@ def test_pipeline_matches_naive_generalize(size, seed, n, grid, max_sentences, e
                       (result.baseline, expected["baseline"])):
         assert got.probs10 == want.probs10
         assert got.bows10 == want.bows10
-    if mode == "naive-sentences":
+    if kwargs["mode"] == "naive-sentences":
         assert result.balance_factor is None and expected["factor"] is None
     else:
         assert result.balance_factor.value == expected["factor"]
@@ -326,6 +369,50 @@ def test_pipeline_matches_naive_generalize(size, seed, n, grid, max_sentences, e
         want_base, want_gen = expected["perplexities"][label]
         assert_close(base_pp, want_base)
         assert_close(gen_pp, want_gen)
+
+
+# the world and the experiment settings; each test adds a grammar and its bounds
+_PIPELINE_DRAWS = dict(
+    size=st.integers(min_value=200, max_value=1000),
+    seed=st.integers(min_value=0, max_value=2**16),
+    n=st.integers(min_value=2, max_value=4),
+    grid=st.lists(st.sampled_from([1, Fraction(3, 2), 2, 4, 10]), max_size=3),
+    emission=st.booleans(),
+    mode=st.sampled_from(["ngram-injection", "naive-sentences"]),
+    weight_unknown=st.booleans(),
+)
+
+
+@settings(max_examples=10, deadline=None)
+@given(**_PIPELINE_DRAWS, max_sentences=st.sampled_from([20, 150, 600]),
+       variant=st.sampled_from(_CITY_VARIANTS))
+def test_pipeline_matches_naive_generalize(size, seed, n, grid, emission, mode,
+                                           weight_unknown, max_sentences, variant):
+    world = generate_world(SynthConfig(size=size, seed=seed))
+    assert "monte_bianco" in world.lexicon.classes["CITY-NAME"]
+    assert world.grammar_text.count("CityRequest -> ") == 1
+    grammar = parse_grammar_text(
+        world.grammar_text.replace("CityRequest -> ", "CityRequest -> " + variant),
+        source="bundled-grammar")
+    assert_generalize_matches_naive(world, grammar, n, grid, max_depth=12,
+                                    max_sentences=max_sentences, emission=emission,
+                                    mode=mode, weight_unknown=weight_unknown)
+
+
+# Hypothesis draws the first elements of a list more often, and deeper bounds
+# with fewer sentences cut the generation by max_sentences more often
+@settings(max_examples=15, deadline=None)
+@given(**_PIPELINE_DRAWS, text=_recursive_grammar_texts(),
+       max_depth=st.sampled_from([5, 4, 3, 2]),
+       max_sentences=st.sampled_from([5, 6, 8, 12, 20, 35, 50]))
+def test_pipeline_matches_naive_generalize_on_recursive_grammars(
+        size, seed, n, grid, emission, mode, weight_unknown, text, max_depth, max_sentences):
+    grammar = parse_grammar_text(text, source="drawn-grammar")
+    assume(_naive_generation_steps(grammar, max_depth) < 10**5)
+    world = generate_world(SynthConfig(size=size, seed=seed))
+    assert_generalize_matches_naive(world, grammar, n, grid, max_depth=max_depth,
+                                    max_sentences=max_sentences, emission=emission,
+                                    mode=mode, weight_unknown=weight_unknown)
 
 
 def test_naive_mode_has_no_factor(generalization_runs):

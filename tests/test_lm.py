@@ -196,6 +196,22 @@ def test_import_rejects_header_mismatch(tmp_path, model_small):
         import_model(bad)
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("ngram 2=", "ngram 1=", ":5: order 1 declared twice"),
+    ("ngram 1=", "ngram 0=", ":4: order 0 below 1"),
+    ("ngram 1=", "ngram 9=0\nngram 1=", ": header declares order 9 but not order 4"),
+])
+def test_import_rejects_header_not_declaring_each_order_once(tmp_path, model_small,
+                                                             old, new, message):
+    path = tmp_path / "model.arpa"
+    export_model(model_small, path)
+    bad = tmp_path / "bad.arpa"
+    bad.write_text(path.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
+    with pytest.raises(ModelError) as raised:
+        import_model(bad)
+    assert str(raised.value) == f"{bad}{message}"
+
+
 @pytest.mark.parametrize("token", ["<s>", "</s>", UNK])
 def test_import_rejects_missing_reserved_unigram(model_file_without, token):
     bad = model_file_without(token)

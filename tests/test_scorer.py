@@ -55,16 +55,25 @@ _known = ["a", "b", "c", "CITY"]
                       max_size=8).map(tuple), min_size=1, max_size=6),
     st.booleans(),
     st.sampled_from([None, UNK, SENT_END]),
+    st.sampled_from([0, 0, 1, 3]),
+    st.booleans(),
 )
-def test_score_utterance_matches_indexed_oracle(corpus, n, nus, emission, dropped):
+def test_score_utterance_matches_indexed_oracle(corpus, n, nus, emission, dropped, above,
+                                                top_bows):
     # x and y are out of vocabulary; DAY is a lexicon tag absent from the
     # corpus; without the <unk> or </s> unigram a walk that reaches it must
-    # raise the same KeyError in both
+    # raise the same KeyError in both. A model declared above its trained
+    # order scores with shorter windows than the oracle's full-order ones,
+    # one token longer where its longest grams carry backoff weights.
     model = train(extract(corpus, n), _lexicon)
-    if dropped is not None:
+    if dropped is not None or above:
         probs10 = {g: p for g, p in model.probs10.items() if g != (dropped,)}
-        model = ClassNGramLM(n, probs10, model.bows10, model.class_sizes)
+        bows10 = dict(model.bows10)
+        if above and top_bows:
+            bows10.update((g, -0.25) for g in probs10 if len(g) == n)
+        model = ClassNGramLM(n + above, probs10, bows10, model.class_sizes)
     scorer = model.scorer()
+    assert scorer is model
     for nu in nus:
         try:
             expected = oracle.naive_score_utterance(scorer, nu, emission)
