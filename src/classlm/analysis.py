@@ -2,8 +2,8 @@
 
 Each study takes its corpora as :class:`~classlm.normalize.Corpus` values,
 which :func:`classlm.normalize.read_nus` builds in one pass over a file,
-and reads the histograms, per-group lists and first occurrences each value
-holds, so a corpus is counted once however many studies use it. A study
+and reads the histograms and first occurrences each value holds, so a
+corpus is counted once however many studies use it. A study
 given a list of NUs or (group, NU) rows builds that value first.
 
 All functions are pure over their inputs and all CSV writers emit sorted,
@@ -21,10 +21,9 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import CorpusError, DataError
-from .lm import PerplexityReport, perplexity, train
-from .ngrams import extract
-# by_group is one of this module's public names too
-from .normalize import NU, Corpus, by_group, normalize, read_corpus  # noqa: F401
+from .lm import PerplexityReport, train
+from .ngrams import extract, window_counts
+from .normalize import NU, Corpus, normalize, read_corpus
 from .vocab import ClassLexicon
 
 LabeledNUs = list[tuple[str, NU]]
@@ -127,16 +126,27 @@ def partial_training_sweep(
     n: int,
     emission: bool = True,
 ) -> list[tuple[int, dict[str, PerplexityReport]]]:
-    """Train on each corpus prefix, evaluate perplexity per request group."""
+    """Train on each corpus prefix, evaluate perplexity per request group.
+
+    The prefix histogram grows row by row as the sizes ascend, and each test
+    group's windows are counted once and scored by every prefix's model.
+    """
     corpus = _labeled(labeled_corpus)
     sizes = check_sizes(sizes, len(corpus))
-    test_groups = sorted(_labeled(labeled_test).groups.items())
+    histograms = _labeled(labeled_test).group_histograms
+    test_windows = [(group, window_counts(histograms[group], n)) for group in sorted(histograms)]
+    nus = [nu for _, nu in corpus.pairs]
+    prefix: dict[NU, int] = {}
+    grown = 0
     rows = []
     for size in sizes:
-        model = train(extract(corpus.nus[:size], n), lexicon)
+        for slot in corpus.slots[grown:size]:
+            prefix[nus[slot]] = prefix.get(nus[slot], 0) + 1
+        grown = size
+        model = train(extract(prefix, n), lexicon)
         per_group = {
-            group: perplexity(model, group_nus, emission)
-            for group, group_nus in test_groups
+            group: PerplexityReport.of(*model.score_windows(windows, emission))
+            for group, windows in test_windows
         }
         rows.append((size, per_group))
     return rows

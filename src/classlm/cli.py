@@ -143,10 +143,10 @@ def cmd_normalize(args) -> int:
 
 def cmd_train(args) -> int:
     lexicon = load_lexicon(args.lexicon)
-    nus = read_nus(args.corpus, args.labeled, lexicon).nus
-    model = train(extract(nus, args.order), lexicon)
+    corpus = read_nus(args.corpus, args.labeled, lexicon)
+    model = train(extract(corpus.histogram, args.order), lexicon)
     export_model(model, args.out)
-    print(f"trained order-{args.order} model on {len(nus)} utterances -> {args.out}")
+    print(f"trained order-{args.order} model on {len(corpus)} utterances -> {args.out}")
     return 0
 
 
@@ -156,13 +156,13 @@ def cmd_perplexity(args) -> int:
     model = import_model(args.model)
     lexicon = load_lexicon(args.lexicon) if args.lexicon else None
     corpus = read_nus(args.corpus, args.labeled, lexicon)
-    report = perplexity(model, corpus.nus, args.emission)
+    report = perplexity(model, corpus.histogram, args.emission)
     print(
         f"pp={report.pp:.4f} tokens={report.token_count} oov={report.oov_count}"
     )
-    groups = corpus.groups if args.labeled else {}
-    for group, nus in sorted(groups.items()):
-        sub = perplexity(model, nus, args.emission)
+    groups = corpus.group_histograms if args.labeled else {}
+    for group, histogram in sorted(groups.items()):
+        sub = perplexity(model, histogram, args.emission)
         print(f"pp[{group}]={sub.pp:.4f} tokens={sub.token_count} oov={sub.oov_count}")
     return 0
 

@@ -16,9 +16,15 @@ minimizing perplexity on the tuning corpus; the test corpus is only
 evaluated, never tuned on.
 
 The grammar side enters only through the distinct top-order windows of the
-generated sentences (:func:`classlm.ngrams.window_types`), which are
-normalized with each distinct token mapped once
-(:func:`classlm.normalize.normalize_sentences`).
+generated sentences, which are normalized with each distinct token mapped
+once (:func:`classlm.normalize.normalize_sentences`).
+
+Each corpus is counted once (:func:`classlm.ngrams.window_counts`), and
+every model scores it from those counts, one backoff walk per distinct
+window (:meth:`classlm.score.Scorer.score_windows`): the sentence windows
+give the grammar table and the grammar row of the report, the tuning
+windows serve every grid point and the tuning row, and the test windows
+serve both models.
 
 The known-bad alternative of appending the generated sentences to the
 training text is kept available as mode="naive-sentences" so its failure is
@@ -27,14 +33,15 @@ demonstrable.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .analysis import write_csv
 from .errors import DataError, TableError
 from .grammar import Grammar, generate
-from .lm import ClassNGramLM, perplexity, train
-from .ngrams import Count, Gram, NGramTable, exact_count, extract, window_types
+from .lm import ClassNGramLM, PerplexityReport, train
+from .ngrams import Count, Gram, NGramTable, exact_count, extract, window_counts
 from .normalize import NU, normalize_sentences
 from .vocab import ClassLexicon
 
@@ -108,16 +115,25 @@ def merge_tables(
     return NGramTable(n, counts)
 
 
+def _pp(model: ClassNGramLM, windows: Mapping[Gram, int], emission: bool) -> float:
+    return PerplexityReport.of(*model.score_windows(windows, emission)).pp
+
+
 def tune_balance_factor(
     train_table: NGramTable,
     grammar_table: NGramTable,
-    tuning_corpus: list[NU],
+    tuning_corpus: list[NU] | Mapping[Gram, int],
     grid,
     lexicon: ClassLexicon,
     emission: bool = False,
     weight_unknown: bool = True,
 ) -> BalanceFactor:
     """Grid-search the factor minimizing tuning perplexity.
+
+    ``tuning_corpus`` is the tuning NUs, or their windows as
+    ``window_counts(tuning_nus, train_table.order)`` returns them, a mapping
+    whose keys must all be of the table's order; the windows are counted
+    once and scored by every candidate model.
 
     Ties break toward the smaller factor (least distortion of the empirical
     distribution). The full perplexity-vs-factor curve is kept for reports.
@@ -127,8 +143,15 @@ def tune_balance_factor(
         raise DataError("balance-factor grid is empty")
     if any(f <= 0 for f in grid):
         raise DataError("balance-factor grid values must be positive")
-    tuning_corpus = list(tuning_corpus)
-    if not tuning_corpus:
+    n = train_table.order
+    if isinstance(tuning_corpus, Mapping):
+        windows = tuning_corpus
+        # an NU -> count mapping would otherwise be scored as windows
+        if any(len(window) != n for window in windows):
+            raise ValueError(f"tuning windows must all be of order {n}")
+    else:
+        windows = window_counts(tuning_corpus, n)
+    if not windows:
         raise DataError("tuning corpus is empty")
     curve = []
     best = None
@@ -136,7 +159,7 @@ def tune_balance_factor(
     for factor in grid:
         merged = merge_tables(train_table, grammar_table, factor, weight_unknown)
         model = train(merged, lexicon)
-        pp = perplexity(model, tuning_corpus, emission).pp
+        pp = _pp(model, windows, emission)
         curve.append((factor, pp))
         if best_pp is None or pp < best_pp:
             best, best_pp = factor, pp
@@ -195,8 +218,10 @@ def build_generalized_lm(
         raise DataError(f"unknown mode {mode!r}")
     sentences = generate(grammar, max_depth, max_sentences)
     sentence_nus = normalize_sentences(lexicon, sentences)
+    sentence_windows = window_counts(sentence_nus, n)
+    tuning_windows = window_counts(tuning_corpus, n) if tuning_corpus else None
     train_table = extract(train_nus, n)
-    grammar_table = window_types(sentence_nus, n)
+    grammar_table = NGramTable(n, dict.fromkeys(sentence_windows, 1))
     partition = classify_events(train_table, grammar_table, n)
     baseline = train(train_table, lexicon)
 
@@ -207,24 +232,21 @@ def build_generalized_lm(
         if not tuning_corpus:
             raise DataError("n-gram injection needs a tuning corpus for the factor search")
         factor = tune_balance_factor(
-            train_table, grammar_table, tuning_corpus, grid, lexicon,
+            train_table, grammar_table, tuning_windows, grid, lexicon,
             emission=emission, weight_unknown=weight_unknown,
         )
         merged = merge_tables(train_table, grammar_table, factor.value, weight_unknown)
         model = train(merged, lexicon)
 
-    perplexities: dict[str, tuple[float, float]] = {}
     evaluations = []
     if tuning_corpus:
-        evaluations.append(("tuning", list(tuning_corpus)))
+        evaluations.append(("tuning", tuning_windows))
     if test_corpus:
-        evaluations.append(("test", list(test_corpus)))
+        evaluations.append(("test", window_counts(test_corpus, n)))
     if sentence_nus:
-        evaluations.append(("grammar", sentence_nus))
-    for label, corpus in evaluations:
-        base_pp = perplexity(baseline, corpus, emission).pp
-        gen_pp = perplexity(model, corpus, emission).pp
-        perplexities[label] = (base_pp, gen_pp)
+        evaluations.append(("grammar", sentence_windows))
+    perplexities = {label: (_pp(baseline, windows, emission), _pp(model, windows, emission))
+                    for label, windows in evaluations}
 
     return GeneralizationResult(
         mode=mode,

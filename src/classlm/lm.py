@@ -23,7 +23,8 @@ that term.
 
 Perplexity convention: the end tag is scored once per utterance, start
 padding is never scored. The model scores itself through the inherited
-:class:`~classlm.score.Scorer` methods.
+:class:`~classlm.score.Scorer` methods, one backoff walk per distinct
+padded window of the corpus.
 """
 
 from __future__ import annotations
@@ -47,6 +48,14 @@ class PerplexityReport:
     log_prob_total: float  # natural log
     token_count: int
     oov_count: int
+
+    @classmethod
+    def of(cls, total10: float, tokens: int, oov: int) -> PerplexityReport:
+        """Report of a log10 total over ``tokens`` scored tokens, ``oov`` of
+        them out of vocabulary, as the :class:`Scorer` methods return them."""
+        if not tokens:
+            raise ModelError("cannot evaluate perplexity on an empty corpus")
+        return cls(10.0 ** (-total10 / tokens), total10 * LN10, tokens, oov)
 
 
 class ClassNGramLM(Scorer):
@@ -176,12 +185,16 @@ def log_prob(model: ClassNGramLM, nu: NU, emission: bool = False) -> float:
 
 
 def perplexity(model, corpus, emission: bool = False) -> PerplexityReport:
-    nus = [tuple(nu) for nu in corpus]
-    if not nus:
-        raise ModelError("cannot evaluate perplexity on an empty corpus")
-    total10, tokens, oov = model.score_corpus(nus, emission)
-    pp = 10.0 ** (-total10 / tokens)
-    return PerplexityReport(pp, total10 * LN10, tokens, oov)
+    """Perplexity of ``model`` on ``corpus``: NUs, or an NU -> count mapping
+    such as :attr:`classlm.normalize.Corpus.histogram`.
+
+    The corpus's windows are counted once and each distinct window is
+    scored once (:meth:`Scorer.score_corpus`). A caller that scores one
+    corpus with several models counts its windows once with
+    :func:`classlm.ngrams.window_counts` and passes the result of
+    :meth:`Scorer.score_windows` to :meth:`PerplexityReport.of` instead.
+    """
+    return PerplexityReport.of(*model.score_corpus(corpus, emission))
 
 
 # -- persistence (ARPA-style text format) -----------------------------------

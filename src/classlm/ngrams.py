@@ -14,6 +14,11 @@ and :meth:`NGramTable.scale`, and :func:`classlm.generalize.merge_tables` are
 repaired by it. :func:`load_table` rejects a file that breaks it rather than
 repairing the file.
 
+Corpora are counted by one kernel, :func:`window_counts`: each padded
+top-order window with its count. Training tables (:func:`extract`), the
+grammar windows (:func:`window_types`) and scoring
+(:meth:`classlm.score.Scorer.score_windows`) all start from it.
+
 Counts are exact numbers (int, or Fraction after non-integer scaling), so
 rescaling experiments are reproducible bit for bit; integral values are kept
 as ints.
@@ -251,29 +256,44 @@ def _grams(padded: Gram, k: int) -> Iterator[Gram]:
     return zip(*[padded[j:] for j in range(k)])
 
 
-def extract(corpus: Iterable[NU], n: int) -> NGramTable:
-    """Count all k-grams (k = 1..n) of each utterance padded with boundaries.
+def window_counts(corpus: Iterable[NU] | Mapping[NU, int], n: int) -> dict[Gram, int]:
+    """Each padded n-gram window of the corpus with its count.
 
-    Each utterance gets n-1 start tags and one end tag, so every scored
-    position has a full-length context and closure holds with equality on
-    interior contexts.
-
-    Only the n-gram window ending at each scored position is counted, one
-    step per position, each distinct NU once weighted by its multiplicity.
-    The shorter grams follow level by level: a k-gram that does not open the
-    padded utterance is the k-suffix of the (k+1)-gram ending at the same
-    position, and for k < n the k-gram that opens it is a run of k start
-    tags. So the k-gram counts are suffix sums over the distinct (k+1)-grams
-    plus one start-tag run per utterance, which gives the run of k start
-    tags the n-k occurrences it has inside the padding.
+    ``corpus`` is NUs or an NU -> count mapping such as
+    :attr:`classlm.normalize.Corpus.histogram`. Each utterance gets n-1
+    start tags and one end tag, and has one window per scored position: the
+    n tokens ending there. Each distinct NU is walked once, weighted by its
+    count. This is the one counting kernel: :func:`extract` derives the
+    shorter grams from it, :func:`window_types` keeps its keys, and
+    :meth:`classlm.score.Scorer.score_windows` scores it.
     """
-    histogram = nu_histogram(corpus)
-    lead = (SENT_START,) * (n - 1)
+    histogram = corpus if isinstance(corpus, Mapping) else nu_histogram(corpus)
     windows: dict[Gram, int] = {}
     for nu, weight in histogram.items():
         for window in _grams(_padded(nu, n), n):
             windows[window] = windows.get(window, 0) + weight
+    return windows
+
+
+def extract(corpus: Iterable[NU] | Mapping[NU, int], n: int) -> NGramTable:
+    """Count all k-grams (k = 1..n) of each utterance padded with boundaries.
+
+    ``corpus`` is NUs or an NU -> count mapping. Each utterance gets n-1
+    start tags and one end tag, so every scored position has a full-length
+    context and closure holds with equality on interior contexts.
+
+    The n-grams are the windows of :func:`window_counts`. The shorter grams
+    follow level by level: a k-gram that does not open the padded utterance
+    is the k-suffix of the (k+1)-gram ending at the same position, and for
+    k < n the k-gram that opens it is a run of k start tags. So the k-gram
+    counts are suffix sums over the distinct (k+1)-grams plus one start-tag
+    run per utterance, which gives the run of k start tags the n-k
+    occurrences it has inside the padding.
+    """
+    histogram = corpus if isinstance(corpus, Mapping) else nu_histogram(corpus)
+    windows = window_counts(histogram, n)
     utterances = sum(histogram.values())
+    lead = (SENT_START,) * (n - 1)
     totals = dict(windows)
     level = windows
     for k in range(n - 1, 0, -1):
@@ -288,15 +308,12 @@ def extract(corpus: Iterable[NU], n: int) -> NGramTable:
     return NGramTable(n, totals)
 
 
-def window_types(corpus: Iterable[NU], n: int) -> NGramTable:
-    """Each distinct padded n-gram window of the corpus once, at count 1, closed.
+def window_types(corpus: Iterable[NU] | Mapping[NU, int], n: int) -> NGramTable:
+    """Each distinct window of :func:`window_counts` once, at count 1, closed.
 
     Its n-gram set equals ``extract(corpus, n).gram_set(n)``; shorter grams
-    are only the contexts the closure repair adds. This is the table
-    of a corpus that enters only through its distinct top-order windows, as
-    the generated sentences do in :mod:`classlm.generalize`.
+    are only the contexts the closure repair adds. This is the table of a
+    corpus that enters only through its distinct top-order windows, as the
+    generated sentences do in :mod:`classlm.generalize`.
     """
-    windows: set[Gram] = set()
-    for nu in corpus:
-        windows.update(_grams(_padded(tuple(nu), n), n))
-    return NGramTable(n, dict.fromkeys(windows, 1))
+    return NGramTable(n, dict.fromkeys(window_counts(corpus, n), 1))

@@ -12,8 +12,8 @@ on a line with a token that begins a multi-word member
 Corpus files, plain and labeled, are read here too. :func:`read_nus` reads
 a file in one pass into a :class:`Corpus`: each distinct raw line is parsed,
 checked and normalized once, and each distinct (group, NU) row is stored
-once with its first row index, so the histograms and per-group lists that
-the commands and the corpus studies read are each counted once per file.
+once with its first row index, so the histograms that the commands and the
+corpus studies read are each counted once per file.
 :func:`read_corpus` returns the raw (group, text) rows through the same
 per-line parser.
 """
@@ -119,14 +119,6 @@ def nu_histogram(corpus: Iterable[NU]) -> Counter:
     return Counter(map(tuple, corpus))
 
 
-def by_group(labeled: Iterable[tuple[str, NU]]) -> dict[str, list[NU]]:
-    """Each group's NUs, in corpus order."""
-    grouped: dict[str, list[NU]] = {}
-    for group, nu in labeled:
-        grouped.setdefault(group, []).append(nu)
-    return grouped
-
-
 class Corpus:
     """The (group, NU) rows of one corpus, each distinct row stored once.
 
@@ -135,6 +127,11 @@ class Corpus:
     :attr:`slots` holds, for every row in corpus order, its position in
     ``pairs``. Equal NUs are one shared tuple. The views below are built
     from these on first use, once each. Plain corpora have group ``""``.
+
+    Counting and scoring read :attr:`histogram` and
+    :attr:`group_histograms`: a corpus's windows, and so its perplexity, do
+    not depend on the order of its rows. Only training prefixes and first
+    occurrences do, and they read :attr:`slots` and :attr:`firsts`.
     """
 
     def __init__(self, rows: Iterable[tuple[str, Sequence[str]]] = ()):
@@ -185,11 +182,6 @@ class Corpus:
         for (_, nu), count in zip(self.pairs, self.counts):
             histogram[nu] = histogram.get(nu, 0) + count
         return histogram
-
-    @cached_property
-    def groups(self) -> dict[str, list[NU]]:
-        """Each group's NUs, in corpus order."""
-        return by_group(self.rows)
 
     @cached_property
     def group_histograms(self) -> dict[str, dict[NU, int]]:

@@ -193,8 +193,8 @@ def test_studies_on_read_corpora_match_naive_twins(tmp_path_factory, size, seed,
     split = unseen_split(train_corpus, test_corpus)
     assert (split.seen, split.unseen) == oracle.naive_unseen(train_nus, test_nus)
 
-    # each group's test utterances are scored in corpus order, so the float
-    # sums, and the reports, are exactly those of the group's row list
+    # fsum over each group's window counts does not depend on row order, so
+    # the reports are exactly those of perplexity on the group's row list
     groups = sorted({group for group, _ in labeled_test})
     rows = partial_training_sweep(train_corpus, sizes, test_corpus, world.lexicon, 2, emission)
     for (swept, per_group), size in zip(rows, sizes):

@@ -1,5 +1,9 @@
+import csv
 import filecmp
 import functools
+import hashlib
+import json
+import math
 import os
 import shutil
 import subprocess
@@ -117,6 +121,35 @@ def test_generalize_writes_report(tmp_path, workspace, capsys):
     assert main(argv + ["--out-dir", str(again)]) == 0
     for name in names:
         assert (out / name).read_bytes() == (again / name).read_bytes(), name
+
+
+def test_generalize_on_seed7_bundle_matches_recorded_outputs(tmp_path):
+    # the benchmark's grammar-5k record: digests for the model files and the
+    # event report, tables for the perplexities, which may move in the last bits
+    expected = json.loads(
+        (Path(__file__).resolve().parents[1] / "perfbench" / "expected_seed7.json")
+        .read_text(encoding="utf-8")
+    )["grammar-5k"]
+    bundle, out = tmp_path / "bundle", tmp_path / "out"
+    assert main(["synth", "--size", "5000", "--seed", "7", "--out-dir", str(bundle)]) == 0
+    assert main([
+        "generalize", "--labeled", "--lexicon", str(bundle / "lexicon.lex"),
+        "--corpus", str(bundle / "corpus_train.tsv"), "--grammar", str(bundle / "grammar.bnf"),
+        "--tune-corpus", str(bundle / "corpus_tune.tsv"),
+        "--test-corpus", str(bundle / "corpus_test.tsv"), "--out-dir", str(out),
+    ]) == 0
+    for name in ("model.arpa", "baseline.arpa", "report.csv"):
+        digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
+        assert digest == expected["digests"][f"out/generalize/{name}"], name
+    for name in ("pp.csv", "curve.csv"):
+        with open(out / name, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        want = expected["tables"][f"generalize/{name}"]
+        assert [row[0] for row in rows] == [row[0] for row in want] and rows[0] == want[0]
+        for row, want_row in zip(rows[1:], want[1:]):
+            assert len(row) == len(want_row)
+            for got, value in zip(row[1:], want_row[1:]):
+                assert math.isclose(float(got), float(value), rel_tol=1e-9, abs_tol=0.0), row
 
 
 def test_generalize_naive_mode(tmp_path, workspace):

@@ -1,10 +1,13 @@
 import functools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import classlm.generalize as generalize_module
+import classlm.ngrams as ngrams_module
 from classlm.analysis import label_nus, nus_of
 from classlm.errors import DataError, TableError
 from classlm.generalize import (
@@ -18,7 +21,9 @@ from classlm.generalize import (
 )
 from classlm.grammar import Terminal, parse_grammar_text
 from classlm.lm import export_model, perplexity, train
-from classlm.ngrams import NGramTable, extract
+from classlm.ngrams import NGramTable, extract, window_counts
+from classlm.normalize import nu_histogram
+from classlm.score import Scorer
 from classlm.synth import SynthConfig, generate_world
 from classlm.vocab import ClassLexicon
 
@@ -189,6 +194,20 @@ def test_tune_input_validation():
         tune_balance_factor(table, table, [("x", "y")], [0, 1], lexicon)
 
 
+def test_tune_takes_tuning_windows_of_the_table_order():
+    lexicon = ClassLexicon({})
+    train_t = extract([("x", "y")] * 10 + [("p", "q")], 2)
+    gram_t = extract([("p", "q")], 2)
+    tuning = [("p", "q"), ("x", "y"), ("p", "q")]
+    grid = [Fraction(1, 2), 1, 2]
+    from_nus = tune_balance_factor(train_t, gram_t, tuning, grid, lexicon)
+    assert tune_balance_factor(train_t, gram_t, window_counts(tuning, 2), grid,
+                               lexicon) == from_nus
+    # an NU histogram is not a window count
+    with pytest.raises(ValueError):
+        tune_balance_factor(train_t, gram_t, Counter(tuning + [("x",)]), grid, lexicon)
+
+
 def test_tune_prefers_large_factor_when_grammar_matches_tuning():
     lexicon = ClassLexicon({})
     train_nus = [("x", "y")] * 30 + [("p", "q")]
@@ -247,6 +266,30 @@ def test_pipeline_requires_tuning_corpus(splits, grammar_obj, lexicon):
         build_generalized_lm(
             splits["nus"]["train"][:100], grammar_obj, lexicon, 3, tuning_corpus=None
         )
+
+
+def test_pipeline_counts_each_corpus_once(monkeypatch, splits, grammar_obj, lexicon):
+    counted = []
+
+    def counting(corpus, n):
+        counted.append(corpus)
+        return window_counts(corpus, n)
+
+    def score_corpus(self, nus, emission):
+        raise AssertionError("score_corpus recounts a corpus the pipeline has counted")
+
+    monkeypatch.setattr(ngrams_module, "window_counts", counting)
+    monkeypatch.setattr(generalize_module, "window_counts", counting)
+    monkeypatch.setattr(Scorer, "score_corpus", score_corpus)
+    train_nus, tune, test = (splits["nus"][name] for name in ("train", "tune", "test"))
+    result = build_generalized_lm(train_nus, grammar_obj, lexicon, 3,
+                                  tuning_corpus=tune, test_corpus=test)
+    assert len(result.perplexities) == 3
+    # extract counts the training histogram; every other corpus is counted as given
+    assert len(counted) == 4
+    for corpus in (result.sentence_nus, tune, test):
+        assert sum(c is corpus for c in counted) == 1
+    assert nu_histogram(train_nus) in counted
 
 
 def test_pipeline_rejects_unknown_mode(splits, grammar_obj, lexicon):

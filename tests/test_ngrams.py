@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -50,6 +51,8 @@ def test_extract_total_matches_naive_recount(splits):
 def assert_matches_oracle(corpus, n):
     table = extract(corpus, n)
     assert dict(table) == oracle.naive_extract(corpus, n)
+    # an NU -> count mapping, as a Corpus histogram is, counts as its NUs
+    assert extract(Counter(map(tuple, corpus)), n) == table
     table.validate()
 
 

@@ -249,10 +249,8 @@ def test_read_nus_matches_read_corpus_then_label_nus(tmp_path_factory, lines, la
     first = {}
     assert all(first.setdefault(nu, nu) is nu for nu in nus)
     assert corpus.histogram == Counter(nus)
-    assert corpus.groups == {group: [nu for g, nu in corpus.rows if g == group]
-                             for group, _ in corpus.rows}
     assert corpus.group_histograms == {
-        group: Counter(group_nus) for group, group_nus in corpus.groups.items()}
+        group: Counter(nu for g, nu in corpus.rows if g == group) for group, _ in corpus.rows}
     assert corpus.pairs == list(dict.fromkeys(corpus.rows))
     assert corpus.firsts == [corpus.rows.index(pair) for pair in corpus.pairs]
     assert corpus.counts == [corpus.rows.count(pair) for pair in corpus.pairs]

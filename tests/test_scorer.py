@@ -1,8 +1,11 @@
+import math
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from classlm.lm import ClassNGramLM, train
-from classlm.ngrams import extract
+from classlm.lm import ClassNGramLM, PerplexityReport, train
+from classlm.ngrams import extract, window_counts
 from classlm.vocab import SENT_END, SENT_START, ClassLexicon, UNK
 
 import oracle
@@ -23,24 +26,25 @@ def test_out_of_vocab_token_raises(model_small):
         model.scorer().score_utterance(("from", "definitely-not-in-vocab"), False)
 
 
-def corpus_order_sum(scorer, nus, emission):
-    total10, tokens, oov = 0.0, 0, 0
-    for nu in nus:
-        nu_total10, nu_tokens, nu_oov = scorer.score_utterance(nu, emission)
-        total10 += nu_total10
-        tokens += nu_tokens
-        oov += nu_oov
-    return total10, tokens, oov
-
-
 @pytest.mark.parametrize("emission", [False, True])
-def test_score_corpus_with_repeats_is_the_corpus_order_sum(model_small, splits, emission):
+def test_score_corpus_is_the_fsum_of_its_window_scores(model_small, splits, emission):
     scorer = model_small.scorer()
     nus = [tuple(nu) for nu in splits["nus"]["test"]]
     nus += [("from", "zzyzx")] * 3 + nus[::-1]
-    assert len(set(nus)) * 2 < len(nus)
-    # exact equality: each float is added in corpus order, as the plain loop adds it
-    assert scorer.score_corpus(nus, emission) == corpus_order_sum(scorer, nus, emission)
+    windows = window_counts(nus, scorer.order)
+    assert len(windows) * 2 < sum(windows.values())
+    # exact equality: fsum is correctly rounded, so no summation order is assumed
+    total = math.fsum(count * scorer.score_windows({window: 1}, emission)[0]
+                      for window, count in windows.items())
+    tokens = sum(len(nu) + 1 for nu in nus)
+    oov = sum(token not in scorer.vocab for nu in nus for token in nu)
+    assert scorer.score_corpus(nus, emission) == (total, tokens, oov)
+    assert scorer.score_corpus(Counter(nus), emission) == (total, tokens, oov)
+
+
+def test_score_windows_rejects_a_window_shorter_than_the_model(model_small):
+    with pytest.raises(ValueError):
+        model_small.score_windows({("<s>", "a"): 1}, False)
 
 
 _lexicon = ClassLexicon({"CITY": {"rome", "oslo", "new_york"}, "DAY": {"monday"}})
@@ -85,3 +89,37 @@ def test_score_utterance_matches_indexed_oracle(corpus, n, nus, emission, droppe
             assert scorer.score_utterance(nu, emission) == expected
             # an NU given as a one-pass iterator is read once
             assert scorer.score_utterance(iter(nu), emission) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.lists(st.sampled_from(_known), max_size=6).map(tuple), min_size=1, max_size=8),
+    st.integers(min_value=1, max_value=4),
+    st.lists(st.lists(st.sampled_from(_known + ["DAY", "x", "y", UNK, SENT_START, SENT_END]),
+                      max_size=8).map(tuple), min_size=1, max_size=10),
+    st.booleans(),
+    st.sampled_from([-2, -1, 0, 0, 1, 3]),
+    st.booleans(),
+)
+def test_perplexity_from_window_counts_matches_oracle(corpus, n, nus, emission, declared,
+                                                     top_bows):
+    # x and y are out of vocabulary, and <s> and </s> may stand inside an NU.
+    # A model declared above its trained order scores with windows no longer
+    # than its longest grams; one declared below it stores grams longer than
+    # its window, so the windows counted at the trained order must be cut.
+    model = train(extract(corpus, n), _lexicon)
+    order = max(1, n + declared)
+    if order != n:
+        bows10 = dict(model.bows10)
+        if order > n and top_bows:
+            bows10.update((g, -0.25) for g in model.probs10 if len(g) == n)
+        model = ClassNGramLM(order, model.probs10, bows10, model.class_sizes)
+    counted = max(n, order)
+    windows = window_counts(nus, counted)
+    assert windows == {gram: count for gram, count in oracle.naive_extract(nus, counted).items()
+                       if len(gram) == counted}
+    report = PerplexityReport.of(*model.score_windows(windows, emission))
+    assert report.token_count == sum(len(nu) + 1 for nu in nus)
+    assert report.oov_count == sum(token not in model.vocab for nu in nus for token in nu)
+    assert math.isclose(report.pp, oracle.corpus_perplexity(model, nus, emission),
+                        rel_tol=1e-9, abs_tol=0.0)
