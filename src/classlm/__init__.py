@@ -56,7 +56,6 @@ from .ngrams import NGramTable, extract, load_table, window_types
 from .normalize import (
     NU,
     Corpus,
-    normalize,
     normalize_sentences,
     nu_histogram,
     read_nus,
@@ -103,7 +102,6 @@ __all__ = [
     "load_table",
     "log_prob",
     "merge_tables",
-    "normalize",
     "normalize_sentences",
     "nu_coverage",
     "nu_histogram",

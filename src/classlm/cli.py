@@ -184,21 +184,21 @@ def cmd_generalize(args) -> int:
         raise UsageError("need --tune-corpus for the factor search")
     lexicon = load_lexicon(args.lexicon)
 
-    def nus(path):
-        return read_nus(path, args.labeled, lexicon).nus if path else None
+    def histogram(path):
+        return read_nus(path, args.labeled, lexicon).histogram if path else None
 
-    train_nus = nus(args.corpus)
+    train_counts = histogram(args.corpus)
     gram = grammar_mod.parse_grammar(args.grammar)
-    test_nus = nus(args.test_corpus)
-    tuning = nus(args.tune_corpus)
+    test_counts = histogram(args.test_corpus)
+    tune_counts = histogram(args.tune_corpus)
     result = generalize.build_generalized_lm(
-        train_nus,
+        train_counts,
         gram,
         lexicon,
         args.order,
         grid=args.grid,
-        tuning_corpus=tuning,
-        test_corpus=test_nus,
+        tuning_corpus=tune_counts,
+        test_corpus=test_counts,
         max_depth=args.max_depth,
         max_sentences=args.max_sentences,
         emission=args.emission,

@@ -33,6 +33,7 @@ demonstrable.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -170,9 +171,13 @@ def tune_balance_factor(
     )
 
 
-def naive_sentence_table(train_nus: list[NU], sentence_nus: list[NU], n: int) -> NGramTable:
-    """Counts from the training text with every generated sentence appended once."""
-    return extract(list(train_nus) + list(sentence_nus), n)
+def naive_sentence_table(
+    train_nus: list[NU] | Mapping[NU, int], sentence_nus: list[NU], n: int
+) -> NGramTable:
+    """Counts from the training corpus with every generated sentence appended once."""
+    histogram = Counter(train_nus)
+    histogram.update(sentence_nus)
+    return extract(histogram, n)
 
 
 @dataclass
@@ -195,13 +200,13 @@ class GeneralizationResult:
 
 
 def build_generalized_lm(
-    train_nus: list[NU],
+    train_nus: list[NU] | Mapping[NU, int],
     grammar: Grammar,
     lexicon: ClassLexicon,
     n: int,
     grid=DEFAULT_GRID,
-    tuning_corpus: list[NU] | None = None,
-    test_corpus: list[NU] | None = None,
+    tuning_corpus: list[NU] | Mapping[NU, int] | None = None,
+    test_corpus: list[NU] | Mapping[NU, int] | None = None,
     max_depth: int = 12,
     max_sentences: int = 100000,
     emission: bool = False,
@@ -212,7 +217,8 @@ def build_generalized_lm(
 
     Perplexities of the baseline and generalized models are reported on the
     tuning corpus, the test corpus when given, and the generated sentences
-    themselves (an artificial but informative distribution).
+    themselves (an artificial but informative distribution). Each corpus is
+    NUs or an NU -> count mapping such as :attr:`classlm.normalize.Corpus.histogram`.
     """
     if mode not in (MODE_INJECTION, MODE_NAIVE):
         raise DataError(f"unknown mode {mode!r}")

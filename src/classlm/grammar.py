@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from collections.abc import Generator, Iterable
+from collections.abc import Generator, Iterable, Iterator
 
 from .errors import GrammarError, open_text
 from .normalize import NU
@@ -159,20 +159,46 @@ def _uses(productions: dict[str, tuple[Alternative, ...]]) -> dict[str, set[str]
 
 
 def _recursive_set(productions: dict[str, tuple[Alternative, ...]]) -> frozenset[str]:
-    """Nonterminals that can reach themselves (flagged, not forbidden)."""
+    """Nonterminals that can reach themselves (flagged, not forbidden): the
+    members of a strongly connected component of more than one, and those
+    that name themselves. The components come from one iterative pass of
+    Tarjan's algorithm (SIAM J. Comput. 1972)."""
     edges = _uses(productions)
-    recursive = set()
-    for origin in edges:
-        seen: set[str] = set()
-        stack = list(edges[origin])
-        while stack:
-            node = stack.pop()
-            if node == origin:
-                recursive.add(origin)
-                break
-            if node not in seen:
-                seen.add(node)
-                stack.extend(edges.get(node, ()))
+    # visiting order; the members of a closed component get len(edges), so
+    # that they no longer lower the low link of a nonterminal naming them
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    open_nodes: list[str] = []
+    path: list[tuple[str, Iterator[str]]] = []
+    recursive: set[str] = set()
+
+    def enter(node: str) -> None:
+        index[node] = low[node] = len(index)
+        open_nodes.append(node)
+        path.append((node, iter(edges[node])))
+
+    for root in edges:
+        if root not in index:
+            enter(root)
+        while path:
+            node, pending = path[-1]
+            for child in pending:
+                if child not in index:
+                    enter(child)
+                    break
+                low[node] = min(low[node], index[child])
+            else:
+                path.pop()
+                if path:
+                    parent = path[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    component = [open_nodes.pop()]
+                    while component[-1] != node:
+                        component.append(open_nodes.pop())
+                    if len(component) > 1 or node in edges[node]:
+                        recursive.update(component)
+                    index.update(dict.fromkeys(component, len(edges)))
     return frozenset(recursive)
 
 
@@ -196,7 +222,10 @@ def generate(grammar: Grammar, max_depth: int, max_sentences: int) -> SentenceSe
         raise GrammarError("generation bounds must be positive")
     cap = max_sentences + 1
     children = _uses(grammar.productions)
-    parents = {name: {u for u, used in children.items() if name in used} for name in children}
+    parents: dict[str, set[str]] = {name: set() for name in children}
+    for name, used in children.items():
+        for child in used:
+            parents[child].add(name)
     done: dict[tuple[str, int], Expansion] = {}
     stack = [(grammar.start, 1, _expand(grammar.productions[grammar.start], cap))]
     reply: Expansion | None = None

@@ -24,7 +24,7 @@ that term.
 Perplexity convention: the end tag is scored once per utterance, start
 padding is never scored. The model scores itself through the inherited
 :class:`~classlm.score.Scorer` methods, one backoff walk per distinct
-padded window of the corpus.
+padded window of the corpus, also for one utterance (:func:`log_prob`).
 """
 
 from __future__ import annotations
@@ -60,27 +60,7 @@ class PerplexityReport:
 
 class ClassNGramLM(Scorer):
     """Trained model: log10 conditional probabilities plus backoff weights.
-    It scores utterances itself, through the :class:`Scorer` methods."""
-
-    def __init__(
-        self,
-        order: int,
-        probs10: dict[Gram, float],
-        bows10: dict[Gram, float],
-        class_sizes: dict[str, int],
-    ):
-        self.order = order
-        self.probs10 = probs10
-        self.bows10 = bows10
-        self.class_sizes = class_sizes
-        self.vocab: frozenset[str] = frozenset(g[0] for g in probs10 if len(g) == 1)
-        self._emis10 = {
-            tag: -math.log10(size) for tag, size in class_sizes.items() if size > 1
-        }
-        # no gram longer than the window is stored, nor a backoff weight on one
-        # as long, so a longer window scores like its suffix of this length
-        window = max(max(map(len, probs10), default=1), max(map(len, bows10), default=0) + 1)
-        self._lead = (SENT_START,) * (min(order, window) - 1)
+    It is its own :class:`Scorer`, built from the same tables."""
 
     def scorer(self) -> ClassNGramLM:  # read by the benchmark manifest
         return self
@@ -179,9 +159,9 @@ def train(table: NGramTable, lexicon: ClassLexicon) -> ClassNGramLM:
 
 
 def log_prob(model: ClassNGramLM, nu: NU, emission: bool = False) -> float:
-    """Natural-log probability of an NU (end tag scored, start padding not)."""
-    total10, _, _ = model.score_utterance(nu, emission)
-    return total10 * LN10
+    """Natural-log probability of an NU (end tag scored, start padding not):
+    the score of the corpus that holds only it."""
+    return model.score_corpus((tuple(nu),), emission)[0] * LN10
 
 
 def perplexity(model, corpus, emission: bool = False) -> PerplexityReport:

@@ -5,8 +5,8 @@ tokens matching a class member has been replaced by the class tag. NUs are
 the unit of identity for all frequency analyses. One-word members, usually
 nearly all of a lexicon, are replaced through one dict map
 (:attr:`ClassLexicon.word_tag`); the greedy longest-match search runs only
-on a line with a token that begins a multi-word member
-(:attr:`ClassLexicon.multi_word_starts`), and only at such tokens.
+at a token that begins a multi-word member, trying only the lengths of the
+members it begins (:attr:`ClassLexicon.member_lengths`).
 :func:`normalize_sentences` maps each distinct token of a sentence set once.
 
 Corpus files, plain and labeled, are read here too. :func:`read_nus` reads
@@ -50,7 +50,7 @@ def normalize(lexicon: ClassLexicon, utterance: str | Sequence[str]) -> NU:
 
     Unknown words pass through lowercased; existing tags pass through
     unchanged, which makes the function idempotent. A match longer than one
-    token is tried only at a token that begins a multi-word member.
+    token is tried only at the lengths of the members its first token begins.
     """
     verbatim = lexicon.verbatim
     if isinstance(utterance, str):
@@ -66,8 +66,8 @@ def normalize(lexicon: ClassLexicon, utterance: str | Sequence[str]) -> NU:
     else:
         cased = [t if t in verbatim else t.lower() for t in utterance]
     word_tag = lexicon.word_tag
-    starts = lexicon.multi_word_starts
-    if starts.isdisjoint(cased):
+    starts = lexicon.member_lengths
+    if starts.keys().isdisjoint(cased):
         return tuple(map(word_tag.get, cased, cased))
     out: list[str] = []
     i = 0
@@ -76,10 +76,11 @@ def normalize(lexicon: ClassLexicon, utterance: str | Sequence[str]) -> NU:
         token = cased[i]
         tag = None
         if token in starts and token not in verbatim:
-            for length in range(min(lexicon.max_member_words, n - i), 1, -1):
-                tag = lexicon.tag_for_sequence(tuple(cased[i : i + length]))
-                if tag is not None:
-                    break
+            for length in starts[token]:
+                if length <= n - i:
+                    tag = lexicon.tag_for_sequence(tuple(cased[i : i + length]))
+                    if tag is not None:
+                        break
         if tag is None:
             tag, length = word_tag.get(token, token), 1
         out.append(tag)
@@ -101,13 +102,12 @@ def normalize_sentences(
     sentences = [s for s in sentences if s]
     verbatim = lexicon.verbatim
     word_tag = lexicon.word_tag
-    starts = lexicon.multi_word_starts
     tag_of: dict[str, str] = {}
     greedy: set[str] = set()  # tokens that begin a multi-word member once cased
     for token in set().union(*sentences):
         cased = token if token in verbatim else token.lower()
         tag_of[token] = word_tag.get(cased, cased)
-        if cased in starts:
+        if cased in lexicon.member_lengths:
             greedy.add(token)
     tag = tag_of.__getitem__
     return sorted({tuple(map(tag, s)) if greedy.isdisjoint(s) else normalize(lexicon, s)

@@ -2,21 +2,20 @@
 
 The score at each position depends only on the padded window that ends
 there, and a token maps to the unknown tag on its own, so a window always
-scores the same. :meth:`Scorer.score_windows` is the one corpus scoring
-path: it makes one backoff walk per distinct window of
+scores the same. :meth:`Scorer.score_windows` is the one scoring loop: it
+makes one backoff walk per distinct window of
 :func:`classlm.ngrams.window_counts` and sums count times score with
 :func:`math.fsum`, which is correctly rounded whatever the order.
-:meth:`Scorer.score_corpus` counts a corpus's windows and scores them;
-:meth:`Scorer.score_utterance` walks one utterance's windows in position
-order. Each walk looks up the window and follows the backoff tables only
-where that window is not stored.
+:meth:`Scorer.score_corpus` counts a corpus's windows and scores them; one
+utterance is the corpus that holds only it (:func:`classlm.lm.log_prob`).
+The scorer derives all it reads from the model's tables.
 """
 
 from __future__ import annotations
 
 import math
 
-from .ngrams import window_counts
+from .ngrams import Gram, window_counts
 from .vocab import SENT_END, SENT_START, UNK
 
 _BOUNDARY = frozenset((SENT_START, SENT_END))
@@ -28,76 +27,51 @@ def extension_available() -> bool:
 
 
 class Scorer:
-    """Scoring half of :class:`~classlm.lm.ClassNGramLM`, which sets the
-    ``probs10``, ``bows10``, ``vocab``, ``_emis10`` and ``_lead`` it reads."""
+    """Scoring half of :class:`~classlm.lm.ClassNGramLM`, built from its
+    tables. ``vocab`` holds the unigram tokens, and ``width`` is the window
+    length scored: the order, capped where no longer gram is stored nor a
+    backoff weight on one as long, since a longer window scores like its
+    suffix."""
 
     # read by the benchmark manifest
     backend = "python"
 
-    def _walk(self, gram) -> float:
-        """log10 probability of the last token of ``gram`` given the rest.
-
-        A stored gram costs one lookup; a miss walks the backoff chain,
-        adding the backoff weights it passes to the probability it ends on.
-        Raises :class:`KeyError` for a token without a unigram, which only a
-        model lacking the ``<unk>`` unigram can reach.
-        """
-        probs10 = self.probs10
-        prob = probs10.get(gram)
-        if prob is not None:
-            return prob
-        bows10 = self.bows10
-        acc = 0.0
-        while prob is None:
-            if len(gram) == 1:
-                raise KeyError(gram[0])
-            bow = bows10.get(gram[:-1])
-            if bow is not None:
-                acc += bow
-            gram = gram[1:]
-            prob = probs10.get(gram)
-        return acc + prob
-
-    def score_utterance(self, nu, emission: bool) -> tuple[float, int, int]:
-        """(log10 total, scored token count, oov count) for one utterance.
-
-        Tokens outside the vocabulary map to ``<unk>``. The end tag is
-        scored, the start padding is not; the scores of the windows are added
-        in position order.
-        """
-        vocab = self.vocab
-        mapped = tuple(nu)
-        oov = 0
-        if not vocab.issuperset(mapped):
-            oov = sum(1 for t in mapped if t not in vocab)
-            mapped = tuple(t if t in vocab else UNK for t in mapped)
-        tokens = self._lead + mapped + (SENT_END,)
-        walk, emis10 = self._walk, self._emis10
-        total = 0.0
-        for gram in zip(*[tokens[j:] for j in range(len(self._lead) + 1)]):
-            total += walk(gram)
-            if emission:
-                emit = emis10.get(gram[-1])
-                if emit is not None:
-                    total += emit
-        return total, len(mapped) + 1, oov
+    def __init__(
+        self,
+        order: int,
+        probs10: dict[Gram, float],
+        bows10: dict[Gram, float],
+        class_sizes: dict[str, int],
+    ):
+        self.order = order
+        self.probs10 = probs10
+        self.bows10 = bows10
+        self.class_sizes = class_sizes
+        self.vocab: frozenset[str] = frozenset(g[0] for g in probs10 if len(g) == 1)
+        self._emis10 = {
+            tag: -math.log10(size) for tag, size in class_sizes.items() if size > 1
+        }
+        stored = max(max(map(len, probs10), default=1), max(map(len, bows10), default=0) + 1)
+        self.width = min(order, stored)
 
     def score_windows(self, windows, emission: bool) -> tuple[float, int, int]:
         """(log10 total, scored token count, oov count) of a corpus given as
         padded windows with their counts, as :func:`window_counts` returns.
 
-        Each window is cut to the model's window (its last ``len(_lead) + 1``
-        tokens) and walked once. Its tokens outside the vocabulary map to
-        ``<unk>``, but a boundary tag never does: every trained or imported
-        model holds the ``<s>`` and ``</s>`` unigrams, so start padding and a
-        literal tag score alike. The total is :func:`math.fsum` of count
-        times score, the token count the sum of the counts, and the oov
-        count the summed count of the windows whose last token is mapped to
-        ``<unk>``.
-        Raises :class:`ValueError` for a window shorter than the model's.
+        Each window is cut to its last ``width`` tokens. Its tokens outside
+        the vocabulary map to ``<unk>``, but a boundary tag never does: every
+        trained or imported model holds the ``<s>`` and ``</s>`` unigrams, so
+        start padding and a literal tag score alike. A stored window costs
+        one lookup; a miss walks the backoff chain, adding the backoff
+        weights it passes. The total is :func:`math.fsum` of count times
+        score, the token count the sum of the counts, and the oov count the
+        summed count of the windows whose last token is mapped to ``<unk>``.
+        Raises :class:`ValueError` for a window shorter than ``width``, and
+        :class:`KeyError` for a token without a unigram (a model lacking the
+        ``<unk>`` unigram).
         """
-        width = len(self._lead) + 1
-        vocab, walk, emis10 = self.vocab, self._walk, self._emis10
+        width = self.width
+        vocab, probs10, bows10, emis10 = self.vocab, self.probs10, self.bows10, self._emis10
         terms = []
         tokens = oov = 0
         for window, count in windows.items():
@@ -108,7 +82,18 @@ class Scorer:
                 if window[-1] not in vocab and window[-1] not in _BOUNDARY:
                     oov += count
                 window = tuple(t if t in vocab or t in _BOUNDARY else UNK for t in window)
-            score = walk(window)
+            score = probs10.get(window)
+            if score is None:
+                gram, backoff = window, 0.0
+                while score is None:
+                    if len(gram) == 1:
+                        raise KeyError(gram[0])
+                    bow = bows10.get(gram[:-1])
+                    if bow is not None:
+                        backoff += bow
+                    gram = gram[1:]
+                    score = probs10.get(gram)
+                score += backoff
             if emission:
                 emit = emis10.get(window[-1])
                 if emit is not None:
@@ -120,5 +105,5 @@ class Scorer:
     # read by the benchmark's tracer, which wraps it by this name and signature
     def score_corpus(self, nus, emission: bool) -> tuple[float, int, int]:
         """:meth:`score_windows` of the windows of ``nus``, which are NUs or
-        an NU -> count mapping, counted at the model's window."""
-        return self.score_windows(window_counts(nus, len(self._lead) + 1), emission)
+        an NU -> count mapping, counted at ``width``."""
+        return self.score_windows(window_counts(nus, self.width), emission)

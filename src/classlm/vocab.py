@@ -41,13 +41,15 @@ class ClassLexicon:
         for tag in sorted(self.classes):
             for member in self.classes[tag]:
                 self._seq_tag[tuple(member.split("_"))] = tag
-        self.max_member_words = max(map(len, self._seq_tag), default=1)
         # one-word member -> tag, and the first word of every multi-word
-        # member: a match longer than one token can only start at one of these
+        # member -> the lengths of those members, longest first: a match
+        # longer than one token starts at such a word and has such a length
         self.word_tag = {parts[0]: tag for parts, tag in self._seq_tag.items()
                          if len(parts) == 1}
-        self.multi_word_starts = frozenset(
-            parts[0] for parts in self._seq_tag if len(parts) > 1)
+        starts = {(len(parts), parts[0]) for parts in self._seq_tag if len(parts) > 1}
+        self.member_lengths: dict[str, list[int]] = {}
+        for length, word in sorted(starts, reverse=True):
+            self.member_lengths.setdefault(word, []).append(length)
         self.tags = frozenset(self.classes)
         # tokens normalization keeps as written: tags and reserved tags
         self.verbatim = self.tags | RESERVED

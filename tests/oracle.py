@@ -4,17 +4,20 @@ The scorers re-derive probabilities by the textbook chain rule, recursively,
 in the raw probability domain, reading only the model's stored tables. The
 counter enumerates every padded window gram by gram, one utterance at a time.
 The normalizer tries every member length at every token. The grammar
-generator enumerates every derivation lazily. The corpus sampler passes raw
-weights on every draw and splits each template as it fills it. The trainer
-builds a Fraction for every unigram probability and backoff weight, and the
-utterance scorer slices each position's backoff grams by index; both are the
-package's earlier kernels, kept as they were. The generalization pipeline and
-the training-size sweep are composed from these pieces alone, the obvious
-way: every count table in full, one merge and one training per grid factor
-or prefix. The corpus studies (coverage, saturation, overlap, unseen split)
-count with plain loops over the row lists, with no histogram. The rest deliberately share no code with the package's scoring
-loop, table internals, normalization shortcuts, stack-driven generation or
-precomputed sampling tables.
+generator enumerates every derivation lazily, and the recursion check
+searches once from each nonterminal. The corpus sampler passes raw weights
+on every draw and splits each template as it fills it. The trainer builds a
+Fraction for every unigram probability and backoff weight, and the utterance
+scorer slices each position's backoff grams by index from a window of the
+model's full order; both are the package's earlier kernels, the scorer with
+the package's rule that a boundary tag never maps to ``<unk>``. The
+generalization pipeline and the training-size sweep are composed from these
+pieces alone, the obvious way: every count table in full, one merge and one
+training per grid factor or prefix. The corpus studies (coverage,
+saturation, overlap, unseen split) count with plain loops over the row
+lists, with no histogram. The rest deliberately share no code with the
+package's scoring loop, table internals, normalization shortcuts,
+stack-driven generation or precomputed sampling tables.
 """
 
 import math
@@ -33,6 +36,7 @@ from classlm.synth import (
 from classlm.vocab import RESERVED, SENT_END, SENT_START, UNK
 
 LN10 = math.log(10.0)
+BOUNDARY = (SENT_START, SENT_END)
 
 
 def backoff_prob(model, context, word):
@@ -125,44 +129,50 @@ def naive_train(table, lexicon):
     return ClassNGramLM(table.order, probs10, bows10, class_sizes)
 
 
-def naive_score_utterance(model, nu, emission):
-    """(log10 total, scored token count, oov count) for one utterance.
+def naive_position_score(model, nu, j, emission):
+    """log10 score of position ``j`` of ``nu``, ``len(nu)`` being the end tag.
 
-    The end tag is scored, the start padding is not. Raises
-    :class:`KeyError` for a token without a unigram, which only a model
-    lacking the ``<unk>`` unigram can reach. Every window is of the model's
-    full declared order.
+    Tokens outside the vocabulary map to ``<unk>``, boundary tags never do.
+    The window is of the model's full declared order, and each backoff gram
+    is sliced from it by index. Raises :class:`KeyError` for a token without
+    a unigram, which only a model lacking the ``<unk>`` unigram can reach.
     """
     vocab = model.vocab
-    mapped = tuple(t if t in vocab else UNK for t in nu)
-    oov = sum(1 for t in nu if t not in vocab) if UNK in mapped else 0
+    mapped = tuple(t if t in vocab or t in BOUNDARY else UNK for t in nu)
     order = model.order
     tokens = (SENT_START,) * (order - 1) + mapped + (SENT_END,)
-    probs10, bows10 = model.probs10, model.bows10
-    emis10 = {tag: -math.log10(size) for tag, size in model.class_sizes.items() if size > 1}
+    i = order - 1 + j
+    acc = 0.0
+    start = i - order + 1
+    while True:
+        gram = tokens[start : i + 1]
+        prob = model.probs10.get(gram)
+        if prob is not None:
+            score = acc + prob
+            break
+        if start == i:
+            # unigram miss; without this check start would pass i
+            # and the empty slices after it would loop forever
+            raise KeyError(tokens[i])
+        bow = model.bows10.get(gram[:-1])
+        if bow is not None:
+            acc += bow
+        start += 1
+    if emission and model.class_sizes.get(tokens[i], 1) > 1:
+        score += -math.log10(model.class_sizes[tokens[i]])
+    return score
+
+
+def naive_score_utterance(model, nu, emission):
+    """(log10 total, scored token count, oov count) for one utterance: its
+    position scores added in position order. The end tag is scored, the
+    start padding is not; a boundary tag is not out of vocabulary."""
+    nu = tuple(nu)
     total = 0.0
-    for i in range(order - 1, len(tokens)):
-        acc = 0.0
-        start = i - order + 1
-        while True:
-            gram = tokens[start : i + 1]
-            prob = probs10.get(gram)
-            if prob is not None:
-                total += acc + prob
-                break
-            if start == i:
-                # unigram miss; without this check start would pass i
-                # and the empty slices after it would loop forever
-                raise KeyError(tokens[i])
-            bow = bows10.get(gram[:-1])
-            if bow is not None:
-                acc += bow
-            start += 1
-        if emission:
-            emit = emis10.get(tokens[i])
-            if emit is not None:
-                total += emit
-    return total, len(mapped) + 1, oov
+    for j in range(len(nu) + 1):
+        total += naive_position_score(model, nu, j, emission)
+    oov = sum(1 for t in nu if t not in model.vocab and t not in BOUNDARY)
+    return total, len(nu) + 1, oov
 
 
 def corpus_perplexity(model, corpus, emission=False):
@@ -425,6 +435,25 @@ def naive_generalize(train_nus, grammar, lexicon, n, grid, tuning_corpus, test_c
         "sentence_nus": sentence_nus,
         "perplexities": perplexities,
     }
+
+
+def naive_recursive_set(productions):
+    """Nonterminals that can reach themselves: one search from each."""
+    edges = {lhs: {item for alt in alts for item in alt if isinstance(item, str)}
+             for lhs, alts in productions.items()}
+    recursive = set()
+    for origin in edges:
+        seen = set()
+        stack = list(edges[origin])
+        while stack:
+            node = stack.pop()
+            if node == origin:
+                recursive.add(origin)
+                break
+            if node not in seen:
+                seen.add(node)
+                stack.extend(edges[node])
+    return frozenset(recursive)
 
 
 def naive_generate(grammar, max_depth, max_sentences):

@@ -2,6 +2,7 @@ import csv
 import filecmp
 import functools
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -16,13 +17,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import classlm
+import classlm.score
 from classlm.analysis import read_labeled_corpus
 from classlm.cli import main
 from classlm.errors import (
     CorpusError, DataError, GrammarError, LexiconError, ModelError, TableError,
 )
 from classlm.grammar import parse_grammar
-from classlm.lm import import_model
+from classlm.lm import export_model, import_model
 from classlm.ngrams import load_table
 from classlm.normalize import read_corpus, read_nus
 from classlm.vocab import ClassLexicon, load_lexicon
@@ -521,6 +523,21 @@ def test_benchmark_tracer_wraps_the_scoring_names(tmp_path, workspace):
         tracer.remove()
     names = {span[0] for span in tracer.spans}
     assert {"lm.import_model", "lm.perplexity", "score.score_corpus"} <= names
+
+
+def test_benchmark_pinned_names_resolve(tmp_path, model_small):
+    # the benchmark wraps every TARGETS name and writes the scoring backend
+    # into its manifest; a deleted name breaks its runs, not the commands
+    for short, names in load_benchmark_tracer().TARGETS.items():
+        module = importlib.import_module(f"classlm.{short}")
+        for name in names:
+            owner = module
+            for attr in name.split("."):
+                owner = getattr(owner, attr)
+            assert callable(owner), f"classlm.{short}.{name}"
+    assert isinstance(classlm.score.extension_available(), bool)
+    export_model(model_small, tmp_path / "m.arpa")
+    assert import_model(tmp_path / "m.arpa").scorer().backend == "python"
 
 
 def test_readme_library_example_scores_like_the_cli(tmp_path, workspace, monkeypatch, capsys):

@@ -22,7 +22,7 @@ from classlm.generalize import (
 from classlm.grammar import Terminal, parse_grammar_text
 from classlm.lm import export_model, perplexity, train
 from classlm.ngrams import NGramTable, extract, window_counts
-from classlm.normalize import nu_histogram
+from classlm.normalize import Corpus, nu_histogram
 from classlm.score import Scorer
 from classlm.synth import SynthConfig, generate_world
 from classlm.vocab import ClassLexicon
@@ -168,6 +168,9 @@ def test_naive_sentence_table_is_concatenation():
     nus = [("a", "b")]
     sentences = [("c",)]
     assert naive_sentence_table(nus, sentences, 2) == extract([("a", "b"), ("c",)], 2)
+    # a training histogram keeps its counts
+    assert naive_sentence_table({("a", "b"): 2}, sentences, 2) == extract(
+        [("a", "b"), ("a", "b"), ("c",)], 2)
 
 
 # -- factor tuning ---------------------------------------------------------------
@@ -290,6 +293,25 @@ def test_pipeline_counts_each_corpus_once(monkeypatch, splits, grammar_obj, lexi
     for corpus in (result.sentence_nus, tune, test):
         assert sum(c is corpus for c in counted) == 1
     assert nu_histogram(train_nus) in counted
+
+
+@pytest.mark.parametrize("mode", ["ngram-injection", "naive-sentences"])
+def test_pipeline_reads_histograms_like_nus(mode, splits, grammar_obj, lexicon):
+    # classlm generalize passes each corpus's histogram
+    corpora = [Corpus(("", nu) for nu in nus) for nus in (
+        splits["nus"]["train"][:1000], splits["nus"]["tune"], splits["nus"]["test"])]
+    assert all(len(corpus.histogram) < len(corpus) for corpus in corpora)
+    runs = [build_generalized_lm(train_nus, grammar_obj, lexicon, 3, tuning_corpus=tune,
+                                 test_corpus=test, mode=mode)
+            for train_nus, tune, test in ([corpus.nus for corpus in corpora],
+                                          [corpus.histogram for corpus in corpora])]
+    listed, counted = runs
+    assert counted.model == listed.model
+    assert counted.baseline == listed.baseline
+    assert counted.report_fields() == listed.report_fields()
+    assert counted.balance_factor == listed.balance_factor
+    assert counted.sentence_nus == listed.sentence_nus
+    assert counted.perplexities == listed.perplexities
 
 
 def test_pipeline_rejects_unknown_mode(splits, grammar_obj, lexicon):

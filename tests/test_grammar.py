@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -160,6 +162,44 @@ def test_generate_matches_naive_enumeration(grammar, max_depth, max_sentences):
     result = generate(grammar, max_depth, max_sentences)
     assert result.sentences == expected.sentences
     assert result.truncated == expected.truncated
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=7).flatmap(lambda size: st.lists(
+    st.lists(st.integers(min_value=0, max_value=size - 1), max_size=3),
+    min_size=size, max_size=size)))
+def test_recursive_set_matches_one_search_per_nonterminal(uses):
+    # nonterminal i has one alternative naming each of uses[i], and a terminal
+    names = [f"N{i}" for i in range(len(uses))]
+    text = "start N0;\n" + "".join(
+        f'{name} -> {" ".join(names[j] for j in used)} | "t";\n'
+        for name, used in zip(names, uses))
+    grammar = parse_grammar_text(text)
+    assert grammar.recursive == oracle.naive_recursive_set(grammar.productions)
+
+
+def _chain(size):
+    """Ni -> N(i+1) "a" | "b", for i below size, the last rule "b" alone."""
+    return "start N0;\n" + "".join(
+        f'N{i} -> N{i + 1} "a" | "b";\n' for i in range(size - 1)) + f'N{size - 1} -> "b";\n'
+
+
+def test_grammar_set_up_is_linear_in_the_nonterminals():
+    # one search per nonterminal, or a parent scan per nonterminal, takes
+    # seconds on this chain; each bound is a tenth of that
+    text = _chain(8000)
+    started = time.perf_counter()
+    grammar = parse_grammar_text(text)
+    parsed = time.perf_counter()
+    result = generate(grammar, 12, 100)
+    generated = time.perf_counter()
+    assert grammar.recursive == frozenset()
+    assert result.sentences == tuple(sorted(("b",) + ("a",) * k for k in range(12)))
+    assert parsed - started < 1.5
+    assert generated - parsed < 0.3
+    # a cycle through the whole chain makes every nonterminal recursive
+    cycle = parse_grammar_text(text.replace('N7999 -> "b";', 'N7999 -> N0 | "b";'))
+    assert len(cycle.recursive) == 8000
 
 
 def test_ambiguous_grammar_stops_at_max_sentences():

@@ -104,7 +104,7 @@ def test_perplexity_rejects_empty_corpus(model_small):
 
 def test_oov_maps_to_unk(model_small):
     nu = ("from", "zzz-never-seen")
-    _, scored, oov = model_small.scorer().score_utterance(nu, False)
+    _, scored, oov = model_small.scorer().score_corpus([nu], False)
     assert (scored, oov) == (3, 1)
     assert log_prob(model_small, nu) == pytest.approx(
         oracle.nu_log_prob(model_small, nu), rel=1e-9

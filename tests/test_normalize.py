@@ -1,8 +1,11 @@
+import time
+import types
 from collections import Counter
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import classlm
 from classlm.analysis import label_nus
 from classlm.errors import CorpusError
 from classlm.normalize import (
@@ -54,6 +57,27 @@ def test_longest_match_wins():
     lex = ClassLexicon({"A": {"new_york"}, "B": {"york"}})
     assert normalize(lex, "new york") == ("A",)
     assert normalize(lex, "old york") == ("old", "B")
+
+
+def test_greedy_matching_tries_only_member_lengths():
+    # each position tries only the lengths of the members its token begins,
+    # so a line of L tokens under a member of L words costs O(L), not O(L^3)
+    size = 4000
+    lex = ClassLexicon({"C": {"a_b", "_".join(["a"] * (size - 1) + ["b"])}})
+    assert lex.member_lengths == {"a": [size, 2]}
+    started = time.perf_counter()
+    assert normalize(lex, " ".join(["a"] * size)) == ("a",) * size
+    assert normalize(lex, ["a"] * (size - 1) + ["b"]) == ("C",)
+    assert normalize(lex, ["a"] * (size - 2) + ["b"]) == ("a",) * (size - 3) + ("C",)
+    assert time.perf_counter() - started < 2.0
+
+
+def test_package_attribute_normalize_is_the_module():
+    import classlm.normalize as module
+
+    assert isinstance(module, types.ModuleType)
+    assert module.read_nus is read_nus and module.normalize is normalize
+    assert "normalize" not in classlm.__all__
 
 
 def test_token_count_preserved_without_multiword(tiny_lexicon):

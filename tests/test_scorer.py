@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from classlm.lm import ClassNGramLM, PerplexityReport, train
+from classlm.lm import LN10, ClassNGramLM, PerplexityReport, log_prob, train
 from classlm.ngrams import extract, window_counts
 from classlm.vocab import SENT_END, SENT_START, ClassLexicon, UNK
 
@@ -13,6 +14,7 @@ import oracle
 
 def test_python_backend_always_available(model_small):
     scorer = model_small.scorer()
+    assert scorer is model_small
     assert scorer.backend == "python"
 
 
@@ -23,7 +25,7 @@ def test_out_of_vocab_token_raises(model_small):
     model = ClassNGramLM(model_small.order, probs10, model_small.bows10,
                          model_small.class_sizes)
     with pytest.raises(KeyError):
-        model.scorer().score_utterance(("from", "definitely-not-in-vocab"), False)
+        model.scorer().score_corpus([("from", "definitely-not-in-vocab")], False)
 
 
 @pytest.mark.parametrize("emission", [False, True])
@@ -47,8 +49,33 @@ def test_score_windows_rejects_a_window_shorter_than_the_model(model_small):
         model_small.score_windows({("<s>", "a"): 1}, False)
 
 
+def test_log_prob_counts_windows_at_the_width(model_small, splits):
+    # a model declared far above its stored grams scores windows of its
+    # width; counting at the declared order would pad each utterance with
+    # that many start tags and slice the padding once per start tag
+    model = ClassNGramLM(2000, model_small.probs10, model_small.bows10,
+                         model_small.class_sizes)
+    assert model.width == model_small.width == model_small.order
+    nu = splits["nus"]["test"][0]
+    expected = log_prob(model_small, nu, True)
+    tracemalloc.start()
+    try:
+        got = log_prob(model, nu, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == expected
+    assert peak < 200_000
+
+
 _lexicon = ClassLexicon({"CITY": {"rome", "oslo", "new_york"}, "DAY": {"monday"}})
 _known = ["a", "b", "c", "CITY"]
+
+
+def _raises_like(expected: KeyError, call, *args):
+    with pytest.raises(KeyError) as raised:
+        call(*args)
+    assert raised.value.args == expected.args
 
 
 @settings(max_examples=200, deadline=None)
@@ -62,13 +89,14 @@ _known = ["a", "b", "c", "CITY"]
     st.sampled_from([0, 0, 1, 3]),
     st.booleans(),
 )
-def test_score_utterance_matches_indexed_oracle(corpus, n, nus, emission, dropped, above,
-                                                top_bows):
+def test_window_scores_match_indexed_oracle(corpus, n, nus, emission, dropped, above,
+                                            top_bows):
     # x and y are out of vocabulary; DAY is a lexicon tag absent from the
     # corpus; without the <unk> or </s> unigram a walk that reaches it must
-    # raise the same KeyError in both. A model declared above its trained
-    # order scores with shorter windows than the oracle's full-order ones,
-    # one token longer where its longest grams carry backoff weights.
+    # raise the same KeyError in both, and a boundary tag still never maps
+    # to <unk>. A model declared above its trained order scores with shorter
+    # windows than the oracle's full-order ones, one token longer where its
+    # longest grams carry backoff weights.
     model = train(extract(corpus, n), _lexicon)
     if dropped is not None or above:
         probs10 = {g: p for g, p in model.probs10.items() if g != (dropped,)}
@@ -76,19 +104,32 @@ def test_score_utterance_matches_indexed_oracle(corpus, n, nus, emission, droppe
         if above and top_bows:
             bows10.update((g, -0.25) for g in probs10 if len(g) == n)
         model = ClassNGramLM(n + above, probs10, bows10, model.class_sizes)
-    scorer = model.scorer()
-    assert scorer is model
+    width = model.width
     for nu in nus:
+        # each position's window, scored alone, scores as the oracle's position
+        padded = (SENT_START,) * (width - 1) + nu + (SENT_END,)
+        for j in range(len(nu) + 1):
+            window = padded[j : j + width]
+            try:
+                expected = oracle.naive_position_score(model, nu, j, emission)
+            except KeyError as exc:
+                _raises_like(exc, model.score_windows, {window: 1}, emission)
+            else:
+                assert model.score_windows({window: 1}, emission)[0] == expected
         try:
-            expected = oracle.naive_score_utterance(scorer, nu, emission)
+            expected, tokens, oov = oracle.naive_score_utterance(model, nu, emission)
         except KeyError as exc:
-            with pytest.raises(KeyError) as raised:
-                scorer.score_utterance(nu, emission)
-            assert raised.value.args == exc.args
-        else:
-            assert scorer.score_utterance(nu, emission) == expected
-            # an NU given as a one-pass iterator is read once
-            assert scorer.score_utterance(iter(nu), emission) == expected
+            _raises_like(exc, model.score_corpus, (nu,), emission)
+            _raises_like(exc, log_prob, model, nu, emission)
+            continue
+        windows = window_counts((nu,), width)
+        total = math.fsum(count * model.score_windows({window: 1}, emission)[0]
+                          for window, count in windows.items())
+        assert model.score_corpus((nu,), emission) == (total, tokens, oov)
+        assert math.isclose(total, expected, rel_tol=1e-9, abs_tol=0.0)
+        assert log_prob(model, nu, emission) == total * LN10
+        # an NU given as a one-pass iterator is read once
+        assert log_prob(model, iter(nu), emission) == total * LN10
 
 
 @settings(max_examples=200, deadline=None)

@@ -149,6 +149,9 @@ def test_round_trip(tmp_path, lexicon):
 def test_multiword_members(tiny_lexicon):
     assert tiny_lexicon.tag_for_sequence(("new", "york")) == "CITY-NAME"
     assert tiny_lexicon.tag_for_sequence(("new",)) is None
-    assert tiny_lexicon.max_member_words == 2
+    assert tiny_lexicon.member_lengths == {"new": [2]}
+    # each first word once, its lengths longest first and each once
+    lexicon = ClassLexicon({"C": {"a_b", "a_c", "a_a_b", "b", "b_b"}, "D": {"a_d"}})
+    assert lexicon.member_lengths == {"a": [3, 2], "b": [2]}
     assert tiny_lexicon.class_of("new_york") == "CITY-NAME"
 
