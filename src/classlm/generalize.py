@@ -16,15 +16,16 @@ minimizing perplexity on the tuning corpus; the test corpus is only
 evaluated, never tuned on.
 
 The grammar side enters only through the distinct top-order windows of the
-generated sentences, which are normalized with each distinct token mapped
-once (:func:`classlm.normalize.normalize_sentences`).
+generated sentences, which are normalized like every corpus, one
+:func:`classlm.normalize.normalize` per sentence
+(:func:`classlm.normalize.normalize_sentences`).
 
-Each corpus is counted once (:func:`classlm.ngrams.window_counts`), and
-every model scores it from those counts, one backoff walk per distinct
+Each corpus is counted once per use (:func:`classlm.ngrams.window_counts`),
+and every model scores it from those counts, one backoff walk per distinct
 window (:meth:`classlm.score.Scorer.score_windows`): the sentence windows
-give the grammar table and the grammar row of the report, the tuning
-windows serve every grid point and the tuning row, and the test windows
-serve both models.
+give the grammar table and the grammar row of the report, the factor search
+counts the tuning corpus once for all its grid points and the report once
+for the tuning row, and the test windows serve both models.
 
 The known-bad alternative of appending the generated sentences to the
 training text is kept available as mode="naive-sentences" so its failure is
@@ -123,7 +124,7 @@ def _pp(model: ClassNGramLM, windows: Mapping[Gram, int], emission: bool) -> flo
 def tune_balance_factor(
     train_table: NGramTable,
     grammar_table: NGramTable,
-    tuning_corpus: list[NU] | Mapping[Gram, int],
+    tuning_corpus: list[NU] | Mapping[NU, int],
     grid,
     lexicon: ClassLexicon,
     emission: bool = False,
@@ -131,10 +132,8 @@ def tune_balance_factor(
 ) -> BalanceFactor:
     """Grid-search the factor minimizing tuning perplexity.
 
-    ``tuning_corpus`` is the tuning NUs, or their windows as
-    ``window_counts(tuning_nus, train_table.order)`` returns them, a mapping
-    whose keys must all be of the table's order; the windows are counted
-    once and scored by every candidate model.
+    ``tuning_corpus`` is NUs or an NU -> count mapping; its windows are
+    counted once and scored by every candidate model.
 
     Ties break toward the smaller factor (least distortion of the empirical
     distribution). The full perplexity-vs-factor curve is kept for reports.
@@ -144,14 +143,7 @@ def tune_balance_factor(
         raise DataError("balance-factor grid is empty")
     if any(f <= 0 for f in grid):
         raise DataError("balance-factor grid values must be positive")
-    n = train_table.order
-    if isinstance(tuning_corpus, Mapping):
-        windows = tuning_corpus
-        # an NU -> count mapping would otherwise be scored as windows
-        if any(len(window) != n for window in windows):
-            raise ValueError(f"tuning windows must all be of order {n}")
-    else:
-        windows = window_counts(tuning_corpus, n)
+    windows = window_counts(tuning_corpus, train_table.order)
     if not windows:
         raise DataError("tuning corpus is empty")
     curve = []
@@ -225,7 +217,6 @@ def build_generalized_lm(
     sentences = generate(grammar, max_depth, max_sentences)
     sentence_nus = normalize_sentences(lexicon, sentences)
     sentence_windows = window_counts(sentence_nus, n)
-    tuning_windows = window_counts(tuning_corpus, n) if tuning_corpus else None
     train_table = extract(train_nus, n)
     grammar_table = NGramTable(n, dict.fromkeys(sentence_windows, 1))
     partition = classify_events(train_table, grammar_table, n)
@@ -238,7 +229,7 @@ def build_generalized_lm(
         if not tuning_corpus:
             raise DataError("n-gram injection needs a tuning corpus for the factor search")
         factor = tune_balance_factor(
-            train_table, grammar_table, tuning_windows, grid, lexicon,
+            train_table, grammar_table, tuning_corpus, grid, lexicon,
             emission=emission, weight_unknown=weight_unknown,
         )
         merged = merge_tables(train_table, grammar_table, factor.value, weight_unknown)
@@ -246,7 +237,7 @@ def build_generalized_lm(
 
     evaluations = []
     if tuning_corpus:
-        evaluations.append(("tuning", tuning_windows))
+        evaluations.append(("tuning", window_counts(tuning_corpus, n)))
     if test_corpus:
         evaluations.append(("test", window_counts(test_corpus, n)))
     if sentence_nus:

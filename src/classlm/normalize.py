@@ -2,12 +2,15 @@
 
 A normalized utterance (NU) is a token tuple in which every maximal run of
 tokens matching a class member has been replaced by the class tag. NUs are
-the unit of identity for all frequency analyses. One-word members, usually
-nearly all of a lexicon, are replaced through one dict map
-(:attr:`ClassLexicon.word_tag`); the greedy longest-match search runs only
-at a token that begins a multi-word member, trying only the lengths of the
-members it begins (:attr:`ClassLexicon.member_lengths`).
-:func:`normalize_sentences` maps each distinct token of a sentence set once.
+the unit of identity for all frequency analyses. :func:`normalize` is the
+one path from an utterance, text or tokens, to its NU: every token is
+mapped through the lexicon's per-token memo
+(:attr:`ClassLexicon.token_tag`), which cases each distinct raw token and
+looks it up once per lexicon, and the greedy longest-match search runs only
+for an utterance holding a token that may begin a multi-word member, trying
+just the lengths of the members it begins
+(:attr:`ClassLexicon.member_lengths`). The corpus readers and the grammar
+side (:func:`normalize_sentences`) both go through it.
 
 Corpus files, plain and labeled, are read here too. :func:`read_nus` reads
 a file in one pass into a :class:`Corpus`: each distinct raw line is parsed,
@@ -48,27 +51,21 @@ def tokenize(text: str) -> list[str]:
 def normalize(lexicon: ClassLexicon, utterance: str | Sequence[str]) -> NU:
     """Replace class members with their tags, greedy longest match first.
 
-    Unknown words pass through lowercased; existing tags pass through
-    unchanged, which makes the function idempotent. A match longer than one
-    token is tried only at the lengths of the members its first token begins.
+    Text is split by :func:`tokenize`. Each token is mapped through
+    :attr:`ClassLexicon.token_tag`: unknown words pass through lowercased,
+    existing tags pass through unchanged (which makes the function
+    idempotent), one-word members become their tag. Only an utterance with
+    a token that may begin a multi-word member runs the greedy search, which
+    tries at such a token just the lengths of the members it begins.
     """
+    tokens = tokenize(utterance) if isinstance(utterance, str) else tuple(utterance)
+    tags = tuple(map(lexicon.token_tag.__getitem__, tokens))
+    if None not in tags:
+        return tags
     verbatim = lexicon.verbatim
-    if isinstance(utterance, str):
-        # whitespace lowercases to itself and bounds every case context, so
-        # the lowered line splits into the lowered tokens
-        stripped = _PUNCT.sub(" ", utterance)
-        lowered = stripped.lower()
-        cased = lowered.split()
-        if lowered != stripped:
-            tokens = stripped.split()
-            if not verbatim.isdisjoint(tokens):
-                cased = [t if t in verbatim else c for t, c in zip(tokens, cased)]
-    else:
-        cased = [t if t in verbatim else t.lower() for t in utterance]
     word_tag = lexicon.word_tag
     starts = lexicon.member_lengths
-    if starts.keys().isdisjoint(cased):
-        return tuple(map(word_tag.get, cased, cased))
+    cased = list(map(lexicon.cased, tokens))
     out: list[str] = []
     i = 0
     n = len(cased)
@@ -91,27 +88,8 @@ def normalize(lexicon: ClassLexicon, utterance: str | Sequence[str]) -> NU:
 def normalize_sentences(
     lexicon: ClassLexicon, sentences: Iterable[Sequence[str]]
 ) -> list[NU]:
-    """Sorted distinct NUs of the non-empty token sequences in ``sentences``.
-
-    Equals ``sorted({normalize(lexicon, s) for s in sentences if s})``. Each
-    distinct token is cased and mapped through :attr:`ClassLexicon.word_tag`
-    once per call, as :func:`normalize` does for a token sequence; a sentence
-    holding a token that begins a multi-word member goes through
-    :func:`normalize` itself.
-    """
-    sentences = [s for s in sentences if s]
-    verbatim = lexicon.verbatim
-    word_tag = lexicon.word_tag
-    tag_of: dict[str, str] = {}
-    greedy: set[str] = set()  # tokens that begin a multi-word member once cased
-    for token in set().union(*sentences):
-        cased = token if token in verbatim else token.lower()
-        tag_of[token] = word_tag.get(cased, cased)
-        if cased in lexicon.member_lengths:
-            greedy.add(token)
-    tag = tag_of.__getitem__
-    return sorted({tuple(map(tag, s)) if greedy.isdisjoint(s) else normalize(lexicon, s)
-                   for s in sentences})
+    """Sorted distinct NUs of the non-empty token sequences in ``sentences``."""
+    return sorted({normalize(lexicon, s) for s in sentences if s})
 
 
 def nu_histogram(corpus: Iterable[NU]) -> Counter:

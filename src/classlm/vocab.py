@@ -27,6 +27,12 @@ class ClassLexicon:
     Every word belongs to at most one class; class member sets are pairwise
     disjoint and non-empty, and member words, tags and the reserved boundary
     tags are pairwise disjoint as token strings.
+
+    :attr:`token_tag` maps a raw token to the tag normalization gives it on
+    its own (:meth:`cased`, then :attr:`word_tag`), or to None where the
+    cased token may begin a multi-word member. It is a cache of a pure
+    function of the classes, holding one entry per distinct raw token seen
+    and filled on first sight; no result depends on what it holds.
     """
 
     def __init__(self, classes: Mapping[str, Iterable[str]]):
@@ -53,6 +59,12 @@ class ClassLexicon:
         self.tags = frozenset(self.classes)
         # tokens normalization keeps as written: tags and reserved tags
         self.verbatim = self.tags | RESERVED
+        self.token_tag = _TokenTags(self)
+
+    def cased(self, token: str) -> str:
+        """``token`` as normalization reads it: tags and reserved tags as
+        written, any other token lowercased."""
+        return token if token in self.verbatim else token.lower()
 
     def class_of(self, word: str) -> str | None:
         """Tag of the class containing ``word``, or None for classless words."""
@@ -83,6 +95,21 @@ class ClassLexicon:
             for tag in sorted(self.classes):
                 members = " ".join(sorted(self.classes[tag]))
                 fh.write(f"{tag}: {members}\n")
+
+
+class _TokenTags(dict):
+    """Raw token -> its tag on its own, or None where, cased, it may begin a
+    multi-word member; each entry is computed at the token's first lookup."""
+
+    def __init__(self, lexicon: ClassLexicon):
+        self.lexicon = lexicon
+
+    def __missing__(self, token: str) -> str | None:
+        lexicon = self.lexicon
+        cased = lexicon.cased(token)
+        starts = cased in lexicon.member_lengths and cased not in lexicon.verbatim
+        tag = self[token] = None if starts else lexicon.word_tag.get(cased, cased)
+        return tag
 
 
 def check_class(

@@ -23,7 +23,7 @@ from classlm.cli import main
 from classlm.errors import (
     CorpusError, DataError, GrammarError, LexiconError, ModelError, TableError,
 )
-from classlm.grammar import parse_grammar
+from classlm.grammar import generate, parse_grammar
 from classlm.lm import export_model, import_model
 from classlm.ngrams import load_table
 from classlm.normalize import read_corpus, read_nus
@@ -523,6 +523,24 @@ def test_benchmark_tracer_wraps_the_scoring_names(tmp_path, workspace):
         tracer.remove()
     names = {span[0] for span in tracer.spans}
     assert {"lm.import_model", "lm.perplexity", "score.score_corpus"} <= names
+
+
+def test_benchmark_tracer_sees_the_grammar_side(tmp_path, workspace):
+    # the generated sentences go through the traced normalize, so the
+    # benchmark's normalize metrics cover the grammar side of generalize
+    sentences = generate(parse_grammar(workspace / "grammar.bnf"), 12, 100000)
+    tracer = load_benchmark_tracer().Tracer()
+    tracer.install()
+    try:
+        assert main(["generalize", "--labeled", "--lexicon", str(workspace / "lexicon.lex"),
+                     "--corpus", str(workspace / "corpus_train.tsv"),
+                     "--grammar", str(workspace / "grammar.bnf"),
+                     "--tune-corpus", str(workspace / "corpus_tune.tsv"),
+                     "--out-dir", str(tmp_path / "gen")]) == 0
+    finally:
+        tracer.remove()
+    spans = [span for span in tracer.spans if span[0] == "normalize.normalize"]
+    assert len(spans) >= sum(1 for sentence in sentences if sentence) > 0
 
 
 def test_benchmark_pinned_names_resolve(tmp_path, model_small):

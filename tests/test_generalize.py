@@ -197,18 +197,15 @@ def test_tune_input_validation():
         tune_balance_factor(table, table, [("x", "y")], [0, 1], lexicon)
 
 
-def test_tune_takes_tuning_windows_of_the_table_order():
+def test_tune_reads_a_histogram_like_nus():
+    # the tuning corpus is NUs or an NU -> count mapping, like every corpus
     lexicon = ClassLexicon({})
     train_t = extract([("x", "y")] * 10 + [("p", "q")], 2)
     gram_t = extract([("p", "q")], 2)
-    tuning = [("p", "q"), ("x", "y"), ("p", "q")]
+    tuning = [("p", "q"), ("x", "y"), ("p", "q"), ("x",)]
     grid = [Fraction(1, 2), 1, 2]
     from_nus = tune_balance_factor(train_t, gram_t, tuning, grid, lexicon)
-    assert tune_balance_factor(train_t, gram_t, window_counts(tuning, 2), grid,
-                               lexicon) == from_nus
-    # an NU histogram is not a window count
-    with pytest.raises(ValueError):
-        tune_balance_factor(train_t, gram_t, Counter(tuning + [("x",)]), grid, lexicon)
+    assert tune_balance_factor(train_t, gram_t, Counter(tuning), grid, lexicon) == from_nus
 
 
 def test_tune_prefers_large_factor_when_grammar_matches_tuning():
@@ -288,10 +285,11 @@ def test_pipeline_counts_each_corpus_once(monkeypatch, splits, grammar_obj, lexi
     result = build_generalized_lm(train_nus, grammar_obj, lexicon, 3,
                                   tuning_corpus=tune, test_corpus=test)
     assert len(result.perplexities) == 3
-    # extract counts the training histogram; every other corpus is counted as given
-    assert len(counted) == 4
-    for corpus in (result.sentence_nus, tune, test):
-        assert sum(c is corpus for c in counted) == 1
+    # extract counts the training histogram; every other corpus is counted as
+    # given, the tuning corpus once by the factor search and once for its row
+    assert len(counted) == 5
+    for corpus, times in ((result.sentence_nus, 1), (tune, 2), (test, 1)):
+        assert sum(c is corpus for c in counted) == times
     assert nu_histogram(train_nus) in counted
 
 

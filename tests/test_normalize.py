@@ -185,6 +185,27 @@ def test_normalize_matches_naive_oracle(lex, spellings):
     assert normalize(lex, text) == oracle.naive_normalize(lex, text)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(lexicons(), st.sampled_from(_OVERLAPPING_LEXICONS)),
+       st.lists(st.one_of(
+           st.lists(_WORDS, max_size=6),
+           st.lists(_SPELLINGS, max_size=6).map(
+               lambda spellings: "".join("".join(spelling) for spelling in spellings)),
+       ), max_size=8),
+       st.data())
+def test_token_memo_never_changes_a_result(lex, utterances, data):
+    # one lexicon whose memo fills in any order (the shared lexicons keep
+    # theirs across examples) against a fresh lexicon of the same classes
+    # per utterance; a token iterator gives the NU of its list
+    got = {}
+    for i in data.draw(st.permutations(range(len(utterances)))):
+        got[i] = normalize(lex, utterances[i])
+    for i, utterance in enumerate(utterances):
+        assert got[i] == normalize(ClassLexicon(lex.classes), utterance)
+        if not isinstance(utterance, str):
+            assert normalize(lex, iter(utterance)) == got[i]
+
+
 def test_normalize_keeps_lowercase_tags():
     lex = _OVERLAPPING_LEXICONS[1]
     assert normalize(lex, "Town NEW york, new") == ("town", "city", "town")
@@ -209,7 +230,9 @@ def test_normalize_sentences_matches_normalize(lex, pool, data):
 
 
 def test_normalize_sentences_on_the_bundle_grammar(lexicon, sentences, sentence_nus):
-    assert normalize_sentences(lexicon, sentences) == sentence_nus
+    got = normalize_sentences(lexicon, sentences)
+    assert got == sentence_nus
+    assert got == sorted({oracle.naive_normalize(lexicon, s) for s in sentences if s})
 
 
 _READER_LEXICON = ClassLexicon({"CITY-NAME": {"naples", "rome", "new_york"},
