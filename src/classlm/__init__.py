@@ -52,7 +52,7 @@ from .lm import (
     perplexity,
     train,
 )
-from .ngrams import NGramTable, extract, load_table, window_types
+from .ngrams import NGramTable, extract, load_table
 from .normalize import (
     NU,
     Corpus,
@@ -105,10 +105,10 @@ __all__ = [
     "normalize_sentences",
     "nu_coverage",
     "nu_histogram",
-    "partial_training_sweep",
-    "perplexity",
     "parse_grammar",
     "parse_grammar_text",
+    "partial_training_sweep",
+    "perplexity",
     "read_labeled_corpus",
     "read_nus",
     "saturation_table",
@@ -116,5 +116,4 @@ __all__ = [
     "train",
     "tune_balance_factor",
     "unseen_split",
-    "window_types",
 ]

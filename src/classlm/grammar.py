@@ -8,10 +8,13 @@ Grammar file format (UTF-8)::
     Greeting -> "good morning" | "hello";
     Body -> "from" "CITY-NAME" "to" "CITY-NAME" | TimePhrase;
 
-Quoted strings are terminals (a quoted string with spaces stands for that
-token sequence; an empty string is epsilon), bare names are nonterminals,
-alternatives are separated by ``|``, every rule ends with ``;``, and exactly
-one ``start Name;`` declaration is required. An empty alternative is also
+Quoted strings are terminals, bare names are nonterminals, alternatives
+are separated by ``|``, every rule ends with ``;``, and exactly one
+``start Name;`` declaration is required. A terminal is split into tokens
+like corpus text (:func:`classlm.normalize.tokenize`), so it stands for a
+token sequence without ``.,;:!?``, and one without tokens is epsilon; a
+token spelling ``<s>`` or ``</s>`` is rejected as in corpus text
+(:func:`classlm.normalize.boundary_tag`). An empty alternative is also
 allowed and derives no tokens, which is the usual way to mark an element
 optional.
 
@@ -27,7 +30,7 @@ from dataclasses import dataclass, field
 from collections.abc import Generator, Iterable, Iterator
 
 from .errors import GrammarError, open_text
-from .normalize import NU
+from .normalize import NU, boundary_tag, tokenize
 
 
 @dataclass(frozen=True)
@@ -121,7 +124,11 @@ def parse_grammar_text(text: str, source: str = "<string>") -> Grammar:
                 alts.append(tuple(items))
                 items = []
             elif kind == "quoted":
-                items.append(Terminal(tuple(value.split())))
+                words = tokenize(value)
+                tag = boundary_tag(words)
+                if tag is not None:
+                    raise GrammarError(f"{source}:{ln}: reserved tag {tag} in a terminal")
+                items.append(Terminal(tuple(words)))
             elif kind == "name":
                 items.append(value)
             else:

@@ -272,9 +272,14 @@ def import_model(path) -> ClassNGramLM:
                 header[k] = count
             elif section == "classes":
                 parts = stripped.split()
-                if len(parts) != 2 or not parts[1].isdigit():
-                    raise ModelError(f"{path}:{lineno}: expected 'TAG size'")
-                class_sizes[parts[0]] = int(parts[1])
+                try:
+                    # ASCII digits only ("²" passes isdigit()); int() also
+                    # raises past its digit limit
+                    if len(parts) != 2 or not (parts[1].isascii() and parts[1].isdigit()):
+                        raise ValueError
+                    class_sizes[parts[0]] = int(parts[1])
+                except ValueError as exc:
+                    raise ModelError(f"{path}:{lineno}: expected 'TAG size'") from exc
             elif isinstance(section, int):
                 fields = line.split("\t")
                 if len(fields) not in (2, 3):

@@ -9,14 +9,15 @@ The constructor is the only way to build a table, and every table holds the
 invariant: a context that falls short of the sum of its extensions is raised
 exactly to that sum, never higher, so the empirical distribution is perturbed
 as little as possible. Tables from :func:`extract` hold it as counted; the
-grammar windows of :func:`window_types`, the edits :meth:`NGramTable.inject`
-and :meth:`NGramTable.scale`, and :func:`classlm.generalize.merge_tables` are
-repaired by it. :func:`load_table` rejects a file that breaks it rather than
-repairing the file.
+grammar's distinct windows in :func:`classlm.generalize.build_generalized_lm`,
+the edits :meth:`NGramTable.inject` and :meth:`NGramTable.scale`, and
+:func:`classlm.generalize.merge_tables` are repaired by it.
+:func:`load_table` rejects a file that breaks it rather than repairing the
+file.
 
 Corpora are counted by one kernel, :func:`window_counts`: each padded
 top-order window with its count. Training tables (:func:`extract`), the
-grammar windows (:func:`window_types`) and scoring
+grammar's distinct windows in :mod:`classlm.generalize` and scoring
 (:meth:`classlm.score.Scorer.score_windows`) all start from it.
 
 Counts are exact numbers (int, or Fraction after non-integer scaling), so
@@ -136,9 +137,6 @@ class NGramTable:
 
     def gram_set(self, length: int) -> frozenset[Gram]:
         return frozenset(g for g in self._counts if len(g) == length)
-
-    def total(self, length: int) -> Count:
-        return sum(c for g, c in self._counts.items() if len(g) == length)
 
     # -- mutation ----------------------------------------------------------
 
@@ -264,8 +262,9 @@ def window_counts(corpus: Iterable[NU] | Mapping[NU, int], n: int) -> dict[Gram,
     start tags and one end tag, and has one window per scored position: the
     n tokens ending there. Each distinct NU is walked once, weighted by its
     count. This is the one counting kernel: :func:`extract` derives the
-    shorter grams from it, :func:`window_types` keeps its keys, and
-    :meth:`classlm.score.Scorer.score_windows` scores it.
+    shorter grams from it, :mod:`classlm.generalize` keeps the keys of the
+    grammar's windows, and :meth:`classlm.score.Scorer.score_windows`
+    scores it.
     """
     histogram = corpus if isinstance(corpus, Mapping) else nu_histogram(corpus)
     windows: dict[Gram, int] = {}
@@ -307,13 +306,3 @@ def extract(corpus: Iterable[NU] | Mapping[NU, int], n: int) -> NGramTable:
         level = shorter
     return NGramTable(n, totals)
 
-
-def window_types(corpus: Iterable[NU] | Mapping[NU, int], n: int) -> NGramTable:
-    """Each distinct window of :func:`window_counts` once, at count 1, closed.
-
-    Its n-gram set equals ``extract(corpus, n).gram_set(n)``; shorter grams
-    are only the contexts the closure repair adds. This is the table of a
-    corpus that enters only through its distinct top-order windows, as the
-    generated sentences do in :mod:`classlm.generalize`.
-    """
-    return NGramTable(n, dict.fromkeys(window_counts(corpus, n), 1))

@@ -9,8 +9,12 @@ mapped through the lexicon's per-token memo
 looks it up once per lexicon, and the greedy longest-match search runs only
 for an utterance holding a token that may begin a multi-word member, trying
 just the lengths of the members it begins
-(:attr:`ClassLexicon.member_lengths`). The corpus readers and the grammar
-side (:func:`normalize_sentences`) both go through it.
+(:attr:`ClassLexicon.member_lengths`) against the one member table
+(:attr:`ClassLexicon.member_tag`). The corpus readers and the grammar side
+(:func:`normalize_sentences`) both go through it, and both split text with
+:func:`tokenize` and reject a token spelling a boundary tag through
+:func:`boundary_tag`: corpus lines here, grammar terminals in
+:mod:`classlm.grammar`.
 
 Corpus files, plain and labeled, are read here too. :func:`read_nus` reads
 a file in one pass into a :class:`Corpus`: each distinct raw line is parsed,
@@ -62,24 +66,22 @@ def normalize(lexicon: ClassLexicon, utterance: str | Sequence[str]) -> NU:
     tags = tuple(map(lexicon.token_tag.__getitem__, tokens))
     if None not in tags:
         return tags
-    verbatim = lexicon.verbatim
-    word_tag = lexicon.word_tag
     starts = lexicon.member_lengths
+    member_tag = lexicon.member_tag
     cased = list(map(lexicon.cased, tokens))
     out: list[str] = []
     i = 0
-    n = len(cased)
+    n = len(tags)
     while i < n:
-        token = cased[i]
-        tag = None
-        if token in starts and token not in verbatim:
-            for length in starts[token]:
+        tag, length = tags[i], 1
+        if tag is None:
+            for length in starts[cased[i]]:
                 if length <= n - i:
-                    tag = lexicon.tag_for_sequence(tuple(cased[i : i + length]))
+                    tag = member_tag.get(tuple(cased[i : i + length]))
                     if tag is not None:
                         break
-        if tag is None:
-            tag, length = word_tag.get(token, token), 1
+            else:
+                tag, length = member_tag.get((cased[i],), cased[i]), 1
         out.append(tag)
         i += length
     return tuple(out)
@@ -170,17 +172,16 @@ class Corpus:
         return histograms
 
 
-def reject_boundary_tags(path, lineno: int, text: str) -> None:
-    """Raise :class:`CorpusError` if raw text spells ``<s>`` or ``</s>``.
+def boundary_tag(tokens: Iterable[str]) -> str | None:
+    """The boundary tag, ``<s>`` before ``</s>``, that a token of ``tokens``
+    spells in any case, or None.
 
-    :func:`normalize` would keep the tag, counting a boundary mid-utterance.
-    Readers call this only for text containing ">", so most lines cost one
-    character search; ``<unk>`` stays allowed.
+    :func:`normalize` would keep such a token, counting a boundary
+    mid-utterance, so the corpus readers and the grammar parser reject it;
+    ``<unk>`` stays allowed.
     """
-    tokens = {token.lower() for token in tokenize(text)}
-    for tag in (SENT_START, SENT_END):
-        if tag in tokens:
-            raise CorpusError(f"{path}:{lineno}: reserved tag {tag} in the text")
+    spelled = {token.lower() for token in tokens}
+    return next((tag for tag in (SENT_START, SENT_END) if tag in spelled), None)
 
 
 def _parse_line(path, lineno: int, line: str, labeled: bool) -> tuple[str, str] | None:
@@ -202,8 +203,10 @@ def _parse_line(path, lineno: int, line: str, labeled: bool) -> tuple[str, str] 
     text = line.strip()
     if not text:
         return None
-    if ">" in text:
-        reject_boundary_tags(path, lineno, text)
+    # one character search spares most lines the token scan
+    tag = boundary_tag(tokenize(text)) if ">" in text else None
+    if tag is not None:
+        raise CorpusError(f"{path}:{lineno}: reserved tag {tag} in the text")
     return group, text
 
 

@@ -3,6 +3,10 @@
 A lexicon maps class tags (``CITY-NAME``) to their member words. Member
 words are replaced by their tag during normalization, and each tag emits its
 members with equal probability when word-level scores are requested.
+:class:`ClassLexicon` owns the token decisions of normalization: one
+casing rule (:meth:`ClassLexicon.cased`), one member table
+(:attr:`ClassLexicon.member_tag`) and the per-token memo built from them
+(:attr:`ClassLexicon.token_tag`).
 
 Lexicon file format (UTF-8): one class per line, ``TAG: member member ...``;
 multi-word members are joined with ``_``; lines starting with ``#`` are
@@ -28,8 +32,10 @@ class ClassLexicon:
     disjoint and non-empty, and member words, tags and the reserved boundary
     tags are pairwise disjoint as token strings.
 
+    :attr:`member_tag` is the one member table: each member's words (the
+    member split at ``_``, one-word members as 1-tuples) -> its tag.
     :attr:`token_tag` maps a raw token to the tag normalization gives it on
-    its own (:meth:`cased`, then :attr:`word_tag`), or to None where the
+    its own (:meth:`cased`, then :attr:`member_tag`), or to None where the
     cased token may begin a multi-word member. It is a cache of a pure
     function of the classes, holding one entry per distinct raw token seen
     and filled on first sight; no result depends on what it holds.
@@ -42,17 +48,14 @@ class ClassLexicon:
             members = tuple(members)
             check_class(tag, members, classes, seen)
             self.classes[tag] = frozenset(members)
-        # member split at "_" -> tag; one-word members are 1-tuples
-        self._seq_tag: dict[tuple[str, ...], str] = {}
-        for tag in sorted(self.classes):
-            for member in self.classes[tag]:
-                self._seq_tag[tuple(member.split("_"))] = tag
-        # one-word member -> tag, and the first word of every multi-word
-        # member -> the lengths of those members, longest first: a match
-        # longer than one token starts at such a word and has such a length
-        self.word_tag = {parts[0]: tag for parts, tag in self._seq_tag.items()
-                         if len(parts) == 1}
-        starts = {(len(parts), parts[0]) for parts in self._seq_tag if len(parts) > 1}
+        self.member_tag: dict[tuple[str, ...], str] = {
+            tuple(member.split("_")): tag
+            for tag, members in self.classes.items() for member in members
+        }
+        # the first word of every multi-word member -> the lengths of those
+        # members, longest first: a match longer than one token starts at
+        # such a word and has such a length
+        starts = {(len(words), words[0]) for words in self.member_tag if len(words) > 1}
         self.member_lengths: dict[str, list[int]] = {}
         for length, word in sorted(starts, reverse=True):
             self.member_lengths.setdefault(word, []).append(length)
@@ -66,18 +69,10 @@ class ClassLexicon:
         written, any other token lowercased."""
         return token if token in self.verbatim else token.lower()
 
-    def class_of(self, word: str) -> str | None:
-        """Tag of the class containing ``word``, or None for classless words."""
-        return self._seq_tag.get(tuple(word.lower().split("_")))
-
     def class_size(self, tag: str) -> int:
         if tag not in self.classes:
             raise LexiconError(f"unknown class tag {tag!r}")
         return len(self.classes[tag])
-
-    def tag_for_sequence(self, words: tuple[str, ...]) -> str | None:
-        """Tag matching a multi-word member written as consecutive tokens."""
-        return self._seq_tag.get(words)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ClassLexicon):
@@ -87,7 +82,7 @@ class ClassLexicon:
     def __repr__(self) -> str:
         return (
             f"ClassLexicon({len(self.classes)} classes, "
-            f"{len(self._seq_tag)} classed words)"
+            f"{len(self.member_tag)} classed words)"
         )
 
     def save(self, path) -> None:
@@ -108,7 +103,7 @@ class _TokenTags(dict):
         lexicon = self.lexicon
         cased = lexicon.cased(token)
         starts = cased in lexicon.member_lengths and cased not in lexicon.verbatim
-        tag = self[token] = None if starts else lexicon.word_tag.get(cased, cased)
+        tag = self[token] = None if starts else lexicon.member_tag.get((cased,), cased)
         return tag
 
 

@@ -316,6 +316,21 @@ def test_generate_skips_what_the_derivation_never_reaches(tmp_path, text, argv, 
     assert len(lines) == count and "x" not in " ".join(lines).split()
 
 
+def test_grammar_terminal_spelling_a_boundary_tag_is_data_error(tmp_path, workspace):
+    grammar = tmp_path / "boundary.bnf"
+    grammar.write_text('start S;\nS -> "from CITY-NAME </s> to" | "hello <s>";\n',
+                       encoding="utf-8")
+    expected = f"error: {grammar}:2: reserved tag </s> in a terminal\n"
+    assert run_data_error("generate", "--grammar", grammar,
+                          "--out", tmp_path / "sentences.txt") == expected
+    assert run_data_error(
+        "generalize", "--lexicon", workspace / "lexicon.lex",
+        "--corpus", workspace / "corpus_train.tsv", "--labeled", "--grammar", grammar,
+        "--tune-corpus", workspace / "corpus_tune.tsv", "--out-dir", tmp_path / "gen",
+    ) == expected
+    assert not (tmp_path / "sentences.txt").exists() and not (tmp_path / "gen").exists()
+
+
 def test_balance_factor_past_float_range_is_data_error(tmp_path, workspace):
     # 1e307 fits a float, but a context seen 18 times or more sums past it
     stderr = run_data_error(
@@ -458,11 +473,13 @@ def test_model_without_prefix_is_data_error(tmp_path, model_file_without, model_
     assert f"{model}: 3-gram" in stderr and "has no stored prefix" in stderr
 
 
-def write_unigram_model(path, header_lines):
-    """A model file of three unigrams under the given ``ngram k=count`` lines."""
+def write_unigram_model(path, header_lines, class_lines=()):
+    """A model file of three unigrams under the given ``ngram k=count`` and
+    ``TAG size`` lines."""
     path.write_text(
         "# classlm model format v1\n\n\\data\\\n" + "\n".join(header_lines)
-        + "\n\n\\class-sizes:\n\n\\1-grams:\n"
+        + "\n\n\\class-sizes:\n" + "".join(line + "\n" for line in class_lines)
+        + "\n\\1-grams:\n"
         "-0.5\t<s>\t-0.3\n-0.5\t</s>\n-0.5\t<unk>\n\n\\end\\\n",
         encoding="utf-8",
     )
@@ -477,6 +494,20 @@ def test_model_header_with_a_gap_is_data_error(tmp_path, top):
     corpus.write_text("from rome\n", encoding="utf-8")
     stderr = run_data_error("perplexity", "--model", model, "--corpus", corpus)
     assert stderr == f"error: {model}: header declares order {top} but not order 2\n"
+
+
+@pytest.mark.parametrize("size", ["\u00b2", "9" * 5000, "+3", "\u0663", "3 4"],
+                         ids=["superscript", "past-int-digit-limit", "sign",
+                              "arabic-indic", "two-sizes"])
+def test_model_class_size_not_ascii_digits_is_data_error(tmp_path, size):
+    # "²" passes str.isdigit() and int() refuses it; int() also refuses
+    # more than 4,300 digits
+    model = write_unigram_model(tmp_path / "sizes.arpa", ["ngram 1=3"],
+                                ["CITY 3", f"TOWN {size}"])
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("from rome\n", encoding="utf-8")
+    stderr = run_data_error("perplexity", "--model", model, "--corpus", corpus)
+    assert stderr == f"error: {model}:8: expected 'TAG size'\n"
 
 
 def test_model_declared_far_above_its_grams_scores_quickly(tmp_path):

@@ -55,6 +55,23 @@ def test_statement_missing_semicolon():
         parse_grammar_text('start S; S -> "a"')
 
 
+@pytest.mark.parametrize("terminal,tag", [
+    ("hello <s>", "<s>"), ("from CITY-NAME </s> to", "</s>"), ("</S>.", "</s>"),
+    ("a,<S>", "<s>"), ("</s> <s>", "<s>"),
+])
+def test_terminal_spelling_a_boundary_tag_is_rejected(terminal, tag):
+    # the corpus readers reject the same tokens; <unk> stays allowed
+    with pytest.raises(GrammarError) as err:
+        parse_grammar_text(f'start S;\nS -> "a" |\n  "{terminal}" "<unk>";', "g.bnf")
+    assert str(err.value) == f"g.bnf:3: reserved tag {tag} in a terminal"
+
+
+def test_terminals_are_tokenized_like_corpus_text():
+    grammar = parse_grammar_text('start S; S -> "Hello, Rome!" ". ;" "<unk>";')
+    assert grammar.productions["S"] == (
+        (Terminal(("Hello", "Rome")), Terminal(()), Terminal(("<unk>",))),)
+
+
 def test_comments_and_merged_productions():
     grammar = parse_grammar_text(
         '# two lines, one nonterminal\nstart S;\nS -> "a";\nS -> "b";\n'

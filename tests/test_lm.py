@@ -10,10 +10,15 @@ from hypothesis import given, settings, strategies as st
 from classlm.errors import ModelError
 from classlm.generalize import DEFAULT_GRID, merge_tables
 from classlm.lm import export_model, import_model, log_prob, perplexity, train
-from classlm.ngrams import NGramTable, extract, window_types
+from classlm.ngrams import NGramTable, extract, window_counts
 from classlm.vocab import SENT_START, ClassLexicon, UNK
 
 import oracle
+
+
+def grammar_windows(sentences, n):
+    """The grammar table of the pipeline: each distinct window once, closed."""
+    return NGramTable(n, dict.fromkeys(window_counts(sentences, n), 1))
 
 
 @pytest.fixture()
@@ -135,7 +140,7 @@ def test_export_import_round_trip(tmp_path, model_small):
 def test_export_is_deterministic(tmp_path, table_small, sentence_nus, lexicon):
     # a table's iteration order is unspecified: the model and its file must
     # not depend on the order its counts were inserted in
-    grammar_table = window_types(sentence_nus, table_small.order)
+    grammar_table = grammar_windows(sentence_nus, table_small.order)
     tables = [table_small, grammar_table] + [
         merge_tables(table_small, grammar_table, factor) for factor in (Fraction(1, 2), 2)
     ]
@@ -276,7 +281,7 @@ def test_train_matches_fraction_oracle_on_extracted_tables(corpus, n):
 @settings(max_examples=150, deadline=None)
 @given(_train_nus, _train_nus, st.sampled_from(DEFAULT_GRID),
        st.integers(min_value=1, max_value=4), st.booleans(),
-       st.sampled_from([extract, window_types]))
+       st.sampled_from([extract, grammar_windows]))
 def test_train_matches_fraction_oracle_on_merged_tables(corpus, sentences, factor, n,
                                                         weight_unknown, grammar_table):
     # factor 1/2 leaves Fraction counts, which train divides as Fractions
@@ -333,7 +338,7 @@ def assert_export_round_trip(model, directory):
 def built_tables(corpus, sentences, n):
     """Every kind of table the package trains on without validating it."""
     train_table = extract(corpus, n)
-    grammar_table = window_types(sentences, n)
+    grammar_table = grammar_windows(sentences, n)
     return [train_table, grammar_table] + [
         merge_tables(train_table, grammar_table, factor, weight_unknown)
         for factor in DEFAULT_GRID for weight_unknown in (True, False)]

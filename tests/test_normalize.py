@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import classlm
 from classlm.analysis import label_nus
 from classlm.errors import CorpusError
+from classlm.grammar import generate, parse_grammar_text
 from classlm.normalize import (
     normalize, normalize_sentences, nu_histogram, read_corpus, read_nus, tokenize,
 )
@@ -233,6 +234,39 @@ def test_normalize_sentences_on_the_bundle_grammar(lexicon, sentences, sentence_
     got = normalize_sentences(lexicon, sentences)
     assert got == sentence_nus
     assert got == sorted({oracle.naive_normalize(lexicon, s) for s in sentences if s})
+
+
+# a terminal's text: members written word by word, plain words, <unk> and
+# tags, each in any case, with .,;:!? glued to either side or standing alone
+_PLAIN = ["from", "to", "please", "<unk>", "CITY", "town"]
+_MARKS = ["", ".", ",", ";", ":", "!", "?", "!?"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(lexicons(), st.sampled_from(_OVERLAPPING_LEXICONS)), st.data())
+def test_grammar_terminal_gives_the_nu_of_the_same_corpus_text(lex, data):
+    phrases = sorted(member.replace("_", " ")
+                     for members in lex.classes.values() for member in members) + _PLAIN
+    pieces = data.draw(st.lists(st.tuples(
+        st.sampled_from(_MARKS),
+        st.sampled_from(phrases).flatmap(lambda phrase: st.sampled_from(
+            [phrase, phrase.upper(), phrase.title(), phrase.lower()])),
+        st.sampled_from(_MARKS),
+        st.sampled_from([" ", "  ", "\t", " . ", " , ", " !? "]),
+    ), max_size=6))
+    text = "".join("".join(piece) for piece in pieces)
+    nu = normalize(lex, text)
+    assume(nu)
+    grammar = parse_grammar_text(f'start S; S -> "{text}";')
+    assert normalize_sentences(lex, generate(grammar, 2, 10)) == [nu]
+
+
+def test_grammar_terminal_punctuation_is_stripped_like_corpus_text(tiny_lexicon):
+    text = "to new york."
+    sentences = generate(parse_grammar_text(f'start S; S -> "{text}";'), 2, 10)
+    assert sentences.sentences == (("to", "new", "york"),)
+    assert normalize_sentences(tiny_lexicon, sentences) == [("to", "CITY-NAME")]
+    assert normalize(tiny_lexicon, text) == ("to", "CITY-NAME")
 
 
 _READER_LEXICON = ClassLexicon({"CITY-NAME": {"naples", "rome", "new_york"},

@@ -87,20 +87,19 @@ def test_duplicate_class_rejected(tmp_path):
 
 def test_empty_file_is_valid(tmp_path):
     lex = load_lexicon(write(tmp_path, "# nothing here\n"))
-    assert lex.classes == {}
-    assert lex.class_of("anything") is None
+    assert lex.classes == {} and lex.member_tag == {}
 
 
 def test_case_canonicalization(tmp_path):
     lex = load_lexicon(write(tmp_path, "city-name: Naples ROME\n"))
     assert lex.classes == {"CITY-NAME": frozenset({"naples", "rome"})}
-    assert lex.class_of("NAPLES") == "CITY-NAME"
+    assert lex.member_tag == {("naples",): "CITY-NAME", ("rome",): "CITY-NAME"}
 
 
-def test_class_of(tiny_lexicon):
-    assert tiny_lexicon.class_of("naples") == "CITY-NAME"
-    assert tiny_lexicon.class_of("from") is None
-    assert tiny_lexicon.class_of("zzz-unseen") is None
+def test_member_tag(tiny_lexicon):
+    assert tiny_lexicon.member_tag[("naples",)] == "CITY-NAME"
+    assert ("from",) not in tiny_lexicon.member_tag
+    assert ("zzz-unseen",) not in tiny_lexicon.member_tag
 
 
 def test_class_size(tiny_lexicon, lexicon):
@@ -115,10 +114,10 @@ def test_singleton_class_size():
 
 
 def test_membership_consistency(lexicon):
-    # class_of(w) != none implies w is a member of that class
-    for tag, members in lexicon.classes.items():
-        for word in members:
-            assert lexicon.class_of(word) == tag
+    # member_tag holds each member, split at "_", under its class and nothing else
+    assert lexicon.member_tag == {tuple(word.split("_")): tag
+                                  for tag, members in lexicon.classes.items()
+                                  for word in members}
     total = sum(lexicon.class_size(tag) for tag in lexicon.classes)
     distinct = {w for members in lexicon.classes.values() for w in members}
     assert total == len(distinct)
@@ -147,11 +146,10 @@ def test_round_trip(tmp_path, lexicon):
 
 
 def test_multiword_members(tiny_lexicon):
-    assert tiny_lexicon.tag_for_sequence(("new", "york")) == "CITY-NAME"
-    assert tiny_lexicon.tag_for_sequence(("new",)) is None
+    assert tiny_lexicon.member_tag[("new", "york")] == "CITY-NAME"
+    assert ("new",) not in tiny_lexicon.member_tag
     assert tiny_lexicon.member_lengths == {"new": [2]}
     # each first word once, its lengths longest first and each once
     lexicon = ClassLexicon({"C": {"a_b", "a_c", "a_a_b", "b", "b_b"}, "D": {"a_d"}})
     assert lexicon.member_lengths == {"a": [3, 2], "b": [2]}
-    assert tiny_lexicon.class_of("new_york") == "CITY-NAME"
 
