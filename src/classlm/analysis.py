@@ -2,8 +2,9 @@
 
 Each study takes its corpora as :class:`~classlm.normalize.Corpus` values,
 which :func:`classlm.normalize.read_nus` builds in one pass over a file,
-and reads the histograms and first occurrences each value holds, so a
-corpus is counted once however many studies use it. A study
+and reads the histograms derived from its rows, so a corpus is counted
+once however many studies use it; the sweep and the saturation table, the
+two studies that depend on row order, walk the rows themselves. A study
 given a list of NUs or (group, NU) rows builds that value first.
 
 All functions are pure over their inputs and all CSV writers emit sorted,
@@ -135,13 +136,12 @@ def partial_training_sweep(
     sizes = check_sizes(sizes, len(corpus))
     histograms = _labeled(labeled_test).group_histograms
     test_windows = [(group, window_counts(histograms[group], n)) for group in sorted(histograms)]
-    nus = [nu for _, nu in corpus.pairs]
     prefix: dict[NU, int] = {}
     grown = 0
     rows = []
     for size in sizes:
-        for slot in corpus.slots[grown:size]:
-            prefix[nus[slot]] = prefix.get(nus[slot], 0) + 1
+        for _, nu in corpus.rows[grown:size]:
+            prefix[nu] = prefix.get(nu, 0) + 1
         grown = size
         model = train(extract(prefix, n), lexicon)
         per_group = {
@@ -196,13 +196,15 @@ def saturation_table(
     """
     corpus = _labeled(labeled_corpus)
     sizes = check_sizes(sizes, len(corpus))
-    firsts: dict[str, list[int]] = {}  # ascending, as pairs are in first-occurrence order
-    for (group, _), count, first in zip(corpus.pairs, corpus.counts, corpus.firsts):
-        group_firsts = firsts.setdefault(group, [])
-        if count > min_count:
-            group_firsts.append(first)
-    return {group: [bisect_left(firsts[group], size) for size in sizes]
-            for group in sorted(firsts)}
+    firsts: dict[tuple[str, NU], int] = {}  # in first-occurrence order
+    for index, row in enumerate(corpus.rows):
+        firsts.setdefault(row, index)
+    frequent: dict[str, list[int]] = {group: [] for group in corpus.group_histograms}
+    for row, first in firsts.items():
+        if corpus.counts[row] > min_count:
+            frequent[row[0]].append(first)  # ascending, as firsts is
+    return {group: [bisect_left(frequent[group], size) for size in sizes]
+            for group in sorted(frequent)}
 
 
 # -- frequency overlap --------------------------------------------------------

@@ -15,7 +15,7 @@ from pathlib import Path
 from . import analysis, generalize, grammar as grammar_mod, synth
 from .errors import DataError
 from .lm import export_model, import_model, perplexity, train
-from .ngrams import extract, parse_count
+from .ngrams import extract, parse_count, parse_int
 from .normalize import read_nus
 from .vocab import load_lexicon
 
@@ -52,18 +52,13 @@ def _sizes_arg(text: str) -> list:
     """argparse type for --sizes: integers >= 1 or 'all', which resolves once
     the corpus is read; errors exit 2."""
     sizes: list = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if part == "all":
-            sizes.append("all")
-        elif part.isdigit() and int(part) >= 1:
-            sizes.append(int(part))
-        else:
+    for part in filter(None, (part.strip() for part in text.split(","))):
+        try:
+            sizes.append("all" if part == "all" else _positive_arg(part))
+        except argparse.ArgumentTypeError as exc:
             raise argparse.ArgumentTypeError(
                 f"bad size {part!r} (expected integer >= 1 or 'all')"
-            )
+            ) from exc
     if not sizes:
         raise argparse.ArgumentTypeError("empty size list")
     return sizes
@@ -82,17 +77,15 @@ def _fraction_arg(text: str) -> float:
 
 
 def _count_arg(text: str) -> int:
-    """argparse type for a non-negative integer; errors exit 2.
+    """argparse type for a non-negative integer, ASCII digits only (see
+    :func:`parse_int`); errors exit 2.
 
     Used by --min-count and by synth's --size and --seed.
     """
     try:
-        value = int(text)
+        return parse_int(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad integer {text!r}") from exc
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is negative")
-    return value
 
 
 def _positive_arg(text: str) -> int:

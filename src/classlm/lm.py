@@ -30,11 +30,12 @@ padded window of the corpus, also for one utterance (:func:`log_prob`).
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
 
 from .errors import ModelError, open_text
-from .ngrams import Gram, NGramTable
+from .ngrams import Gram, NGramTable, parse_int
 from .normalize import NU
 from .score import Scorer
 from .vocab import SENT_END, SENT_START, UNK, ClassLexicon
@@ -210,11 +211,17 @@ def export_model(model: ClassNGramLM, path) -> None:
         fh.write("\n\\end\\\n")
 
 
+# the float shape export_model writes; float() alone also takes signs,
+# spaces, "_" separators, non-ASCII digits, "inf" and "nan"
+_FLOAT_RE = re.compile(r"-?[0-9]+(?:\.[0-9]+)?(?:e[+-][0-9]+)?")
+
+
 def import_model(path) -> ClassNGramLM:
     """Read a model written by :func:`export_model`.
 
-    Raises :class:`ModelError` on malformed lines, non-finite values,
-    log-probs above 0, a header that does not declare each order 1..K
+    Raises :class:`ModelError` on malformed lines, a number not in the
+    ASCII shape :func:`export_model` writes, non-finite values, log-probs
+    above 0, a header that does not declare each order 1..K
     exactly once, a k-gram section the header does not declare, a
     missing ``<s>``, ``</s>`` or ``<unk>`` unigram, and a k-gram whose
     (k-1)-prefix is not stored.
@@ -247,7 +254,7 @@ def import_model(path) -> ClassNGramLM:
                 continue
             if stripped.endswith("-grams:") and stripped.startswith("\\"):
                 try:
-                    section = int(stripped[1:-7])
+                    section = parse_int(stripped[1:-7])
                 except ValueError as exc:
                     raise ModelError(f"{path}:{lineno}: bad section {stripped!r}") from exc
                 if section not in header:
@@ -263,7 +270,7 @@ def import_model(path) -> ClassNGramLM:
                     raise ModelError(f"{path}:{lineno}: expected 'ngram k=count'")
                 try:
                     k_part, count_part = stripped[6:].split("=")
-                    k, count = int(k_part), int(count_part)
+                    k, count = parse_int(k_part), parse_int(count_part)
                 except ValueError as exc:
                     raise ModelError(f"{path}:{lineno}: bad header line") from exc
                 if k < 1 or k in header:
@@ -271,13 +278,9 @@ def import_model(path) -> ClassNGramLM:
                     raise ModelError(f"{path}:{lineno}: order {k} {problem}")
                 header[k] = count
             elif section == "classes":
-                parts = stripped.split()
                 try:
-                    # ASCII digits only ("²" passes isdigit()); int() also
-                    # raises past its digit limit
-                    if len(parts) != 2 or not (parts[1].isascii() and parts[1].isdigit()):
-                        raise ValueError
-                    class_sizes[parts[0]] = int(parts[1])
+                    tag, size = stripped.split()
+                    class_sizes[tag] = parse_int(size)
                 except ValueError as exc:
                     raise ModelError(f"{path}:{lineno}: expected 'TAG size'") from exc
             elif isinstance(section, int):
@@ -290,11 +293,11 @@ def import_model(path) -> ClassNGramLM:
                         f"{path}:{lineno}: gram length {len(gram)} in "
                         f"{section}-gram section"
                     )
-                try:
-                    prob = float(fields[0])
-                    bow = float(fields[2]) if len(fields) == 3 else 0.0
-                except ValueError as exc:
-                    raise ModelError(f"{path}:{lineno}: bad float") from exc
+                # the log-prob and the backoff weight, if there is one
+                if not all(map(_FLOAT_RE.fullmatch, fields[::2])):
+                    raise ModelError(f"{path}:{lineno}: bad float")
+                prob = float(fields[0])
+                bow = float(fields[2]) if len(fields) == 3 else 0.0
                 if not (math.isfinite(prob) and math.isfinite(bow)):
                     raise ModelError(f"{path}:{lineno}: non-finite value")
                 if prob > 0:

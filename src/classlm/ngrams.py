@@ -53,6 +53,17 @@ def exact_count(value) -> Count:
     return value.numerator if value.denominator == 1 else value
 
 
+def parse_int(text: str) -> int:
+    """Integer written as ASCII digits only, within ``int()``'s digit limit.
+
+    Raises ValueError otherwise: ``int()`` alone also takes signs, spaces,
+    ``_`` separators and non-ASCII digits.
+    """
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"bad integer {text!r}")
+    return int(text)
+
+
 _COUNT_RE = re.compile(r"[0-9]+(?:/[0-9]+|\.[0-9]+)?")
 
 

@@ -17,10 +17,10 @@ just the lengths of the members it begins
 :mod:`classlm.grammar`.
 
 Corpus files, plain and labeled, are read here too. :func:`read_nus` reads
-a file in one pass into a :class:`Corpus`: each distinct raw line is parsed,
-checked and normalized once, and each distinct (group, NU) row is stored
-once with its first row index, so the histograms that the commands and the
-corpus studies read are each counted once per file.
+a file in one pass into a :class:`Corpus`, the list of its (group, NU) rows
+in corpus order: each distinct raw line is parsed, checked and normalized
+once, and its repeats share its row, so the histograms that the commands
+and the corpus studies read are each counted once per file from that list.
 :func:`read_corpus` returns the raw (group, text) rows through the same
 per-line parser.
 """
@@ -100,66 +100,48 @@ def nu_histogram(corpus: Iterable[NU]) -> Counter:
 
 
 class Corpus:
-    """The (group, NU) rows of one corpus, each distinct row stored once.
+    """The (group, NU) rows of one corpus, in corpus order.
 
-    :attr:`pairs` holds the distinct rows in first-occurrence order and
-    :attr:`firsts` the index of the row where each first occurs;
-    :attr:`slots` holds, for every row in corpus order, its position in
-    ``pairs``. Equal NUs are one shared tuple. The views below are built
-    from these on first use, once each. Plain corpora have group ``""``.
+    :attr:`rows` is the one list: equal rows are one shared tuple, and so
+    are equal NUs. Every other view is derived from it on first use, once
+    each. Plain corpora have group ``""``.
 
     Counting and scoring read :attr:`histogram` and
     :attr:`group_histograms`: a corpus's windows, and so its perplexity, do
     not depend on the order of its rows. Only training prefixes and first
-    occurrences do, and they read :attr:`slots` and :attr:`firsts`.
+    occurrences do, and they read :attr:`rows`.
     """
 
     def __init__(self, rows: Iterable[tuple[str, Sequence[str]]] = ()):
-        self.pairs: list[tuple[str, NU]] = []
-        self.firsts: list[int] = []
-        self.slots: list[int] = []
-        self._slot_of: dict[tuple[str, NU], int] = {}
-        self._canon: dict[NU, NU] = {}
-        for group, nu in rows:
-            self.slots.append(self._slot(group, tuple(nu)))
+        self.rows: list[tuple[str, NU]] = []
+        # each distinct row and NU -> its one tuple; a row (str, tuple)
+        # never equals an NU, a tuple of str
+        self._shared: dict = {}
+        self.rows.extend(self._row(group, tuple(nu)) for group, nu in rows)
 
-    def _slot(self, group: str, nu: NU) -> int:
-        """Position of the row (group, nu) in :attr:`pairs`; a new row is
-        added as first occurring at the next row index."""
-        key = (group, nu)
-        slot = self._slot_of.get(key)
-        if slot is None:
-            slot = self._slot_of[key] = len(self.pairs)
-            self.pairs.append((group, self._canon.setdefault(nu, nu)))
-            self.firsts.append(len(self.slots))
-        return slot
+    def _row(self, group: str, nu: NU) -> tuple[str, NU]:
+        """The shared tuple of the row (group, nu)."""
+        nu = self._shared.setdefault(nu, nu)
+        return self._shared.setdefault((group, nu), (group, nu))
 
     def __len__(self) -> int:
-        return len(self.slots)
-
-    @cached_property
-    def rows(self) -> list[tuple[str, NU]]:
-        """(group, NU) per utterance, in corpus order."""
-        return list(map(self.pairs.__getitem__, self.slots))
+        return len(self.rows)
 
     @cached_property
     def nus(self) -> list[NU]:
         """NU per utterance, in corpus order."""
-        return list(map([nu for _, nu in self.pairs].__getitem__, self.slots))
+        return [nu for _, nu in self.rows]
 
     @cached_property
-    def counts(self) -> list[int]:
-        """Occurrences of each distinct row, aligned with :attr:`pairs`."""
-        counts = [0] * len(self.pairs)
-        for slot in self.slots:
-            counts[slot] += 1
-        return counts
+    def counts(self) -> dict[tuple[str, NU], int]:
+        """Occurrences of each distinct row, in first-occurrence order."""
+        return Counter(self.rows)
 
     @cached_property
     def histogram(self) -> dict[NU, int]:
         """Occurrences of each distinct NU, whatever its group."""
         histogram: dict[NU, int] = {}
-        for (_, nu), count in zip(self.pairs, self.counts):
+        for (_, nu), count in self.counts.items():
             histogram[nu] = histogram.get(nu, 0) + count
         return histogram
 
@@ -167,7 +149,7 @@ class Corpus:
     def group_histograms(self) -> dict[str, dict[NU, int]]:
         """Occurrences of each distinct NU within each group."""
         histograms: dict[str, dict[NU, int]] = {}
-        for (group, nu), count in zip(self.pairs, self.counts):
+        for (group, nu), count in self.counts.items():
             histograms.setdefault(group, {})[nu] = count
         return histograms
 
@@ -235,17 +217,17 @@ def read_nus(path, labeled: bool = False, lexicon: ClassLexicon | None = None) -
     names the first bad line.
     """
     corpus = Corpus()
-    memo: dict[str, int] = {}  # raw line -> its row's slot
-    append = corpus.slots.append
+    memo: dict[str, tuple[str, NU]] = {}  # raw line -> its shared row
+    append = corpus.rows.append
     with open_text(path, CorpusError) as fh:
         for lineno, line in enumerate(fh, start=1):
-            slot = memo.get(line)
-            if slot is None:
-                row = _parse_line(path, lineno, line, labeled)
-                if row is None:
+            row = memo.get(line)
+            if row is None:
+                parsed = _parse_line(path, lineno, line, labeled)
+                if parsed is None:
                     continue
-                group, text = row
+                group, text = parsed
                 nu = tuple(text.split()) if lexicon is None else normalize(lexicon, text)
-                slot = memo[line] = corpus._slot(group, nu)
-            append(slot)
+                row = memo[line] = corpus._row(group, nu)
+            append(row)
     return corpus

@@ -6,6 +6,8 @@ import importlib
 import json
 import math
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -360,7 +362,8 @@ def test_grid_in_exponent_notation_exits_two(tmp_path, workspace):
 @pytest.mark.parametrize("flag,value", [
     ("--threshold", "nan"), ("--threshold", "inf"), ("--threshold", "-0.1"),
     ("--threshold", "1.5"), ("--threshold", "half"),
-    ("--min-count", "-1"), ("--min-count", "2.5"),
+    ("--min-count", "-1"), ("--min-count", "2.5"), ("--min-count", "\u0663"),
+    ("--min-count", "1_0"), ("--min-count", " 3"),
 ])
 def test_analyze_bad_bound_exits_two(tmp_path, workspace, flag, value):
     # a nan threshold used to exit 0 with an overlap of 0.0 for every group
@@ -395,6 +398,8 @@ def _bound_command(command, workspace):
     ("train", "--order", "0"), ("analyze", "--order", "0"),
     ("generalize", "--order", "0"), ("generalize", "--order", "-1"),
     ("analyze", "--sizes", "0"), ("analyze", "--sizes", "0,all"),
+    ("analyze", "--sizes", "\u0663"),
+    ("train", "--order", "\u0663"), ("generate", "--max-depth", "+3"),
     ("generate", "--max-depth", "0"), ("generate", "--max-sentences", "0"),
     ("generalize", "--max-depth", "0"), ("generalize", "--max-sentences", "0"),
 ])
@@ -434,6 +439,17 @@ def test_synth_negative_bound_exits_two(tmp_path, flag):
     proc = run_cli("synth", flag, "-5", "--out-dir", tmp_path / "bundle")
     assert proc.returncode == 2
     assert f"argument {flag}" in proc.stderr
+    assert not (tmp_path / "bundle").exists()
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--size", "\u0662\u0660"), ("--seed", "1_0"), ("--seed", "+1"),
+])
+def test_synth_bound_not_ascii_digits_exits_two(tmp_path, flag, value):
+    # --size ٢٠ --seed 1_0 used to write 20 utterances at seed 10
+    proc = run_cli("synth", flag, value, "--out-dir", tmp_path / "bundle")
+    assert proc.returncode == 2
+    assert f"argument {flag}: bad integer" in proc.stderr
     assert not (tmp_path / "bundle").exists()
 
 
@@ -508,6 +524,39 @@ def test_model_class_size_not_ascii_digits_is_data_error(tmp_path, size):
     corpus.write_text("from rome\n", encoding="utf-8")
     stderr = run_data_error("perplexity", "--model", model, "--corpus", corpus)
     assert stderr == f"error: {model}:8: expected 'TAG size'\n"
+
+
+@pytest.mark.parametrize("old,new,lineno,message", [
+    ("ngram 1=3", "ngram 0_1=3", 4, "bad header line"),
+    ("ngram 1=3", "ngram \u0661=3", 4, "bad header line"),
+    ("ngram 1=3", "ngram 1=+3", 4, "bad header line"),
+    ("\\1-grams:", "\\0_1-grams:", 8, "bad section '\\\\0_1-grams:'"),
+    ("\\1-grams:", "\\ 1-grams:", 8, "bad section '\\\\ 1-grams:'"),
+    ("\\1-grams:", "\\\u0661-grams:", 8, "bad section '\\\\\u0661-grams:'"),
+    ("-0.5\t<s>", "-0_0.5\t<s>", 9, "bad float"),
+    ("-0.5\t<s>", "-\u0660.5\t<s>", 9, "bad float"),
+], ids=["header-order-underscore", "header-order-arabic-indic", "header-count-sign",
+        "section-underscore", "section-space", "section-arabic-indic",
+        "log-prob-underscore", "log-prob-arabic-indic"])
+def test_model_number_not_ascii_is_data_error(tmp_path, old, new, lineno, message):
+    # each of these models used to be read, int() and float() taking "_",
+    # signs, spaces and non-ASCII digits
+    model = write_unigram_model(tmp_path / "numbers.arpa", ["ngram 1=3"])
+    text = model.read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    model.write_text(text.replace(old, new), encoding="utf-8")
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("from rome\n", encoding="utf-8")
+    stderr = run_data_error("perplexity", "--model", model, "--corpus", corpus)
+    assert stderr == f"error: {model}:{lineno}: {message}\n"
+
+
+def test_model_float_shapes_that_export_writes_are_read(tmp_path):
+    model = write_unigram_model(tmp_path / "floats.arpa", ["ngram 1=3"])
+    text = model.read_text(encoding="utf-8")
+    for prob in ("-1e-05", "-2.5e+20", "0.0", "-0.0", "-3"):
+        model.write_text(text.replace("-0.5\t</s>", f"{prob}\t</s>"), encoding="utf-8")
+        assert import_model(model).probs10[("</s>",)] == float(prob)
 
 
 def test_model_declared_far_above_its_grams_scores_quickly(tmp_path):
@@ -606,6 +655,31 @@ def test_readme_library_example_scores_like_the_cli(tmp_path, workspace, monkeyp
     assert main(["perplexity", "--model", "m.arpa", "--corpus", "corpus.txt",
                  "--lexicon", "work/lexicon.lex", "--emission"]) == 0
     assert capsys.readouterr().out.split()[0] == f"pp={pp:.4f}"
+
+
+def test_readme_quickstart_runs_and_writes_the_listed_files(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    quickstart = readme.split("## Quickstart", 1)[1].split("\n## ", 1)[0]
+    block, prose = quickstart.split("```\n", 1)[1].split("```", 1)
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+    assert [argv[:2] for argv in commands] == [
+        ["classlm", command] for command in
+        ("synth", "train", "perplexity", "generalize", "analyze")]
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
+    capsys.readouterr()
+    # the files the prose after the block lists for each command
+    generalize_prose, analyze_prose = prose.split("`analyze` writes", 1)
+    listed = {
+        "generalize": ["model.arpa", "baseline.arpa"]
+        + re.findall(r"`(\w+\.csv)`", generalize_prose),
+        "analyze": re.findall(r"`(\w+\.csv)`", analyze_prose),
+    }
+    for argv in commands:
+        if argv[1] in listed:
+            out_dir = Path(argv[argv.index("--out-dir") + 1])
+            assert sorted(path.name for path in out_dir.iterdir()) == sorted(listed[argv[1]])
 
 
 def test_boundary_tag_in_corpus_is_data_error(tmp_path, workspace):

@@ -10,7 +10,7 @@ from classlm.analysis import label_nus
 from classlm.errors import CorpusError
 from classlm.grammar import generate, parse_grammar_text
 from classlm.normalize import (
-    normalize, normalize_sentences, nu_histogram, read_corpus, read_nus, tokenize,
+    Corpus, normalize, normalize_sentences, nu_histogram, read_corpus, read_nus, tokenize,
 )
 from classlm.synth import SynthConfig, generate_world
 from classlm.vocab import ClassLexicon
@@ -329,10 +329,26 @@ def test_read_nus_matches_read_corpus_then_label_nus(tmp_path_factory, lines, la
     assert len(corpus) == len(rows) and corpus.nus == nus
     first = {}
     assert all(first.setdefault(nu, nu) is nu for nu in nus)
+    first_row = {}
+    assert all(first_row.setdefault(row, row) is row for row in corpus.rows)
     assert corpus.histogram == Counter(nus)
     assert corpus.group_histograms == {
         group: Counter(nu for g, nu in corpus.rows if g == group) for group, _ in corpus.rows}
-    assert corpus.pairs == list(dict.fromkeys(corpus.rows))
-    assert corpus.firsts == [corpus.rows.index(pair) for pair in corpus.pairs]
-    assert corpus.counts == [corpus.rows.count(pair) for pair in corpus.pairs]
+    assert list(corpus.counts.items()) == [
+        (row, corpus.rows.count(row)) for row in dict.fromkeys(corpus.rows)]
+
+
+def test_corpus_shares_equal_rows_and_nus(tmp_path):
+    # equal NUs in different groups, and one NU written two ways
+    path = tmp_path / "corpus.tsv"
+    path.write_text("City\tat five\nTime\tat five\nTime\tat  Five\nCity\tat five\n",
+                    encoding="utf-8")
+    for corpus in (read_nus(path, True, _READER_LEXICON),
+                   Corpus([("City", ["at", "HOUR-NUMBER"]), ("Time", ("at", "HOUR-NUMBER")),
+                           ("Time", ("at", "HOUR-NUMBER")), ("City", ["at", "HOUR-NUMBER"])])):
+        city, time, time_again, city_again = corpus.rows
+        assert city == ("City", ("at", "HOUR-NUMBER")) and time == ("Time", city[1])
+        assert time_again is time and city_again is city and time[1] is city[1]
+        assert corpus.nus == [city[1]] * 4 and all(nu is city[1] for nu in corpus.nus)
+        assert list(corpus.counts.items()) == [(city, 2), (time, 2)]
 
