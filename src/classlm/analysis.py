@@ -58,10 +58,6 @@ def label_nus(lexicon: ClassLexicon, rows: list[tuple[str, str]]) -> LabeledNUs:
     return [(group, normalize(lexicon, text)) for group, text in rows]
 
 
-def nus_of(labeled: LabeledNUs) -> list[NU]:
-    return [nu for _, nu in labeled]
-
-
 # -- coverage curve ----------------------------------------------------------
 
 

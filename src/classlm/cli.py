@@ -15,7 +15,7 @@ from pathlib import Path
 from . import analysis, generalize, grammar as grammar_mod, synth
 from .errors import DataError
 from .lm import export_model, import_model, perplexity, train
-from .ngrams import extract, parse_count, parse_int
+from .ngrams import extract, parse_count, parse_float, parse_int
 from .normalize import read_nus
 from .vocab import load_lexicon
 
@@ -38,7 +38,7 @@ def _out_dir(args) -> Path:
 def _grid_arg(text: str) -> list:
     """argparse type for --grid: counts (see :func:`parse_count`); errors exit 2."""
     try:
-        grid = [parse_count(part) for part in text.split(",") if part.strip()]
+        grid = [parse_count(part) for part in text.split(",") if part]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad grid value in {text!r}") from exc
     if not grid:
@@ -52,7 +52,7 @@ def _sizes_arg(text: str) -> list:
     """argparse type for --sizes: integers >= 1 or 'all', which resolves once
     the corpus is read; errors exit 2."""
     sizes: list = []
-    for part in filter(None, (part.strip() for part in text.split(","))):
+    for part in filter(None, text.split(",")):
         try:
             sizes.append("all" if part == "all" else _positive_arg(part))
         except argparse.ArgumentTypeError as exc:
@@ -65,12 +65,12 @@ def _sizes_arg(text: str) -> list:
 
 
 def _fraction_arg(text: str) -> float:
-    """argparse type for --threshold: a finite number in [0, 1]; errors exit 2."""
+    """argparse type for --threshold: a number in [0, 1], in the ASCII shape
+    of a model file (see :func:`parse_float`); errors exit 2."""
     try:
-        value = float(text)
+        value = parse_float(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad number {text!r}") from exc
-    # a nan would compare false everywhere and give silent all-zero results
     if not 0.0 <= value <= 1.0:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number in [0, 1]")
     return value

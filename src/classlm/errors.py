@@ -10,7 +10,7 @@ from typing import TextIO
 
 
 class DataError(Exception):
-    """Invalid input data (corpus, lexicon, grammar, table, or model file)."""
+    """Invalid input data: a corpus, lexicon, grammar or model file, or a count table."""
 
 
 class LexiconError(DataError):

@@ -30,12 +30,11 @@ padded window of the corpus, also for one utterance (:func:`log_prob`).
 from __future__ import annotations
 
 import math
-import re
 from collections import Counter
 from dataclasses import dataclass
 
 from .errors import ModelError, open_text
-from .ngrams import Gram, NGramTable, parse_int
+from .ngrams import Gram, NGramTable, parse_float, parse_int
 from .normalize import NU
 from .score import Scorer
 from .vocab import SENT_END, SENT_START, UNK, ClassLexicon
@@ -211,11 +210,6 @@ def export_model(model: ClassNGramLM, path) -> None:
         fh.write("\n\\end\\\n")
 
 
-# the float shape export_model writes; float() alone also takes signs,
-# spaces, "_" separators, non-ASCII digits, "inf" and "nan"
-_FLOAT_RE = re.compile(r"-?[0-9]+(?:\.[0-9]+)?(?:e[+-][0-9]+)?")
-
-
 def import_model(path) -> ClassNGramLM:
     """Read a model written by :func:`export_model`.
 
@@ -293,11 +287,11 @@ def import_model(path) -> ClassNGramLM:
                         f"{path}:{lineno}: gram length {len(gram)} in "
                         f"{section}-gram section"
                     )
-                # the log-prob and the backoff weight, if there is one
-                if not all(map(_FLOAT_RE.fullmatch, fields[::2])):
-                    raise ModelError(f"{path}:{lineno}: bad float")
-                prob = float(fields[0])
-                bow = float(fields[2]) if len(fields) == 3 else 0.0
+                try:
+                    prob = parse_float(fields[0])
+                    bow = parse_float(fields[2]) if len(fields) == 3 else 0.0
+                except ValueError as exc:
+                    raise ModelError(f"{path}:{lineno}: bad float") from exc
                 if not (math.isfinite(prob) and math.isfinite(bow)):
                     raise ModelError(f"{path}:{lineno}: non-finite value")
                 if prob > 0:

@@ -12,8 +12,6 @@ as little as possible. Tables from :func:`extract` hold it as counted; the
 grammar's distinct windows in :func:`classlm.generalize.build_generalized_lm`,
 the edits :meth:`NGramTable.inject` and :meth:`NGramTable.scale`, and
 :func:`classlm.generalize.merge_tables` are repaired by it.
-:func:`load_table` rejects a file that breaks it rather than repairing the
-file.
 
 Corpora are counted by one kernel, :func:`window_counts`: each padded
 top-order window with its count. Training tables (:func:`extract`), the
@@ -25,9 +23,9 @@ rescaling experiments are reproducible bit for bit; integral values are kept
 as ints.
 
 A table is a multiset: its iteration order is unspecified and nothing built
-from it may depend on that order. The writers sort what they write
-(:meth:`NGramTable.save` and :func:`classlm.lm.export_model`), so the same
-counts give the same bytes.
+from it may depend on that order. The model writer,
+:func:`classlm.lm.export_model`, sorts what it writes, so the same counts give
+the same bytes.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ import re
 from collections.abc import Callable, Collection, Iterable, Iterator, Mapping
 from fractions import Fraction
 
-from .errors import TableError, open_text
+from .errors import TableError
 from .normalize import NU, nu_histogram
 from .vocab import SENT_END, SENT_START
 
@@ -64,6 +62,23 @@ def parse_int(text: str) -> int:
     return int(text)
 
 
+# the float shape export_model writes; float() alone also takes signs,
+# spaces, "_" separators, non-ASCII digits, "inf" and "nan"
+_FLOAT_RE = re.compile(r"-?[0-9]+(?:\.[0-9]+)?(?:e[+-][0-9]+)?")
+
+
+def parse_float(text: str) -> float:
+    """Float written in the ASCII shape :func:`classlm.lm.export_model`
+    writes, ``-?digits[.digits][e±digits]``.
+
+    Raises ValueError otherwise. A value past the float range reads as an
+    infinity, which each caller bounds.
+    """
+    if not _FLOAT_RE.fullmatch(text):
+        raise ValueError(f"bad number {text!r}")
+    return float(text)
+
+
 _COUNT_RE = re.compile(r"[0-9]+(?:/[0-9]+|\.[0-9]+)?")
 
 
@@ -74,7 +89,6 @@ def parse_count(text: str) -> Count:
     Raises ValueError otherwise: signs and exponents are not count syntax,
     and a value past the float range could not be trained on.
     """
-    text = text.strip()
     if not _COUNT_RE.fullmatch(text):
         raise ValueError(f"bad count {text!r}")
     try:
@@ -185,50 +199,18 @@ class NGramTable:
     # -- validation --------------------------------------------------------
 
     def validate(self) -> None:
-        """Raise :class:`TableError` on a context whose count is below the
-        sum of its extensions."""
-        _check_closure(self._counts)
-
-    # -- persistence -------------------------------------------------------
-
-    def save(self, path) -> None:
-        """Write ``count<TAB>tok1 tok2 ...`` lines, sorted lexicographically."""
-        with open(path, "w", encoding="utf-8") as fh:
-            for gram in sorted(self._counts):
-                fh.write(f"{self._counts[gram]}\t{' '.join(gram)}\n")
-
-
-def load_table(path, order: int | None = None) -> NGramTable:
-    """Read a table file; order defaults to the longest gram present.
-
-    Counts of repeated grams are summed.
-    """
-    counts: dict[Gram, Count] = {}
-    with open_text(path, TableError) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            if "\t" not in line:
-                raise TableError(f"{path}:{lineno}: expected 'count<TAB>tokens'")
-            count_part, _, gram_part = line.partition("\t")
-            try:
-                count = parse_count(count_part)
-            except ValueError as exc:
-                raise TableError(f"{path}:{lineno}: {exc}") from exc
-            gram = tuple(gram_part.split())
-            if not gram:
-                raise TableError(f"{path}:{lineno}: empty gram")
-            counts[gram] = counts.get(gram, 0) + count
-    if order is None:
-        if not counts:
-            raise TableError(f"{path}: empty table, pass an explicit order")
-        order = max(len(g) for g in counts)
-    for gram in counts:
-        if len(gram) > order:
-            raise TableError(f"{path}: gram {gram} longer than order {order}")
-    _check_closure(counts, f"{path}: ")
-    return NGramTable(order, counts)
+        """Raise :class:`TableError` naming the smallest context whose count
+        is below the sum of its extensions, and how many there are."""
+        counts = self._counts
+        sums = _extension_sums((gram, count) for gram, count in counts.items() if len(gram) > 1)
+        bad = [(context, counts.get(context, 0), total)
+               for context, total in sums.items() if counts.get(context, 0) < total]
+        if bad:
+            context, have, total = min(bad)
+            raise TableError(
+                f"context closure violated at {context}: count {have} < "
+                f"extension sum {total} ({len(bad)} violations)"
+            )
 
 
 def _extension_sums(grams: Iterable[tuple[Gram, Count]]) -> dict[Gram, Count]:
@@ -238,21 +220,6 @@ def _extension_sums(grams: Iterable[tuple[Gram, Count]]) -> dict[Gram, Count]:
         context = gram[:-1]
         sums[context] = sums.get(context, 0) + count
     return sums
-
-
-def _check_closure(counts: Mapping[Gram, Count], where: str = "") -> None:
-    """Raise :class:`TableError` naming the smallest context of ``counts``
-    below its extension sum, and how many there are; the message starts
-    with ``where``."""
-    sums = _extension_sums((gram, count) for gram, count in counts.items() if len(gram) > 1)
-    bad = [(context, counts.get(context, 0), total)
-           for context, total in sums.items() if counts.get(context, 0) < total]
-    if bad:
-        context, have, total = min(bad)
-        raise TableError(
-            f"{where}context closure violated at {context}: count {have} < "
-            f"extension sum {total} ({len(bad)} violations)"
-        )
 
 
 def _padded(nu: NU, n: int) -> Gram:

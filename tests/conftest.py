@@ -6,7 +6,7 @@ scoped so the whole suite stays fast.
 
 import pytest
 
-from classlm.analysis import label_nus, nus_of
+from classlm.analysis import label_nus
 from classlm.generalize import build_generalized_lm
 from classlm.grammar import generate, parse_grammar_text
 from classlm.lm import export_model, train
@@ -14,6 +14,8 @@ from classlm.ngrams import extract
 from classlm.normalize import normalize
 from classlm.synth import SynthConfig, generate_world
 from classlm.vocab import ClassLexicon
+
+import oracle
 
 ORDER = 3
 SMALL_SIZE = 1000
@@ -38,7 +40,7 @@ def splits(world):
         "tune": label_nus(world.lexicon, tune_rows),
         "test": label_nus(world.lexicon, test_rows),
     }
-    plain = {name: nus_of(rows) for name, rows in labeled.items()}
+    plain = {name: oracle.nus_of(rows) for name, rows in labeled.items()}
     return {"labeled": labeled, "nus": plain}
 
 

@@ -298,6 +298,11 @@ def naive_model(counts, n, lexicon):
     return naive_train(table, lexicon)
 
 
+def nus_of(labeled):
+    """The NUs of (group, NU) rows, in order."""
+    return [nu for _, nu in labeled]
+
+
 def naive_sweep(labeled_corpus, sizes, labeled_test, lexicon, n, emission=True):
     """The training-size sweep by its definition.
 

@@ -8,7 +8,6 @@ from classlm.analysis import (
     coverage_curve,
     frequency_overlap,
     label_nus,
-    nus_of,
     partial_training_sweep,
     read_labeled_corpus,
     saturation_table,
@@ -179,7 +178,7 @@ def test_studies_on_read_corpora_match_naive_twins(tmp_path_factory, size, seed,
     test_corpus = read_nus(directory / "test.tsv", True, world.lexicon)
     labeled_train = label_nus(world.lexicon, train_rows)
     labeled_test = label_nus(world.lexicon, test_rows)
-    train_nus, test_nus = nus_of(labeled_train), nus_of(labeled_test)
+    train_nus, test_nus = oracle.nus_of(labeled_train), oracle.nus_of(labeled_test)
     sizes = sorted(data.draw(st.lists(st.integers(min_value=1, max_value=len(train_nus)),
                                       min_size=1, max_size=4), label="sizes"))
 
@@ -262,11 +261,11 @@ def test_frequency_overlap_groups_independent():
 def test_csv_writers_are_deterministic(tmp_path, splits, lexicon):
     labeled = splits["labeled"]["train"][:300]
     test = splits["labeled"]["test"]
-    curve = coverage_curve(nus_of(labeled), nus_of(test))
+    curve = coverage_curve(oracle.nus_of(labeled), oracle.nus_of(test))
     rows = partial_training_sweep(labeled, [150, 300], test, lexicon, 2)
     sat = saturation_table(labeled, [150, 300])
     overlap = frequency_overlap(labeled, test)
-    split = unseen_split(nus_of(labeled), nus_of(test))
+    split = unseen_split(oracle.nus_of(labeled), oracle.nus_of(test))
     for name, writer, payload in (
         ("coverage", write_coverage_csv, curve),
         ("sweep", write_sweep_csv, rows),

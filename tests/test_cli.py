@@ -23,11 +23,10 @@ import classlm.score
 from classlm.analysis import read_labeled_corpus
 from classlm.cli import main
 from classlm.errors import (
-    CorpusError, DataError, GrammarError, LexiconError, ModelError, TableError,
+    CorpusError, DataError, GrammarError, LexiconError, ModelError,
 )
 from classlm.grammar import generate, parse_grammar
 from classlm.lm import export_model, import_model
-from classlm.ngrams import load_table
 from classlm.normalize import read_corpus, read_nus
 from classlm.vocab import ClassLexicon, load_lexicon
 
@@ -359,9 +358,24 @@ def test_grid_in_exponent_notation_exits_two(tmp_path, workspace):
     assert "bad grid value" in proc.stderr
 
 
+def test_grid_with_spaces_exits_two(tmp_path, workspace):
+    # a grid count is read like an integer flag: no surrounding spaces
+    proc = run_cli(
+        "generalize", "--lexicon", workspace / "lexicon.lex",
+        "--corpus", workspace / "corpus_train.tsv", "--labeled",
+        "--grammar", workspace / "grammar.bnf",
+        "--tune-corpus", workspace / "corpus_tune.tsv",
+        "--grid", "1, 2", "--out-dir", tmp_path / "gen",
+    )
+    assert proc.returncode == 2
+    assert "bad grid value" in proc.stderr
+    assert not (tmp_path / "gen").exists()
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--threshold", "nan"), ("--threshold", "inf"), ("--threshold", "-0.1"),
     ("--threshold", "1.5"), ("--threshold", "half"),
+    ("--threshold", "\u0660.\u0665"), ("--threshold", "0_0.5"), ("--threshold", " 0.5 "),
     ("--min-count", "-1"), ("--min-count", "2.5"), ("--min-count", "\u0663"),
     ("--min-count", "1_0"), ("--min-count", " 3"),
 ])
@@ -398,7 +412,7 @@ def _bound_command(command, workspace):
     ("train", "--order", "0"), ("analyze", "--order", "0"),
     ("generalize", "--order", "0"), ("generalize", "--order", "-1"),
     ("analyze", "--sizes", "0"), ("analyze", "--sizes", "0,all"),
-    ("analyze", "--sizes", "\u0663"),
+    ("analyze", "--sizes", "\u0663"), ("analyze", "--sizes", "100, all"),
     ("train", "--order", "\u0663"), ("generate", "--max-depth", "+3"),
     ("generate", "--max-depth", "0"), ("generate", "--max-sentences", "0"),
     ("generalize", "--max-depth", "0"), ("generalize", "--max-sentences", "0"),
@@ -470,6 +484,18 @@ def test_analyze_accepts_bound_edges(tmp_path, workspace):
     rows = (tmp_path / "an" / "frequency_overlap.csv").read_text(encoding="utf-8")
     # threshold 0 selects every training NU, so some test NU of each group is covered
     assert all(float(line.split(",")[1]) > 0 for line in rows.splitlines()[1:])
+
+
+def test_threshold_in_exponent_shape_runs_like_the_default(tmp_path, workspace):
+    # 1e-3 is the shape export writes for a float, and the default's value
+    argv = ["analyze", "--lexicon", str(workspace / "lexicon.lex"),
+            "--corpus", str(workspace / "corpus_train.tsv"),
+            "--test-corpus", str(workspace / "corpus_test.tsv"), "--sizes", "all"]
+    assert main(argv + ["--threshold", "1e-3", "--out-dir", str(tmp_path / "e")]) == 0
+    assert main(argv + ["--out-dir", str(tmp_path / "default")]) == 0
+    written = [{path.name: path.read_bytes() for path in (tmp_path / name).iterdir()}
+               for name in ("e", "default")]
+    assert written[0] == written[1] and "frequency_overlap.csv" in written[0]
 
 
 def test_model_without_unk_is_data_error(tmp_path, model_file_without):
@@ -715,7 +741,6 @@ READERS = [
                                    lexicon=ClassLexicon({"CITY-NAME": {"rome", "new_york"}})),
                  CorpusError, id="read_nus_labeled-CorpusError"),
     (parse_grammar, GrammarError),
-    (load_table, TableError),
     (import_model, ModelError),
 ]
 

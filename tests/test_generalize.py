@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import classlm.generalize as generalize_module
 import classlm.ngrams as ngrams_module
-from classlm.analysis import label_nus, nus_of
+from classlm.analysis import label_nus
 from classlm.errors import DataError, TableError
 from classlm.generalize import (
     DEFAULT_GRID,
@@ -408,7 +408,7 @@ def _naive_generation_steps(grammar, max_depth):
 def assert_generalize_matches_naive(world, grammar, n, grid, **kwargs):
     """build_generalized_lm on the world's splits equals oracle.naive_generalize."""
     train_nus, tune_nus, test_nus = (
-        nus_of(label_nus(world.lexicon, rows)) for rows in world.splits())
+        oracle.nus_of(label_nus(world.lexicon, rows)) for rows in world.splits())
     grid = [Fraction(1, 2)] + grid
     result = build_generalized_lm(train_nus, grammar, world.lexicon, n, grid=grid,
                                   tuning_corpus=tune_nus, test_corpus=test_nus, **kwargs)
