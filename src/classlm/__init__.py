@@ -25,6 +25,9 @@ from .ngrams import NGramTable, extract
 from .normalize import nu_histogram, read_nus
 from .vocab import load_lexicon
 
+# loaded for the benchmark's tracer, which looks it up in sys.modules
+from . import score as _score
+
 __version__ = "0.1.0"
 
 __all__ = [

@@ -22,7 +22,7 @@ generated sentences, which are normalized like every corpus, one
 
 Each corpus is counted once per use (:func:`classlm.ngrams.window_counts`),
 and every model scores it from those counts, one backoff walk per distinct
-window (:meth:`classlm.score.Scorer.score_windows`): the sentence windows
+window (:meth:`classlm.lm.ClassNGramLM.score_windows`): the sentence windows
 give the grammar table and the grammar row of the report, the factor search
 counts the tuning corpus once for all its grid points and the report once
 for the tuning row, and the test windows serve both models.
@@ -226,7 +226,7 @@ def build_generalized_lm(
     if mode == MODE_NAIVE:
         model = train(naive_sentence_table(train_nus, sentence_nus, n), lexicon)
     else:
-        if not tuning_corpus:
+        if tuning_corpus is None:
             raise DataError("n-gram injection needs a tuning corpus for the factor search")
         factor = tune_balance_factor(
             train_table, grammar_table, tuning_corpus, grid, lexicon,
@@ -236,9 +236,9 @@ def build_generalized_lm(
         model = train(merged, lexicon)
 
     evaluations = []
-    if tuning_corpus:
+    if tuning_corpus is not None:
         evaluations.append(("tuning", window_counts(tuning_corpus, n)))
-    if test_corpus:
+    if test_corpus is not None:
         evaluations.append(("test", window_counts(test_corpus, n)))
     if sentence_nus:
         evaluations.append(("grammar", sentence_windows))

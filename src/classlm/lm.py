@@ -22,9 +22,12 @@ scores add log(1/class_size) per tag occurrence; class-level scores skip
 that term.
 
 Perplexity convention: the end tag is scored once per utterance, start
-padding is never scored. The model scores itself through the inherited
-:class:`~classlm.score.Scorer` methods, one backoff walk per distinct
-padded window of the corpus, also for one utterance (:func:`log_prob`).
+padding is never scored. The score at each position depends only on the
+padded window that ends there (a token maps to the unknown tag on its own),
+so :meth:`ClassNGramLM.score_windows`, the one scoring loop, makes one
+backoff walk per distinct window of :func:`classlm.ngrams.window_counts` and
+sums with :func:`math.fsum`, which is correctly rounded whatever the order.
+One utterance is the corpus that holds only it (:func:`log_prob`).
 """
 
 from __future__ import annotations
@@ -34,12 +37,12 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import ModelError, open_text
-from .ngrams import Gram, NGramTable, parse_float, parse_int
+from .ngrams import Gram, NGramTable, parse_float, parse_int, window_counts
 from .normalize import NU
-from .score import Scorer
 from .vocab import SENT_END, SENT_START, UNK, ClassLexicon
 
 LN10 = math.log(10.0)
+_BOUNDARY = frozenset((SENT_START, SENT_END))
 
 
 @dataclass(frozen=True)
@@ -52,15 +55,94 @@ class PerplexityReport:
     @classmethod
     def of(cls, total10: float, tokens: int, oov: int) -> PerplexityReport:
         """Report of a log10 total over ``tokens`` scored tokens, ``oov`` of
-        them out of vocabulary, as the :class:`Scorer` methods return them."""
+        them out of vocabulary, as :meth:`ClassNGramLM.score_windows`
+        returns them."""
         if not tokens:
             raise ModelError("cannot evaluate perplexity on an empty corpus")
         return cls(10.0 ** (-total10 / tokens), total10 * LN10, tokens, oov)
 
 
-class ClassNGramLM(Scorer):
-    """Trained model: log10 conditional probabilities plus backoff weights.
-    It is its own :class:`Scorer`, built from the same tables."""
+class ClassNGramLM:
+    """Trained model: log10 conditional probabilities plus backoff weights,
+    and the loop that scores corpora against them. ``vocab`` holds the
+    unigram tokens, and ``width`` is the window length scored: the order,
+    capped where no longer gram is stored nor a backoff weight on one as
+    long, since a longer window scores like its suffix."""
+
+    # read by the benchmark manifest
+    backend = "python"
+
+    def __init__(
+        self,
+        order: int,
+        probs10: dict[Gram, float],
+        bows10: dict[Gram, float],
+        class_sizes: dict[str, int],
+    ):
+        self.order = order
+        self.probs10 = probs10
+        self.bows10 = bows10
+        self.class_sizes = class_sizes
+        self.vocab: frozenset[str] = frozenset(g[0] for g in probs10 if len(g) == 1)
+        self._emis10 = {
+            tag: -math.log10(size) for tag, size in class_sizes.items() if size > 1
+        }
+        stored = max(max(map(len, probs10), default=1), max(map(len, bows10), default=0) + 1)
+        self.width = min(order, stored)
+
+    def score_windows(self, windows, emission: bool) -> tuple[float, int, int]:
+        """(log10 total, scored token count, oov count) of a corpus given as
+        padded windows with their counts, as :func:`window_counts` returns.
+
+        Each window is cut to its last ``width`` tokens. Its tokens outside
+        the vocabulary map to ``<unk>``, but a boundary tag never does: every
+        trained or imported model holds the ``<s>`` and ``</s>`` unigrams, so
+        start padding and a literal tag score alike. A stored window costs
+        one lookup; a miss walks the backoff chain, adding the backoff
+        weights it passes. The total is :func:`math.fsum` of count times
+        score, the token count the sum of the counts, and the oov count the
+        summed count of the windows whose last token is mapped to ``<unk>``.
+        Raises :class:`ValueError` for a window shorter than ``width``, and
+        :class:`KeyError` for a token without a unigram (a model lacking the
+        ``<unk>`` unigram).
+        """
+        width = self.width
+        vocab, probs10, bows10, emis10 = self.vocab, self.probs10, self.bows10, self._emis10
+        terms = []
+        tokens = oov = 0
+        for window, count in windows.items():
+            if len(window) < width:
+                raise ValueError(f"window {window} shorter than the model's {width}")
+            window = window[len(window) - width:]
+            if not vocab.issuperset(window):
+                if window[-1] not in vocab and window[-1] not in _BOUNDARY:
+                    oov += count
+                window = tuple(t if t in vocab or t in _BOUNDARY else UNK for t in window)
+            score = probs10.get(window)
+            if score is None:
+                gram, backoff = window, 0.0
+                while score is None:
+                    if len(gram) == 1:
+                        raise KeyError(gram[0])
+                    bow = bows10.get(gram[:-1])
+                    if bow is not None:
+                        backoff += bow
+                    gram = gram[1:]
+                    score = probs10.get(gram)
+                score += backoff
+            if emission:
+                emit = emis10.get(window[-1])
+                if emit is not None:
+                    score += emit
+            terms.append(count * score)
+            tokens += count
+        return math.fsum(terms), tokens, oov
+
+    # read by the benchmark's tracer, which wraps it by this name and signature
+    def score_corpus(self, nus, emission: bool) -> tuple[float, int, int]:
+        """:meth:`score_windows` of the windows of ``nus``, which are NUs or
+        an NU -> count mapping, counted at ``width``."""
+        return self.score_windows(window_counts(nus, self.width), emission)
 
     def scorer(self) -> ClassNGramLM:  # read by the benchmark manifest
         return self
@@ -169,10 +251,10 @@ def perplexity(model, corpus, emission: bool = False) -> PerplexityReport:
     such as :attr:`classlm.normalize.Corpus.histogram`.
 
     The corpus's windows are counted once and each distinct window is
-    scored once (:meth:`Scorer.score_corpus`). A caller that scores one
+    scored once (:meth:`ClassNGramLM.score_corpus`). A caller that scores one
     corpus with several models counts its windows once with
     :func:`classlm.ngrams.window_counts` and passes the result of
-    :meth:`Scorer.score_windows` to :meth:`PerplexityReport.of` instead.
+    :meth:`ClassNGramLM.score_windows` to :meth:`PerplexityReport.of` instead.
     """
     return PerplexityReport.of(*model.score_corpus(corpus, emission))
 
@@ -216,9 +298,9 @@ def import_model(path) -> ClassNGramLM:
     Raises :class:`ModelError` on malformed lines, a number not in the
     ASCII shape :func:`export_model` writes, non-finite values, log-probs
     above 0, a header that does not declare each order 1..K
-    exactly once, a k-gram section the header does not declare, a
-    missing ``<s>``, ``</s>`` or ``<unk>`` unigram, and a k-gram whose
-    (k-1)-prefix is not stored.
+    exactly once, a k-gram section the header does not declare, a gram or
+    a class listed twice, a missing ``<s>``, ``</s>`` or ``<unk>``
+    unigram, and a k-gram whose (k-1)-prefix is not stored.
     """
     header: dict[int, int] = {}
     probs10: dict[Gram, float] = {}
@@ -273,10 +355,13 @@ def import_model(path) -> ClassNGramLM:
                 header[k] = count
             elif section == "classes":
                 try:
-                    tag, size = stripped.split()
-                    class_sizes[tag] = parse_int(size)
+                    tag, digits = stripped.split()
+                    size = parse_int(digits)
                 except ValueError as exc:
                     raise ModelError(f"{path}:{lineno}: expected 'TAG size'") from exc
+                if tag in class_sizes:
+                    raise ModelError(f"{path}:{lineno}: class {tag!r} listed twice")
+                class_sizes[tag] = size
             elif isinstance(section, int):
                 fields = line.split("\t")
                 if len(fields) not in (2, 3):
@@ -286,6 +371,10 @@ def import_model(path) -> ClassNGramLM:
                     raise ModelError(
                         f"{path}:{lineno}: gram length {len(gram)} in "
                         f"{section}-gram section"
+                    )
+                if gram in probs10:
+                    raise ModelError(
+                        f"{path}:{lineno}: {section}-gram {' '.join(gram)!r} listed twice"
                     )
                 try:
                     prob = parse_float(fields[0])

@@ -16,7 +16,7 @@ the edits :meth:`NGramTable.inject` and :meth:`NGramTable.scale`, and
 Corpora are counted by one kernel, :func:`window_counts`: each padded
 top-order window with its count. Training tables (:func:`extract`), the
 grammar's distinct windows in :mod:`classlm.generalize` and scoring
-(:meth:`classlm.score.Scorer.score_windows`) all start from it.
+(:meth:`classlm.lm.ClassNGramLM.score_windows`) all start from it.
 
 Counts are exact numbers (int, or Fraction after non-integer scaling), so
 rescaling experiments are reproducible bit for bit; integral values are kept
@@ -222,16 +222,6 @@ def _extension_sums(grams: Iterable[tuple[Gram, Count]]) -> dict[Gram, Count]:
     return sums
 
 
-def _padded(nu: NU, n: int) -> Gram:
-    """``nu`` with the n-1 start tags and the end tag of order-n counting."""
-    return (SENT_START,) * (n - 1) + nu + (SENT_END,)
-
-
-def _grams(padded: Gram, k: int) -> Iterator[Gram]:
-    """The k-grams of ``padded``, left to right."""
-    return zip(*[padded[j:] for j in range(k)])
-
-
 def window_counts(corpus: Iterable[NU] | Mapping[NU, int], n: int) -> dict[Gram, int]:
     """Each padded n-gram window of the corpus with its count.
 
@@ -241,13 +231,15 @@ def window_counts(corpus: Iterable[NU] | Mapping[NU, int], n: int) -> dict[Gram,
     n tokens ending there. Each distinct NU is walked once, weighted by its
     count. This is the one counting kernel: :func:`extract` derives the
     shorter grams from it, :mod:`classlm.generalize` keeps the keys of the
-    grammar's windows, and :meth:`classlm.score.Scorer.score_windows`
+    grammar's windows, and :meth:`classlm.lm.ClassNGramLM.score_windows`
     scores it.
     """
     histogram = corpus if isinstance(corpus, Mapping) else nu_histogram(corpus)
+    lead = (SENT_START,) * (n - 1)
     windows: dict[Gram, int] = {}
     for nu, weight in histogram.items():
-        for window in _grams(_padded(nu, n), n):
+        padded = lead + nu + (SENT_END,)
+        for window in zip(*[padded[j:] for j in range(n)]):
             windows[window] = windows.get(window, 0) + weight
     return windows
 

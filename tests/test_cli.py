@@ -184,6 +184,30 @@ def test_generalize_tune_on_test(tmp_path, workspace):
     assert rows["tuning"] == rows["test"]
 
 
+@pytest.mark.parametrize("mode, empty, message", [
+    ("ngram-injection", "--tune-corpus", "tuning corpus is empty"),
+    ("naive-sentences", "--tune-corpus", "cannot evaluate perplexity on an empty corpus"),
+    ("ngram-injection", "--test-corpus", "cannot evaluate perplexity on an empty corpus"),
+], ids=["injection-tune", "naive-tune", "injection-test"])
+def test_generalize_given_empty_corpus_is_data_error(tmp_path, workspace, capsys,
+                                                     mode, empty, message):
+    # a corpus that is given but empty fails like perplexity on it, instead
+    # of dropping its row from pp.csv
+    (tmp_path / "empty.tsv").write_text("", encoding="utf-8")
+    corpora = {"--tune-corpus": workspace / "corpus_tune.tsv",
+               "--test-corpus": workspace / "corpus_test.tsv",
+               empty: tmp_path / "empty.tsv"}
+    assert main([
+        "generalize", "--lexicon", str(workspace / "lexicon.lex"),
+        "--corpus", str(workspace / "corpus_train.tsv"),
+        "--grammar", str(workspace / "grammar.bnf"), "--labeled", "--mode", mode,
+        *(str(arg) for pair in corpora.items() for arg in pair),
+        "--grid", "1,2", "--out-dir", str(tmp_path / "gen"),
+    ]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "gen").exists()
+
+
 def test_analyze_outputs_deterministic(tmp_path, workspace):
     first, second = tmp_path / "a", tmp_path / "b"
     argv = [
@@ -613,8 +637,8 @@ def load_benchmark_tracer():
 
 
 def test_benchmark_tracer_wraps_the_scoring_names(tmp_path, workspace):
-    # the benchmark wraps these names; a rename or a subclass override of
-    # score_corpus would drop their spans
+    # the benchmark wraps these names; a rename of score_corpus would drop
+    # their spans
     model = tmp_path / "m.arpa"
     corpus = workspace / "corpus_train.tsv"
     lexicon = workspace / "lexicon.lex"
@@ -652,13 +676,24 @@ def test_benchmark_tracer_sees_the_grammar_side(tmp_path, workspace):
 def test_benchmark_pinned_names_resolve(tmp_path, model_small):
     # the benchmark wraps every TARGETS name and writes the scoring backend
     # into its manifest; a deleted name breaks its runs, not the commands
-    for short, names in load_benchmark_tracer().TARGETS.items():
+    targets = load_benchmark_tracer().TARGETS
+    for short, names in targets.items():
         module = importlib.import_module(f"classlm.{short}")
         for name in names:
             owner = module
             for attr in name.split("."):
                 owner = getattr(owner, attr)
             assert callable(owner), f"classlm.{short}.{name}"
+    # the tracer looks each module up in sys.modules after importing only
+    # classlm.cli, and wraps the one model class's score_corpus
+    src = str(Path(classlm.__file__).resolve().parent.parent)
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, classlm.cli; print(*sorted(sys.modules))"],
+        capture_output=True, text=True, check=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1"),
+    ).stdout.split()
+    assert sorted({f"classlm.{short}" for short in targets} - set(loaded)) == []
+    assert classlm.score.Scorer is classlm.lm.ClassNGramLM
     assert isinstance(classlm.score.extension_available(), bool)
     export_model(model_small, tmp_path / "m.arpa")
     assert import_model(tmp_path / "m.arpa").scorer().backend == "python"

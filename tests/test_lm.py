@@ -171,6 +171,31 @@ def test_import_rejects_undeclared_section(tmp_path):
         import_model(path)
 
 
+def test_import_rejects_gram_listed_twice(tmp_path):
+    # the header counts 3 distinct unigrams, so only the repeat can catch it
+    path = tmp_path / "model.arpa"
+    path.write_text(
+        "# classlm model format v1\n\n\\data\\\nngram 1=3\n\n\\class-sizes:\n\n"
+        "\\1-grams:\n-0.5\t<s>\t-0.3\n-0.5\t</s>\n-0.5\t<unk>\n-0.1\t</s>\n\n\\end\\\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ModelError) as raised:
+        import_model(path)
+    assert str(raised.value) == f"{path}:12: 1-gram '</s>' listed twice"
+
+
+def test_import_rejects_class_listed_twice(tmp_path):
+    path = tmp_path / "model.arpa"
+    path.write_text(
+        "# classlm model format v1\n\n\\data\\\nngram 1=3\n\n\\class-sizes:\nCITY 3\nCITY 5\n\n"
+        "\\1-grams:\n-0.5\t<s>\t-0.3\n-0.5\t</s>\n-0.5\t<unk>\n\n\\end\\\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ModelError) as raised:
+        import_model(path)
+    assert str(raised.value) == f"{path}:8: class 'CITY' listed twice"
+
+
 def test_import_rejects_truncated_file(tmp_path, model_small):
     path = tmp_path / "model.arpa"
     export_model(model_small, path)
