@@ -196,7 +196,6 @@ def cmd_generalize(args) -> int:
         max_sentences=args.max_sentences,
         emission=args.emission,
         mode=args.mode,
-        weight_unknown=not args.unweighted_unknown,
     )
     out_dir = _out_dir(args)
     export_model(result.model, out_dir / "model.arpa")
@@ -264,6 +263,14 @@ def build_parser() -> argparse.ArgumentParser:
         if fmt:
             p.add_argument("--format", choices=("csv", "tsv"), default="csv")
 
+    def add_order(p):
+        p.add_argument("--order", "-n", type=_positive_arg, default=3)
+
+    def add_bounds(p):
+        p.add_argument("--max-depth", type=_positive_arg, default=grammar_mod._MAX_DEPTH)
+        p.add_argument("--max-sentences", type=_positive_arg,
+                       default=grammar_mod._MAX_SENTENCES)
+
     p = sub.add_parser("synth", help="write the seeded synthetic corpus bundle")
     p.add_argument("--size", type=_count_arg, default=5000)
     p.add_argument("--seed", type=_count_arg, default=7)
@@ -281,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a smoothed backoff model")
     p.add_argument("--lexicon", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--order", "-n", type=_positive_arg, default=3)
+    add_order(p)
     p.add_argument("--out", required=True)
     p.add_argument("--labeled", action="store_true")
     p.set_defaults(func=cmd_train)
@@ -298,8 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="exhaustively expand a grammar")
     p.add_argument("--grammar", required=True)
-    p.add_argument("--max-depth", type=_positive_arg, default=12)
-    p.add_argument("--max-sentences", type=_positive_arg, default=100000)
+    add_bounds(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 
@@ -310,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lexicon", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--grammar", required=True)
-    p.add_argument("--order", "-n", type=_positive_arg, default=3)
+    add_order(p)
     p.add_argument("--grid", type=_grid_arg, default=list(generalize.DEFAULT_GRID),
                    help="comma-separated balance-factor candidates")
     p.add_argument("--tune-corpus")
@@ -319,10 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=generalize.MODE_INJECTION)
     p.add_argument("--emission", action="store_true")
     p.add_argument("--labeled", action="store_true")
-    p.add_argument("--unweighted-unknown", action="store_true",
-                   help="add unknown events with count 1 instead of the factor")
-    p.add_argument("--max-depth", type=_positive_arg, default=12)
-    p.add_argument("--max-sentences", type=_positive_arg, default=100000)
+    add_bounds(p)
     add_common(p, out_dir=True, fmt=True)
     p.set_defaults(func=cmd_generalize)
 
@@ -330,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lexicon", required=True)
     p.add_argument("--corpus", required=True, help="labeled training corpus")
     p.add_argument("--test-corpus", required=True, help="labeled test corpus")
-    p.add_argument("--order", "-n", type=_positive_arg, default=3)
+    add_order(p)
     p.add_argument("--sizes", type=_sizes_arg,
                    help="training prefix sizes; 'all' is the full corpus "
                         "(default: 100,500,1000,2000 where below its length, and all)")

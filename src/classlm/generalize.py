@@ -5,13 +5,13 @@ Top-order n-grams are split into three event kinds:
 * usual  - present in both the training corpus and the generated sentences;
   merged count is the training count times the balance factor
 * rare   - present only in the training corpus; frequency kept as is
-* unknown - present only in the generated sentences; added once, weighted
-  by the balance factor
+* unknown - present only in the generated sentences; merged count is the
+  balance factor
 
 Lower orders start from the training table and are repaired by the minimal
 context-closure rule every :class:`classlm.ngrams.NGramTable` is built with,
-so grammar sentences never contribute frequency mass beyond the
-once-per-unknown-gram rule. The balance factor is picked by grid search,
+so grammar sentences contribute no frequency mass beyond the balance factor
+of each unknown gram. The balance factor is picked by grid search,
 minimizing perplexity on the tuning corpus; the test corpus is only
 evaluated, never tuned on.
 
@@ -20,12 +20,12 @@ generated sentences, which are normalized like every corpus, one
 :func:`classlm.normalize.normalize` per sentence
 (:func:`classlm.normalize.normalize_sentences`).
 
-Each corpus is counted once per use (:func:`classlm.ngrams.window_counts`),
-and every model scores it from those counts, one backoff walk per distinct
+Each corpus is counted once (:func:`classlm.ngrams.window_counts`), and
+every model scores it from those counts, one backoff walk per distinct
 window (:meth:`classlm.lm.ClassNGramLM.score_windows`): the sentence windows
-give the grammar table and the grammar row of the report, the factor search
-counts the tuning corpus once for all its grid points and the report once
-for the tuning row, and the test windows serve both models.
+give the grammar table and the grammar row of the report, the tuning
+windows serve every grid point of the factor search and the tuning row,
+and the test windows serve both models.
 
 The known-bad alternative of appending the generated sentences to the
 training text is kept available as mode="naive-sentences" so its failure is
@@ -41,7 +41,7 @@ from fractions import Fraction
 
 from .analysis import write_csv
 from .errors import DataError, TableError
-from .grammar import Grammar, generate
+from .grammar import _MAX_DEPTH, _MAX_SENTENCES, Grammar, generate
 from .lm import ClassNGramLM, PerplexityReport, train
 from .ngrams import Count, Gram, NGramTable, exact_count, extract, window_counts
 from .normalize import NU, normalize_sentences
@@ -70,8 +70,8 @@ class EventPartition:
 @dataclass(frozen=True)
 class BalanceFactor:
     value: Count
-    objective_pp: float | None = None
-    curve: tuple[tuple[Count, float], ...] = ()
+    objective_pp: float
+    curve: tuple[tuple[Count, float], ...]
 
 
 def classify_events(
@@ -91,17 +91,13 @@ def classify_events(
     )
 
 
-def merge_tables(
-    train_table: NGramTable,
-    grammar_table: NGramTable,
-    factor,
-    weight_unknown: bool = True,
-) -> NGramTable:
+def merge_tables(train_table: NGramTable, grammar_table: NGramTable, factor) -> NGramTable:
     """Merged count table under the balance-factor scheme.
 
-    With factor 1 and no unknown events this is exactly the training table.
-    ``weight_unknown=False`` adds unknown grams with count 1 regardless of
-    the factor.
+    A usual top-order gram gets its training count times ``factor``, an
+    unknown one gets ``factor``, and a rare one keeps its training count;
+    the shorter grams are closed by :class:`NGramTable`. With factor 1 and
+    no unknown events this is exactly the training table.
     """
     factor = exact_count(factor)  # an integral factor keeps int counts int
     if factor <= 0:
@@ -111,9 +107,8 @@ def merge_tables(
     counts = dict(train_table)
     for gram in partition.usual:
         counts[gram] *= factor
-    unknown_count = factor if weight_unknown else 1
     for gram in partition.unknown:
-        counts[gram] = unknown_count
+        counts[gram] = factor
     return NGramTable(n, counts)
 
 
@@ -124,16 +119,16 @@ def _pp(model: ClassNGramLM, windows: Mapping[Gram, int], emission: bool) -> flo
 def tune_balance_factor(
     train_table: NGramTable,
     grammar_table: NGramTable,
-    tuning_corpus: list[NU] | Mapping[NU, int],
+    tuning_windows: Mapping[Gram, int],
     grid,
     lexicon: ClassLexicon,
     emission: bool = False,
-    weight_unknown: bool = True,
 ) -> BalanceFactor:
     """Grid-search the factor minimizing tuning perplexity.
 
-    ``tuning_corpus`` is NUs or an NU -> count mapping; its windows are
-    counted once and scored by every candidate model.
+    ``tuning_windows`` are the tuning corpus's windows at the tables' order,
+    as :func:`classlm.ngrams.window_counts` counts them; every candidate
+    model scores them.
 
     Ties break toward the smaller factor (least distortion of the empirical
     distribution). The full perplexity-vs-factor curve is kept for reports.
@@ -143,24 +138,15 @@ def tune_balance_factor(
         raise DataError("balance-factor grid is empty")
     if any(f <= 0 for f in grid):
         raise DataError("balance-factor grid values must be positive")
-    windows = window_counts(tuning_corpus, train_table.order)
-    if not windows:
+    if not tuning_windows:
         raise DataError("tuning corpus is empty")
     curve = []
-    best = None
-    best_pp = None
     for factor in grid:
-        merged = merge_tables(train_table, grammar_table, factor, weight_unknown)
-        model = train(merged, lexicon)
-        pp = _pp(model, windows, emission)
-        curve.append((factor, pp))
-        if best_pp is None or pp < best_pp:
-            best, best_pp = factor, pp
-    return BalanceFactor(
-        value=best,
-        objective_pp=best_pp,
-        curve=tuple(curve),
-    )
+        model = train(merge_tables(train_table, grammar_table, factor), lexicon)
+        curve.append((factor, _pp(model, tuning_windows, emission)))
+    # min keeps the first of equal points: the smaller factor
+    best, best_pp = min(curve, key=lambda point: point[1])
+    return BalanceFactor(value=best, objective_pp=best_pp, curve=tuple(curve))
 
 
 def naive_sentence_table(
@@ -199,11 +185,10 @@ def build_generalized_lm(
     grid=DEFAULT_GRID,
     tuning_corpus: list[NU] | Mapping[NU, int] | None = None,
     test_corpus: list[NU] | Mapping[NU, int] | None = None,
-    max_depth: int = 12,
-    max_sentences: int = 100000,
+    max_depth: int = _MAX_DEPTH,
+    max_sentences: int = _MAX_SENTENCES,
     emission: bool = False,
     mode: str = MODE_INJECTION,
-    weight_unknown: bool = True,
 ) -> GeneralizationResult:
     """End-to-end pipeline: extract, generate, classify, tune, merge, train.
 
@@ -214,36 +199,31 @@ def build_generalized_lm(
     """
     if mode not in (MODE_INJECTION, MODE_NAIVE):
         raise DataError(f"unknown mode {mode!r}")
+    if mode == MODE_INJECTION and tuning_corpus is None:
+        raise DataError("n-gram injection needs a tuning corpus for the factor search")
+    tuning_windows = None if tuning_corpus is None else window_counts(tuning_corpus, n)
+    test_windows = None if test_corpus is None else window_counts(test_corpus, n)
+
     sentences = generate(grammar, max_depth, max_sentences)
     sentence_nus = normalize_sentences(lexicon, sentences)
     sentence_windows = window_counts(sentence_nus, n)
-    train_table = extract(train_nus, n)
     grammar_table = NGramTable(n, dict.fromkeys(sentence_windows, 1))
+
+    train_table = extract(train_nus, n)
     partition = classify_events(train_table, grammar_table, n)
     baseline = train(train_table, lexicon)
-
     factor: BalanceFactor | None = None
     if mode == MODE_NAIVE:
         model = train(naive_sentence_table(train_nus, sentence_nus, n), lexicon)
     else:
-        if tuning_corpus is None:
-            raise DataError("n-gram injection needs a tuning corpus for the factor search")
-        factor = tune_balance_factor(
-            train_table, grammar_table, tuning_corpus, grid, lexicon,
-            emission=emission, weight_unknown=weight_unknown,
-        )
-        merged = merge_tables(train_table, grammar_table, factor.value, weight_unknown)
-        model = train(merged, lexicon)
+        factor = tune_balance_factor(train_table, grammar_table, tuning_windows, grid,
+                                     lexicon, emission)
+        model = train(merge_tables(train_table, grammar_table, factor.value), lexicon)
 
-    evaluations = []
-    if tuning_corpus is not None:
-        evaluations.append(("tuning", window_counts(tuning_corpus, n)))
-    if test_corpus is not None:
-        evaluations.append(("test", window_counts(test_corpus, n)))
-    if sentence_nus:
-        evaluations.append(("grammar", sentence_windows))
+    evaluations = {"tuning": tuning_windows, "test": test_windows,
+                   "grammar": sentence_windows if sentence_nus else None}
     perplexities = {label: (_pp(baseline, windows, emission), _pp(model, windows, emission))
-                    for label, windows in evaluations}
+                    for label, windows in evaluations.items() if windows is not None}
 
     return GeneralizationResult(
         mode=mode,
@@ -279,7 +259,7 @@ def write_report(result: GeneralizationResult, out_dir, fmt: str = "csv") -> lis
         [label, repr(base_pp), repr(gen_pp)]
         for label, (base_pp, gen_pp) in result.perplexities.items()
     ])
-    if result.balance_factor is not None and result.balance_factor.curve:
+    if result.balance_factor is not None:
         sink("curve", ["factor", "pp"],
              [[str(factor), repr(pp)] for factor, pp in result.balance_factor.curve])
     return written

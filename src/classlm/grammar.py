@@ -10,8 +10,9 @@ Grammar file format (UTF-8)::
 
 Quoted strings are terminals, bare names are nonterminals, alternatives
 are separated by ``|``, every rule ends with ``;``, and exactly one
-``start Name;`` declaration is required. A terminal is split into tokens
-like corpus text (:func:`classlm.normalize.tokenize`), so it stands for a
+``start Name;`` declaration is required. A ``#`` outside quotes starts a
+comment that runs to the end of the line. A terminal is split into tokens
+like corpus text (:func:`classlm.vocab.tokenize`), so it stands for a
 token sequence without ``.,;:!?``, and one without tokens is epsilon; a
 token spelling ``<s>`` or ``</s>`` is rejected as in corpus text
 (:func:`classlm.normalize.boundary_tag`). An empty alternative is also
@@ -30,7 +31,8 @@ from dataclasses import dataclass, field
 from collections.abc import Generator, Iterable, Iterator
 
 from .errors import GrammarError, open_text
-from .normalize import NU, boundary_tag, tokenize
+from .normalize import NU, boundary_tag
+from .vocab import tokenize
 
 
 @dataclass(frozen=True)
@@ -65,6 +67,7 @@ class SentenceSet:
 
 _TOKEN_RE = re.compile(
     r'"(?P<quoted>[^"]*)"'
+    r"|(?P<comment>#.*)"
     r"|(?P<arrow>->)"
     r"|(?P<pipe>\|)"
     r"|(?P<semi>;)"
@@ -74,11 +77,13 @@ _TOKEN_RE = re.compile(
 
 
 def _scan(text: str, source: str):
-    """Yield (kind, value, lineno) tokens, dropping # comments."""
+    """Yield (kind, value, lineno) tokens, dropping # comments; a ``#``
+    inside a quoted terminal is text."""
     for lineno, line in enumerate(text.splitlines(), start=1):
-        code = line.split("#", 1)[0]
-        for match in _TOKEN_RE.finditer(code):
+        for match in _TOKEN_RE.finditer(line):
             kind = match.lastgroup
+            if kind == "comment":
+                break
             if kind == "junk":
                 raise GrammarError(
                     f"{source}:{lineno}: unexpected character {match.group()!r}"
@@ -207,6 +212,11 @@ def _recursive_set(productions: dict[str, tuple[Alternative, ...]]) -> frozenset
                         recursive.update(component)
                     index.update(dict.fromkeys(component, len(edges)))
     return frozenset(recursive)
+
+
+# the generation bounds of the CLI and of build_generalized_lm unless given
+_MAX_DEPTH = 12
+_MAX_SENTENCES = 100000
 
 
 def generate(grammar: Grammar, max_depth: int, max_sentences: int) -> SentenceSet:

@@ -12,8 +12,8 @@ just the lengths of the members it begins
 (:attr:`ClassLexicon.member_lengths`) against the one member table
 (:attr:`ClassLexicon.member_tag`). The corpus readers and the grammar side
 (:func:`normalize_sentences`) both go through it, and both split text with
-:func:`tokenize` and reject a token spelling a boundary tag through
-:func:`boundary_tag`: corpus lines here, grammar terminals in
+:func:`classlm.vocab.tokenize` and reject a token spelling a boundary tag
+through :func:`boundary_tag`: corpus lines here, grammar terminals in
 :mod:`classlm.grammar`.
 
 Corpus files, plain and labeled, are read here too. :func:`read_nus` reads
@@ -27,29 +27,17 @@ per-line parser.
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from functools import cached_property
 
 from .errors import CorpusError, open_text
-from .vocab import SENT_END, SENT_START, ClassLexicon
+from .vocab import SENT_END, SENT_START, ClassLexicon, tokenize
 
 NU = tuple[str, ...]
 
 # request groups of a labeled corpus
 GROUPS = ("City", "Date", "Time", "Other")
-
-_PUNCT = re.compile("[.,;:!?]")
-
-
-def tokenize(text: str) -> list[str]:
-    """Whitespace tokenization after stripping sentence punctuation.
-
-    Case is preserved here; :func:`normalize` lowercases everything that is
-    not a known class tag or reserved tag.
-    """
-    return _PUNCT.sub(" ", text).split()
 
 
 def normalize(lexicon: ClassLexicon, utterance: str | Sequence[str]) -> NU:

@@ -10,12 +10,14 @@ casing rule (:meth:`ClassLexicon.cased`), one member table
 
 Lexicon file format (UTF-8): one class per line, ``TAG: member member ...``;
 multi-word members are joined with ``_``; lines starting with ``#`` are
-comments.
+comments. A tag, and each ``_``-separated part of a member, must be one
+token that normalization reads as written (:func:`check_class`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Collection, Container, Iterable, Mapping
+import re
+from collections.abc import Collection, Iterable, Mapping
 
 from .errors import LexiconError, open_text
 
@@ -23,6 +25,14 @@ SENT_START = "<s>"
 SENT_END = "</s>"
 UNK = "<unk>"
 RESERVED = frozenset((SENT_START, SENT_END, UNK))
+
+_PUNCT = re.compile("[.,;:!?]")
+
+
+def tokenize(text: str) -> list[str]:
+    """Whitespace tokens of ``text`` after stripping sentence punctuation;
+    case is kept."""
+    return _PUNCT.sub(" ", text).split()
 
 
 class ClassLexicon:
@@ -42,11 +52,14 @@ class ClassLexicon:
     """
 
     def __init__(self, classes: Mapping[str, Iterable[str]]):
+        self.tags = frozenset(classes)
+        # tokens normalization keeps as written: tags and reserved tags
+        self.verbatim = self.tags | RESERVED
         self.classes: dict[str, frozenset[str]] = {}
         seen: dict[str, str] = {}
         for tag, members in classes.items():
             members = tuple(members)
-            check_class(tag, members, classes, seen)
+            check_class(tag, members, self, seen)
             self.classes[tag] = frozenset(members)
         self.member_tag: dict[tuple[str, ...], str] = {
             tuple(member.split("_")): tag
@@ -59,9 +72,6 @@ class ClassLexicon:
         self.member_lengths: dict[str, list[int]] = {}
         for length, word in sorted(starts, reverse=True):
             self.member_lengths.setdefault(word, []).append(length)
-        self.tags = frozenset(self.classes)
-        # tokens normalization keeps as written: tags and reserved tags
-        self.verbatim = self.tags | RESERVED
         self.token_tag = _TokenTags(self)
 
     def cased(self, token: str) -> str:
@@ -108,25 +118,33 @@ class _TokenTags(dict):
 
 
 def check_class(
-    tag: str, members: Collection[str], tags: Container[str], seen: dict[str, str]
+    tag: str, members: Collection[str], lexicon: ClassLexicon, seen: dict[str, str]
 ) -> None:
     """Raise a :class:`LexiconError` carrying ``tag`` if the class is invalid.
 
-    ``tags`` holds every tag of the lexicon; ``seen`` maps the members of the
-    classes checked so far to their class, and gains this class's members.
+    ``lexicon`` is the lexicon being built, its tags set; ``seen`` maps the
+    members of the classes checked so far to their class, and gains this
+    class's members. A tag that :func:`tokenize` changes, and a member part
+    that it or :meth:`ClassLexicon.cased` changes or that spells a boundary
+    tag, which corpus text and grammar terminals reject, are invalid:
+    normalization never reads them back.
     """
-    if not tag or tag.split() != [tag]:
+    if tokenize(tag) != [tag]:
         raise LexiconError(f"invalid class tag {tag!r}", tag)
     if tag in RESERVED:
         raise LexiconError(f"class tag {tag!r} collides with a reserved tag", tag)
     if not members:
         raise LexiconError(f"class {tag} is empty", tag)
     for word in members:
-        if not word or word.split() != [word]:
-            raise LexiconError(f"invalid member {word!r} in class {tag}", tag)
         if word in RESERVED:
             raise LexiconError(f"reserved tag {word!r} cannot be a member of class {tag}", tag)
-        if word in tags:
+        for part in word.split("_"):
+            if (tokenize(part) != [part] or lexicon.cased(part) != part
+                    or part in (SENT_START, SENT_END)):
+                raise LexiconError(
+                    f"invalid member {word!r} in class {tag}: normalization never "
+                    f"matches {part!r}", tag)
+        if word in lexicon.tags:
             raise LexiconError(f"word {word!r} in class {tag} collides with a class tag", tag)
         if seen.setdefault(word, tag) != tag:
             raise LexiconError(f"word {word!r} appears in classes {seen[word]} and {tag}", tag)

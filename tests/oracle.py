@@ -248,13 +248,13 @@ def naive_extension_sums(counts):
     return sums
 
 
-def naive_merge(train_counts, grammar_counts, n, factor, weight_unknown=True):
+def naive_merge(train_counts, grammar_counts, n, factor):
     """gram -> count of the generalized table, by the definition.
 
     Top-order grams: usual ones (also generated) are scaled by ``factor``,
-    rare ones kept, unknown ones (only generated) get ``factor``, or 1 when
-    ``weight_unknown`` is off. Every shorter gram is, recursively, the larger
-    of its training count and the sum of its merged extensions.
+    rare ones kept, unknown ones (only generated) get ``factor``. Every
+    shorter gram is, recursively, the larger of its training count and the
+    sum of its merged extensions.
     """
     top = {g: c for g, c in train_counts.items() if len(g) == n}
     for gram in top:
@@ -262,7 +262,7 @@ def naive_merge(train_counts, grammar_counts, n, factor, weight_unknown=True):
             top[gram] = top[gram] * factor
     for gram in grammar_counts:
         if len(gram) == n and gram not in top:
-            top[gram] = factor if weight_unknown else 1
+            top[gram] = factor
     grams = set(train_counts) | set(top)
     grams |= {gram[:k] for gram in list(grams) for k in range(1, len(gram))}
     children = {}
@@ -386,7 +386,7 @@ def naive_unseen(train_nus, test_nus):
 
 
 def naive_generalize(train_nus, grammar, lexicon, n, grid, tuning_corpus, test_corpus,
-                     max_depth, max_sentences, emission, mode, weight_unknown):
+                     max_depth, max_sentences, emission, mode):
     """The generalization experiment by its definition, as a dict.
 
     Keys: ``fields`` (event counts and the factor as the report writes
@@ -412,14 +412,12 @@ def naive_generalize(train_nus, grammar, lexicon, n, grid, tuning_corpus, test_c
     else:
         best_pp = None
         for candidate in sorted({Fraction(f) for f in grid}):
-            merged = model_of(naive_merge(train_counts, grammar_counts, n, candidate,
-                                          weight_unknown))
+            merged = model_of(naive_merge(train_counts, grammar_counts, n, candidate))
             pp = corpus_perplexity(merged, tuning_corpus, emission)
             curve.append((candidate, pp))
             if best_pp is None or pp < best_pp:
                 factor, best_pp = candidate, pp
-        model = model_of(naive_merge(train_counts, grammar_counts, n, factor,
-                                     weight_unknown))
+        model = model_of(naive_merge(train_counts, grammar_counts, n, factor))
     perplexities = {}
     for label, corpus in (("tuning", tuning_corpus), ("test", test_corpus),
                           ("grammar", sentence_nus)):

@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 import classlm
 import classlm.score
 from classlm.analysis import read_labeled_corpus
-from classlm.cli import main
+from classlm.cli import build_parser, main
 from classlm.errors import (
     CorpusError, DataError, GrammarError, LexiconError, ModelError,
 )
@@ -917,6 +917,18 @@ def test_malformed_lexicon_is_data_error(tmp_path, workspace, capsys):
     ])
     assert code == 1
     assert "bad.lex" in capsys.readouterr().err
+
+
+def test_generalize_options_are_the_documented_ones():
+    # one balance-factor rule: no flag switches how unknown events are weighted
+    parser = build_parser()
+    generalize = parser._subparsers._group_actions[0].choices["generalize"]
+    options = {option for action in generalize._actions for option in action.option_strings}
+    assert options == {
+        "-h", "--help", "--lexicon", "--corpus", "--grammar", "--order", "-n", "--grid",
+        "--tune-corpus", "--test-corpus", "--mode", "--emission", "--labeled",
+        "--max-depth", "--max-sentences", "--out-dir", "-o", "--format",
+    }
 
 
 def test_missing_tune_source_is_usage_error(tmp_path, workspace, capsys):

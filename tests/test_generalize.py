@@ -1,6 +1,5 @@
 import functools
 import math
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -97,31 +96,33 @@ def test_merge_counts_and_closure(train_entries, gram_entries, factor):
         assert merged.count(gram) == factor
 
 
-def assert_merge_matches_oracle(train_t, gram_t, factor, weight_unknown):
-    merged = merge_tables(train_t, gram_t, factor, weight_unknown)
-    expected = oracle.naive_merge(
-        dict(train_t), dict(gram_t), train_t.order, factor, weight_unknown
-    )
+def assert_merge_matches_oracle(train_t, gram_t, factor):
+    merged = merge_tables(train_t, gram_t, factor)
+    expected = oracle.naive_merge(dict(train_t), dict(gram_t), train_t.order, factor)
     assert dict(merged) == expected
     merged.validate()
 
 
-@pytest.mark.parametrize("weight_unknown", [True, False])
+# the merge reads only the grammar table's top-order grams, so the counted
+# table and the table of distinct windows that build_generalized_lm builds
+# both match the oracle
+@pytest.mark.parametrize("windows_only", [True, False])
 @pytest.mark.parametrize("factor", DEFAULT_GRID)
-def test_merge_matches_naive_oracle(table_small, table_full, grammar_table, factor, weight_unknown):
+def test_merge_matches_naive_oracle(table_small, table_full, grammar_table, sentence_nus,
+                                    factor, windows_only):
+    if windows_only:
+        grammar_table = NGramTable(3, dict.fromkeys(window_counts(sentence_nus, 3), 1))
     for train_t in (table_small, table_full):
-        assert_merge_matches_oracle(train_t, grammar_table, factor, weight_unknown)
+        assert_merge_matches_oracle(train_t, grammar_table, factor)
 
 
 _corpus_strategy = st.lists(st.lists(st.sampled_from("abc"), max_size=4).map(tuple), max_size=5)
 
 
 @settings(max_examples=100, deadline=None)
-@given(_corpus_strategy, _corpus_strategy, st.sampled_from(DEFAULT_GRID), st.booleans())
-def test_merge_matches_naive_oracle_random(train_corpus, gram_corpus, factor, weight_unknown):
-    assert_merge_matches_oracle(
-        extract(train_corpus, 3), extract(gram_corpus, 3), factor, weight_unknown
-    )
+@given(_corpus_strategy, _corpus_strategy, st.sampled_from(DEFAULT_GRID))
+def test_merge_matches_naive_oracle_random(train_corpus, gram_corpus, factor):
+    assert_merge_matches_oracle(extract(train_corpus, 3), extract(gram_corpus, 3), factor)
 
 
 def test_merge_documented_counts():
@@ -132,8 +133,6 @@ def test_merge_documented_counts():
     assert merged.count(("r", "r", "r")) == 3
     merged4 = merge_tables(train_t, gram_t, 4)
     assert merged4.count(("k", "k", "k")) == 4
-    unweighted = merge_tables(train_t, gram_t, 4, weight_unknown=False)
-    assert unweighted.count(("k", "k", "k")) == 1
 
 
 def test_merge_identity_cases():
@@ -180,7 +179,7 @@ def test_tune_singleton_grid():
     lexicon = ClassLexicon({})
     train_t = extract([("x", "y")] * 10, 2)
     gram_t = extract([("x", "y")], 2)
-    result = tune_balance_factor(train_t, gram_t, [("x", "y")], [1], lexicon)
+    result = tune_balance_factor(train_t, gram_t, window_counts([("x", "y")], 2), [1], lexicon)
     assert result.value == 1
     assert len(result.curve) == 1
     assert result.objective_pp == result.curve[0][1]
@@ -189,23 +188,13 @@ def test_tune_singleton_grid():
 def test_tune_input_validation():
     lexicon = ClassLexicon({})
     table = extract([("x", "y")], 2)
+    windows = window_counts([("x", "y")], 2)
     with pytest.raises(DataError):
-        tune_balance_factor(table, table, [("x", "y")], [], lexicon)
+        tune_balance_factor(table, table, windows, [], lexicon)
     with pytest.raises(DataError):
-        tune_balance_factor(table, table, [], [1], lexicon)
+        tune_balance_factor(table, table, window_counts([], 2), [1], lexicon)
     with pytest.raises(DataError):
-        tune_balance_factor(table, table, [("x", "y")], [0, 1], lexicon)
-
-
-def test_tune_reads_a_histogram_like_nus():
-    # the tuning corpus is NUs or an NU -> count mapping, like every corpus
-    lexicon = ClassLexicon({})
-    train_t = extract([("x", "y")] * 10 + [("p", "q")], 2)
-    gram_t = extract([("p", "q")], 2)
-    tuning = [("p", "q"), ("x", "y"), ("p", "q"), ("x",)]
-    grid = [Fraction(1, 2), 1, 2]
-    from_nus = tune_balance_factor(train_t, gram_t, tuning, grid, lexicon)
-    assert tune_balance_factor(train_t, gram_t, Counter(tuning), grid, lexicon) == from_nus
+        tune_balance_factor(table, table, windows, [0, 1], lexicon)
 
 
 def test_tune_prefers_large_factor_when_grammar_matches_tuning():
@@ -214,7 +203,8 @@ def test_tune_prefers_large_factor_when_grammar_matches_tuning():
     tuning = [("p", "q")] * 20
     train_t = extract(train_nus, 2)
     gram_t = extract([("p", "q")], 2)
-    result = tune_balance_factor(train_t, gram_t, tuning, [Fraction(1, 2), 1, 2, 4], lexicon)
+    result = tune_balance_factor(train_t, gram_t, window_counts(tuning, 2),
+                                 [Fraction(1, 2), 1, 2, 4], lexicon)
     assert result.value > 1
 
 
@@ -224,7 +214,8 @@ def test_tune_prefers_grid_minimum_for_irrelevant_grammar():
     tuning = [("x", "y")] * 10
     train_t = extract(train_nus, 2)
     gram_t = extract([("noise1", "noise2")], 2)
-    result = tune_balance_factor(train_t, gram_t, tuning, [Fraction(1, 2), 1, 2, 4], lexicon)
+    result = tune_balance_factor(train_t, gram_t, window_counts(tuning, 2),
+                                 [Fraction(1, 2), 1, 2, 4], lexicon)
     assert result.value == Fraction(1, 2)
 
 
@@ -285,11 +276,11 @@ def test_pipeline_counts_each_corpus_once(monkeypatch, splits, grammar_obj, lexi
     result = build_generalized_lm(train_nus, grammar_obj, lexicon, 3,
                                   tuning_corpus=tune, test_corpus=test)
     assert len(result.perplexities) == 3
-    # extract counts the training histogram; every other corpus is counted as
-    # given, the tuning corpus once by the factor search and once for its row
-    assert len(counted) == 5
-    for corpus, times in ((result.sentence_nus, 1), (tune, 2), (test, 1)):
-        assert sum(c is corpus for c in counted) == times
+    # extract counts the training histogram; every other corpus is counted
+    # once, as given, the tuning corpus for the factor search and its row
+    assert len(counted) == 4
+    for corpus in (result.sentence_nus, tune, test):
+        assert sum(c is corpus for c in counted) == 1
     assert nu_histogram(train_nus) in counted
 
 
@@ -442,7 +433,6 @@ _PIPELINE_DRAWS = dict(
     grid=st.lists(st.sampled_from([1, Fraction(3, 2), 2, 4, 10]), max_size=3),
     emission=st.booleans(),
     mode=st.sampled_from(["ngram-injection", "naive-sentences"]),
-    weight_unknown=st.booleans(),
 )
 
 
@@ -450,7 +440,7 @@ _PIPELINE_DRAWS = dict(
 @given(**_PIPELINE_DRAWS, max_sentences=st.sampled_from([20, 150, 600]),
        variant=st.sampled_from(_CITY_VARIANTS))
 def test_pipeline_matches_naive_generalize(size, seed, n, grid, emission, mode,
-                                           weight_unknown, max_sentences, variant):
+                                           max_sentences, variant):
     world = generate_world(SynthConfig(size=size, seed=seed))
     assert "monte_bianco" in world.lexicon.classes["CITY-NAME"]
     assert world.grammar_text.count("CityRequest -> ") == 1
@@ -459,7 +449,7 @@ def test_pipeline_matches_naive_generalize(size, seed, n, grid, emission, mode,
         source="bundled-grammar")
     assert_generalize_matches_naive(world, grammar, n, grid, max_depth=12,
                                     max_sentences=max_sentences, emission=emission,
-                                    mode=mode, weight_unknown=weight_unknown)
+                                    mode=mode)
 
 
 # Hypothesis draws the first elements of a list more often, and deeper bounds
@@ -469,13 +459,13 @@ def test_pipeline_matches_naive_generalize(size, seed, n, grid, emission, mode,
        max_depth=st.sampled_from([5, 4, 3, 2]),
        max_sentences=st.sampled_from([5, 6, 8, 12, 20, 35, 50]))
 def test_pipeline_matches_naive_generalize_on_recursive_grammars(
-        size, seed, n, grid, emission, mode, weight_unknown, text, max_depth, max_sentences):
+        size, seed, n, grid, emission, mode, text, max_depth, max_sentences):
     grammar = parse_grammar_text(text, source="drawn-grammar")
     assume(_naive_generation_steps(grammar, max_depth) < 10**5)
     world = generate_world(SynthConfig(size=size, seed=seed))
     assert_generalize_matches_naive(world, grammar, n, grid, max_depth=max_depth,
                                     max_sentences=max_sentences, emission=emission,
-                                    mode=mode, weight_unknown=weight_unknown)
+                                    mode=mode)
 
 
 def test_naive_mode_has_no_factor(generalization_runs):

@@ -79,6 +79,14 @@ def test_comments_and_merged_productions():
     assert len(grammar.productions["S"]) == 2
 
 
+def test_hash_inside_a_terminal_is_text():
+    # the corpus line "track # 5" is three tokens; a # outside quotes still
+    # starts a comment, also right after a terminal
+    grammar = parse_grammar_text('start S; S -> "track # 5" # or "x"\n | "#";# end\n')
+    assert grammar.productions["S"] == ((Terminal(("track", "#", "5")),), (Terminal(("#",)),))
+    assert generate(grammar, 5, 100).sentences == (("#",), ("track", "#", "5"))
+
+
 def test_single_production_single_sentence():
     grammar = parse_grammar_text('start S; S -> "a";')
     result = generate(grammar, 5, 100)

@@ -305,13 +305,11 @@ def test_train_matches_fraction_oracle_on_extracted_tables(corpus, n):
 
 @settings(max_examples=150, deadline=None)
 @given(_train_nus, _train_nus, st.sampled_from(DEFAULT_GRID),
-       st.integers(min_value=1, max_value=4), st.booleans(),
-       st.sampled_from([extract, grammar_windows]))
+       st.integers(min_value=1, max_value=4), st.sampled_from([extract, grammar_windows]))
 def test_train_matches_fraction_oracle_on_merged_tables(corpus, sentences, factor, n,
-                                                        weight_unknown, grammar_table):
+                                                        grammar_table):
     # factor 1/2 leaves Fraction counts, which train divides as Fractions
-    merged = merge_tables(extract(corpus, n), grammar_table(sentences, n), factor,
-                          weight_unknown)
+    merged = merge_tables(extract(corpus, n), grammar_table(sentences, n), factor)
     assert_train_matches_oracle(merged)
 
 
@@ -365,8 +363,7 @@ def built_tables(corpus, sentences, n):
     train_table = extract(corpus, n)
     grammar_table = grammar_windows(sentences, n)
     return [train_table, grammar_table] + [
-        merge_tables(train_table, grammar_table, factor, weight_unknown)
-        for factor in DEFAULT_GRID for weight_unknown in (True, False)]
+        merge_tables(train_table, grammar_table, factor) for factor in DEFAULT_GRID]
 
 
 # train does not validate; import_model rejects a k-gram whose prefix is not

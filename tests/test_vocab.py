@@ -48,12 +48,35 @@ def test_malformed_line_reports_line_number(tmp_path):
 @pytest.mark.parametrize("text,message", [
     ("CITY-NAME: rome\nTOWN: <s>\n", "reserved tag '<s>' cannot be a member of class TOWN"),
     ("1: x\nA: 1\n", "word '1' in class A collides with a class tag"),
+    # a normalized file spells the tag, and reading it back splits the tag
+    ("CITY-NAME: rome\nst.name: oslo\n", "invalid class tag 'ST.NAME'"),
+] + [  # members normalization never matches: tokenize splits or drops a part,
+    # or a corpus reader rejects it
+    (f"DAY: monday\nCITY: milan {member} rome\n",
+     f"invalid member {member!r} in class CITY: normalization never matches {part!r}")
+    for member, part in [("st.louis", "st.louis"), ("a:b", "a:b"), ("rome_", ""),
+                         ("_rome", ""), ("new__york", ""), ("new_york!", "york!"),
+                         ("at_<s>", "<s>"), ("</s>_rome", "</s>")]
 ])
 def test_class_invariant_errors_name_the_line(tmp_path, text, message):
     path = write(tmp_path, text)
     with pytest.raises(LexiconError) as err:
         load_lexicon(path)
     assert str(err.value) == f"{path}:2: {message}"
+
+
+# a capital the casing rule lowers; load_lexicon lowers members first
+@pytest.mark.parametrize("member,part", [("Rome", "Rome"), ("new_York", "York")])
+def test_member_the_casing_rule_changes_is_rejected(tmp_path, member, part):
+    with pytest.raises(LexiconError, match=f"normalization never matches {part!r}"):
+        ClassLexicon({"CITY": [member, "milan"]})
+    assert load_lexicon(write(tmp_path, f"CITY: {member} milan\n")).class_size("CITY") == 2
+
+
+def test_member_part_spelling_a_tag_is_kept():
+    # a tag is read as written, so a member part spelling one still matches
+    lexicon = ClassLexicon({"CITY": ["rome"], "STOP": ["via_CITY"]})
+    assert lexicon.member_tag[("via", "CITY")] == "STOP"
 
 
 _LEXICON_LINE = st.builds(
