@@ -12,12 +12,10 @@ import os
 import sys
 from pathlib import Path
 
-from . import analysis, generalize, grammar as grammar_mod, synth
-from .errors import DataError
-from .lm import export_model, import_model, perplexity, train
-from .ngrams import extract, parse_count, parse_float, parse_int
-from .normalize import read_nus
-from .vocab import load_lexicon
+# the package registers its modules lazily: each runs on first attribute
+# access, so a command runs only the modules it calls
+from . import (analysis, errors, generalize, grammar as grammar_mod, lm, ngrams, normalize,
+               synth, vocab)
 
 # analyze's training prefix sizes when --sizes is not given; those below the
 # training corpus length are used, then the full corpus
@@ -38,7 +36,7 @@ def _out_dir(args) -> Path:
 def _grid_arg(text: str) -> list:
     """argparse type for --grid: counts (see :func:`parse_count`); errors exit 2."""
     try:
-        grid = [parse_count(part) for part in text.split(",") if part]
+        grid = [ngrams.parse_count(part) for part in text.split(",") if part]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad grid value in {text!r}") from exc
     if not grid:
@@ -68,7 +66,7 @@ def _fraction_arg(text: str) -> float:
     """argparse type for --threshold: a number in [0, 1], in the ASCII shape
     of a model file (see :func:`parse_float`); errors exit 2."""
     try:
-        value = parse_float(text)
+        value = ngrams.parse_float(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad number {text!r}") from exc
     if not 0.0 <= value <= 1.0:
@@ -83,7 +81,7 @@ def _count_arg(text: str) -> int:
     Used by --min-count and by synth's --size and --seed.
     """
     try:
-        return parse_int(text)
+        return ngrams.parse_int(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad integer {text!r}") from exc
 
@@ -95,6 +93,14 @@ def _positive_arg(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"{text!r} is not positive")
     return value
+
+
+def _bounds(args) -> tuple[int, int]:
+    """--max-depth and --max-sentences, the grammar module's defaults where
+    not given; the parser leaves them None so that building it does not run
+    that module."""
+    return (args.max_depth or grammar_mod._MAX_DEPTH,
+            args.max_sentences or grammar_mod._MAX_SENTENCES)
 
 
 def _resolve_sizes(sizes: list | None, corpus_len: int) -> list[int]:
@@ -125,8 +131,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_normalize(args) -> int:
-    lexicon = load_lexicon(args.lexicon)
-    corpus = read_nus(args.corpus, args.labeled, lexicon)
+    lexicon = vocab.load_lexicon(args.lexicon)
+    corpus = normalize.read_nus(args.corpus, args.labeled, lexicon)
     if args.labeled:
         analysis.write_labeled_corpus(args.out, corpus.rows)
     else:
@@ -135,10 +141,10 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_train(args) -> int:
-    lexicon = load_lexicon(args.lexicon)
-    corpus = read_nus(args.corpus, args.labeled, lexicon)
-    model = train(extract(corpus.histogram, args.order), lexicon)
-    export_model(model, args.out)
+    lexicon = vocab.load_lexicon(args.lexicon)
+    corpus = normalize.read_nus(args.corpus, args.labeled, lexicon)
+    model = lm.train(ngrams.extract(corpus.histogram, args.order), lexicon)
+    lm.export_model(model, args.out)
     print(f"trained order-{args.order} model on {len(corpus)} utterances -> {args.out}")
     return 0
 
@@ -146,26 +152,27 @@ def cmd_train(args) -> int:
 def cmd_perplexity(args) -> int:
     # class sizes travel inside the model file; --lexicon is only needed to
     # normalize raw text (already-normalized corpora score as-is)
-    model = import_model(args.model)
-    lexicon = load_lexicon(args.lexicon) if args.lexicon else None
-    corpus = read_nus(args.corpus, args.labeled, lexicon)
-    report = perplexity(model, corpus.histogram, args.emission)
+    model = lm.import_model(args.model)
+    lexicon = vocab.load_lexicon(args.lexicon) if args.lexicon else None
+    corpus = normalize.read_nus(args.corpus, args.labeled, lexicon)
+    report = lm.perplexity(model, corpus.histogram, args.emission)
     print(
         f"pp={report.pp:.4f} tokens={report.token_count} oov={report.oov_count}"
     )
     groups = corpus.group_histograms if args.labeled else {}
     for group, histogram in sorted(groups.items()):
-        sub = perplexity(model, histogram, args.emission)
+        sub = lm.perplexity(model, histogram, args.emission)
         print(f"pp[{group}]={sub.pp:.4f} tokens={sub.token_count} oov={sub.oov_count}")
     return 0
 
 
 def cmd_generate(args) -> int:
+    max_depth, max_sentences = _bounds(args)
     gram = grammar_mod.parse_grammar(args.grammar)
     if gram.recursive:
         print(f"note: recursive nonterminals {sorted(gram.recursive)}, "
-              f"expansion bounded at depth {args.max_depth}")
-    sentences = grammar_mod.generate(gram, args.max_depth, args.max_sentences)
+              f"expansion bounded at depth {max_depth}")
+    sentences = grammar_mod.generate(gram, max_depth, max_sentences)
     grammar_mod.write_sentences(args.out, sentences)
     flag = " (truncated)" if sentences.truncated else ""
     print(f"generated {len(sentences)} sentences{flag} -> {args.out}")
@@ -175,31 +182,32 @@ def cmd_generate(args) -> int:
 def cmd_generalize(args) -> int:
     if args.mode == generalize.MODE_INJECTION and not args.tune_corpus:
         raise UsageError("need --tune-corpus for the factor search")
-    lexicon = load_lexicon(args.lexicon)
+    lexicon = vocab.load_lexicon(args.lexicon)
 
     def histogram(path):
-        return read_nus(path, args.labeled, lexicon).histogram if path else None
+        return normalize.read_nus(path, args.labeled, lexicon).histogram if path else None
 
     train_counts = histogram(args.corpus)
     gram = grammar_mod.parse_grammar(args.grammar)
     test_counts = histogram(args.test_corpus)
     tune_counts = histogram(args.tune_corpus)
+    max_depth, max_sentences = _bounds(args)
     result = generalize.build_generalized_lm(
         train_counts,
         gram,
         lexicon,
         args.order,
-        grid=args.grid,
+        grid=args.grid or generalize.DEFAULT_GRID,
         tuning_corpus=tune_counts,
         test_corpus=test_counts,
-        max_depth=args.max_depth,
-        max_sentences=args.max_sentences,
+        max_depth=max_depth,
+        max_sentences=max_sentences,
         emission=args.emission,
         mode=args.mode,
     )
     out_dir = _out_dir(args)
-    export_model(result.model, out_dir / "model.arpa")
-    export_model(result.baseline, out_dir / "baseline.arpa")
+    lm.export_model(result.model, out_dir / "model.arpa")
+    lm.export_model(result.baseline, out_dir / "baseline.arpa")
     written = generalize.write_report(result, out_dir, args.format)
     summary = result.report_fields()
     print(
@@ -213,9 +221,9 @@ def cmd_generalize(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    lexicon = load_lexicon(args.lexicon)
-    train_corpus = read_nus(args.corpus, True, lexicon)
-    test_corpus = read_nus(args.test_corpus, True, lexicon)
+    lexicon = vocab.load_lexicon(args.lexicon)
+    train_corpus = normalize.read_nus(args.corpus, True, lexicon)
+    test_corpus = normalize.read_nus(args.test_corpus, True, lexicon)
     sizes = _resolve_sizes(args.sizes, len(train_corpus))
     out_dir = _out_dir(args)
     fmt = args.format
@@ -267,9 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--order", "-n", type=_positive_arg, default=3)
 
     def add_bounds(p):
-        p.add_argument("--max-depth", type=_positive_arg, default=grammar_mod._MAX_DEPTH)
-        p.add_argument("--max-sentences", type=_positive_arg,
-                       default=grammar_mod._MAX_SENTENCES)
+        p.add_argument("--max-depth", type=_positive_arg)
+        p.add_argument("--max-sentences", type=_positive_arg)
 
     p = sub.add_parser("synth", help="write the seeded synthetic corpus bundle")
     p.add_argument("--size", type=_count_arg, default=5000)
@@ -317,12 +324,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--grammar", required=True)
     add_order(p)
-    p.add_argument("--grid", type=_grid_arg, default=list(generalize.DEFAULT_GRID),
+    p.add_argument("--grid", type=_grid_arg,
                    help="comma-separated balance-factor candidates")
     p.add_argument("--tune-corpus")
     p.add_argument("--test-corpus")
-    p.add_argument("--mode", choices=(generalize.MODE_INJECTION, generalize.MODE_NAIVE),
-                   default=generalize.MODE_INJECTION)
+    # generalize.MODE_INJECTION and MODE_NAIVE, spelled out so that building
+    # the parser does not run that module
+    p.add_argument("--mode", choices=("ngram-injection", "naive-sentences"),
+                   default="ngram-injection")
     p.add_argument("--emission", action="store_true")
     p.add_argument("--labeled", action="store_true")
     add_bounds(p)
@@ -356,7 +365,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, OSError) as exc:
+    except (errors.DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -2,8 +2,10 @@
 
 Its tracer wraps ``Scorer.score_corpus``, and ``Scorer`` is the model class
 itself, :class:`classlm.lm.ClassNGramLM`, so the wrapper lands on the one
-scoring loop. Its manifest records :func:`extension_available`. ROADMAP
-item 2 deletes this file.
+scoring loop. Its manifest records :func:`extension_available`. The tracer
+looks the module up in ``sys.modules`` after importing only ``classlm.cli``;
+the package registers every module there, this one included. ROADMAP item 2
+deletes this file.
 """
 
 from .lm import ClassNGramLM as Scorer  # wrapped by the benchmark's tracer

@@ -96,10 +96,23 @@ class ClassLexicon:
         )
 
     def save(self, path) -> None:
+        """Write the lexicon file that :func:`load_lexicon` reads back equal.
+
+        Raises :class:`LexiconError` carrying the tag, and writes nothing, if
+        a class's line would read back otherwise: a tag that is not upper
+        case or that starts with ``#`` (or, on the first line, a byte-order
+        mark), or a member that is not lower case.
+        """
+        lines = []
+        for tag in sorted(self.classes):
+            members = sorted(self.classes[tag])
+            line = f"{tag}: {' '.join(members)}"
+            if _read_class(line) != (tag, members) or (not lines and tag[0] == "\ufeff"):
+                raise LexiconError(
+                    f"class {tag} cannot be saved: its line would not load back as this class", tag)
+            lines.append(line + "\n")
         with open(path, "w", encoding="utf-8") as fh:
-            for tag in sorted(self.classes):
-                members = " ".join(sorted(self.classes[tag]))
-                fh.write(f"{tag}: {members}\n")
+            fh.writelines(lines)
 
 
 class _TokenTags(dict):
@@ -150,6 +163,18 @@ def check_class(
             raise LexiconError(f"word {word!r} appears in classes {seen[word]} and {tag}", tag)
 
 
+def _read_class(line: str) -> tuple[str, list[str]] | None:
+    """The tag, upper-cased, and the members, lower-cased, of one lexicon
+    file line; None for a blank or comment line, ValueError without a ``:``."""
+    line = line.strip()
+    if not line or line.startswith("#"):
+        return None
+    if ":" not in line:
+        raise ValueError(line)
+    tag_part, _, member_part = line.partition(":")
+    return tag_part.strip().upper(), [w.lower() for w in member_part.split()]
+
+
 def load_lexicon(path) -> ClassLexicon:
     """Parse a lexicon file.
 
@@ -162,16 +187,16 @@ def load_lexicon(path) -> ClassLexicon:
     line_of: dict[str, int] = {}
     with open_text(path, LexiconError) as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+            try:
+                read = _read_class(raw)
+            except ValueError:
+                raise LexiconError(f"{path}:{lineno}: expected 'TAG: member ...'") from None
+            if read is None:
                 continue
-            if ":" not in line:
-                raise LexiconError(f"{path}:{lineno}: expected 'TAG: member ...'")
-            tag_part, _, member_part = line.partition(":")
-            tag = tag_part.strip().upper()
+            tag, members = read
             if tag in classes:
                 raise LexiconError(f"{path}:{lineno}: duplicate class {tag}")
-            classes[tag] = [w.lower() for w in member_part.split()]
+            classes[tag] = members
             line_of[tag] = lineno
     try:
         return ClassLexicon(classes)

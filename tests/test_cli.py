@@ -3,6 +3,7 @@ import filecmp
 import functools
 import hashlib
 import importlib
+import inspect
 import json
 import math
 import os
@@ -699,6 +700,56 @@ def test_benchmark_pinned_names_resolve(tmp_path, model_small):
     assert import_model(tmp_path / "m.arpa").scorer().backend == "python"
 
 
+# runs ``python -m classlm`` with the given arguments and prints its exit
+# code, the classlm modules it executed (a lazily registered module that no
+# code used is not a plain module) and whether it loaded fractions
+RUN_AS_MAIN = """
+import json, runpy, sys, types
+sys.argv[0] = "classlm"
+try:
+    runpy.run_module("classlm", run_name="__main__", alter_sys=True)
+except SystemExit as exit:
+    code = exit.code
+executed = sorted(name for name, module in sys.modules.items()
+                  if name.startswith("classlm.") and type(module) is types.ModuleType)
+print(json.dumps([code, executed, "fractions" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("command, executed", [
+    ("generate", ["cli", "errors", "grammar", "normalize", "vocab"]),
+    ("train", ["cli", "errors", "lm", "ngrams", "normalize", "vocab"]),
+    ("perplexity", ["cli", "errors", "lm", "ngrams", "normalize", "vocab"]),
+])
+def test_each_command_runs_only_the_modules_it_calls(tmp_path, workspace, model_small,
+                                                     command, executed):
+    # -X dev -W error: a warning from the lazy loader, on any Python the CI
+    # matrix runs, fails the command
+    model = tmp_path / "m.arpa"
+    if command == "perplexity":
+        export_model(model_small, model)
+    args = {
+        "generate": ["--grammar", workspace / "grammar.bnf", "--out", tmp_path / "s.txt"],
+        "train": ["--labeled", "--lexicon", workspace / "lexicon.lex",
+                  "--corpus", workspace / "corpus_train.tsv", "--out", tmp_path / "t.arpa"],
+        "perplexity": ["--labeled", "--emission", "--model", model,
+                       "--lexicon", workspace / "lexicon.lex",
+                       "--corpus", workspace / "corpus_test.tsv"],
+    }[command]
+    src = str(Path(classlm.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-c", RUN_AS_MAIN, command, *map(str, args)],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1"),
+    )
+    assert out.stderr == ""
+    code, modules, fractions = json.loads(out.stdout.splitlines()[-1])
+    assert code == 0
+    assert modules == [f"classlm.{name}" for name in executed]
+    if command == "generate":
+        assert not fractions
+
+
 def test_readme_library_example_scores_like_the_cli(tmp_path, workspace, monkeypatch, capsys):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     example = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
@@ -929,6 +980,50 @@ def test_generalize_options_are_the_documented_ones():
         "--tune-corpus", "--test-corpus", "--mode", "--emission", "--labeled",
         "--max-depth", "--max-sentences", "--out-dir", "-o", "--format",
     }
+
+
+# the parser reads no constant of generalize or grammar, so that building it
+# runs neither module; these pin its defaults and choices to theirs
+
+
+def test_mode_choices_are_the_generalize_modes():
+    generalize = build_parser()._subparsers._group_actions[0].choices["generalize"]
+    mode = next(action for action in generalize._actions if action.dest == "mode")
+    assert mode.choices == (classlm.generalize.MODE_INJECTION, classlm.generalize.MODE_NAIVE)
+
+
+@pytest.mark.parametrize("option", ["grid", "max_depth", "max_sentences", "mode"])
+def test_generalize_defaults_are_the_pipeline_defaults(monkeypatch, workspace, tmp_path, option):
+    passed = {}
+
+    def build(*args, **kwargs):
+        passed.update(kwargs)
+        raise DataError("stop before the work")
+
+    defaults = inspect.signature(classlm.generalize.build_generalized_lm).parameters
+    monkeypatch.setattr(classlm.generalize, "build_generalized_lm", build)
+    assert main([
+        "generalize", "--labeled", "--lexicon", str(workspace / "lexicon.lex"),
+        "--corpus", str(workspace / "corpus_train.tsv"),
+        "--grammar", str(workspace / "grammar.bnf"),
+        "--tune-corpus", str(workspace / "corpus_tune.tsv"), "--out-dir", str(tmp_path),
+    ]) == 1
+    assert passed[option] == defaults[option].default
+
+
+@pytest.mark.parametrize("bound", ["_MAX_DEPTH", "_MAX_SENTENCES"])
+def test_generate_bounds_default_to_the_grammar_modules(monkeypatch, workspace, tmp_path,
+                                                        bound):
+    passed = {}
+
+    def bounded(gram, *bounds):
+        passed.update(zip(("_MAX_DEPTH", "_MAX_SENTENCES"), bounds))
+        return generate(gram, *bounds)
+
+    monkeypatch.setattr(classlm.grammar, "generate", bounded)
+    assert main(["generate", "--grammar", str(workspace / "grammar.bnf"),
+                 "--out", str(tmp_path / "s.txt")]) == 0
+    assert passed[bound] == getattr(classlm.grammar, bound)
 
 
 def test_missing_tune_source_is_usage_error(tmp_path, workspace, capsys):

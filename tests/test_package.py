@@ -1,5 +1,8 @@
 import ast
-import inspect
+import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import classlm
@@ -14,15 +17,22 @@ def test_exports_are_sorted_distinct_and_resolve():
 
 
 def test_every_public_name_the_package_imports_is_exported():
-    # a name deleted from a module but left in __init__.py fails at import;
-    # one left in __all__ fails above; one imported but not listed fails here
-    tree = ast.parse(Path(inspect.getfile(classlm)).read_text(encoding="utf-8"))
-    imported = {alias.asname or alias.name
-                for node in tree.body if isinstance(node, ast.ImportFrom)
-                for alias in node.names}
-    assert imported
-    public = {name for name in imported if not name.startswith("_")}
-    assert sorted(public - set(classlm.__all__)) == []
+    # the package resolves each exported name from its module on first read;
+    # a name deleted from its module fails the identity check, one in the
+    # table but not in __all__ (or the reverse) fails the key check
+    assert sorted(classlm._EXPORTS) == classlm.__all__
+    for name, module in classlm._EXPORTS.items():
+        assert getattr(classlm, name) is getattr(importlib.import_module(f"classlm.{module}"), name)
+    # and importing the package runs none of its modules
+    src = str(Path(classlm.__file__).resolve().parent.parent)
+    executed = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-c",
+         "import sys, types, classlm; print(*sorted(name for name, module in sys.modules.items()"
+         " if name.startswith('classlm.') and type(module) is types.ModuleType))"],
+        capture_output=True, text=True, check=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1"),
+    ).stdout.split()
+    assert executed == []
 
 
 def test_exports_are_the_names_the_readme_and_the_acceptance_suite_import():

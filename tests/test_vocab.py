@@ -1,7 +1,8 @@
+import os
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from classlm.errors import LexiconError
 from classlm.vocab import ClassLexicon, load_lexicon
@@ -166,6 +167,60 @@ def test_round_trip(tmp_path, lexicon):
     path2 = tmp_path / "again.lex"
     load_lexicon(path).save(path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+@st.composite
+def _lexicons(draw):
+    """Lexicons that ClassLexicon accepts, with tags and members that do and
+    do not keep their spelling through a save and load: lower-case and
+    non-ASCII tags, tags starting with '#' or a byte-order mark, and member
+    parts spelling a tag."""
+    tag = st.text("ABC-", min_size=1, max_size=3) | st.sampled_from(
+        ["b", "Ab", "#A", "\ufeffA", "\u00df"])
+    tags = draw(st.lists(tag, min_size=1, max_size=3, unique=True))
+    member = st.lists(st.text("ab", min_size=1, max_size=2) | st.sampled_from(tags),
+                      min_size=1, max_size=2).map("_".join)
+    classes = {tag: draw(st.lists(member, min_size=1, max_size=3)) for tag in tags}
+    try:
+        return ClassLexicon(classes)
+    except LexiconError:
+        reject()
+
+
+@settings(max_examples=100, deadline=None)
+@given(lexicon=_lexicons())
+def test_save_loads_back_equal_or_names_the_class(tmp_path_factory, lexicon):
+    # the file format: one 'TAG: member ...' line per class, tags and
+    # members sorted
+    naive = "".join(f"{tag}: {' '.join(sorted(members))}\n"
+                    for tag, members in sorted(lexicon.classes.items()))
+    path = tmp_path_factory.mktemp("lex") / "lexicon.lex"
+    path.write_text(naive, encoding="utf-8")
+    try:
+        loaded = load_lexicon(path)
+    except LexiconError:
+        loaded = None
+    path.unlink()
+    try:
+        lexicon.save(path)
+    except LexiconError as exc:
+        assert loaded != lexicon
+        assert exc.tag in lexicon.classes
+        if loaded is not None:
+            assert loaded.classes.get(exc.tag) != lexicon.classes[exc.tag]
+        assert not path.exists()
+    else:
+        assert loaded == lexicon
+        assert path.read_text(encoding="utf-8") == naive
+
+
+def test_save_rejects_a_class_that_loads_as_another():
+    # load_lexicon upper-cases tags and lower-cases members
+    for classes, tag in [({"town": ["rome"]}, "town"),
+                         ({"CITY": ["rome"], "STOP": ["via_CITY"]}, "STOP")]:
+        with pytest.raises(LexiconError, match=f"class {tag} cannot be saved") as err:
+            ClassLexicon(classes).save(os.devnull)
+        assert err.value.tag == tag
 
 
 def test_multiword_members(tiny_lexicon):
