@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import csv
 from bisect import bisect_left
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CorpusError, DataError
 from .lm import PerplexityReport, train
@@ -61,19 +61,10 @@ def label_nus(lexicon: ClassLexicon, rows: list[tuple[str, str]]) -> LabeledNUs:
 # -- coverage curve ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoverageCurve:
+class CoverageCurve(NamedTuple):
     # (rank r, cumulative fraction of the measured corpus covered by the
     # r most frequent NUs of the ranking corpus)
     points: tuple[tuple[int, float], ...]
-
-    def coverage_at(self, rank: int) -> float:
-        covered = 0.0
-        for r, cov in self.points:
-            if r > rank:
-                break
-            covered = cov
-        return covered
 
 
 def coverage_curve(
@@ -151,8 +142,7 @@ def partial_training_sweep(
 # -- unseen split ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UnseenSplit:
+class UnseenSplit(NamedTuple):
     seen: tuple[NU, ...]
     unseen: tuple[NU, ...]
 

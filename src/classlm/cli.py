@@ -66,7 +66,7 @@ def _fraction_arg(text: str) -> float:
     """argparse type for --threshold: a number in [0, 1], in the ASCII shape
     of a model file (see :func:`parse_float`); errors exit 2."""
     try:
-        value = ngrams.parse_float(text)
+        value = errors.parse_float(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad number {text!r}") from exc
     if not 0.0 <= value <= 1.0:
@@ -81,7 +81,7 @@ def _count_arg(text: str) -> int:
     Used by --min-count and by synth's --size and --seed.
     """
     try:
-        return ngrams.parse_int(text)
+        return errors.parse_int(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad integer {text!r}") from exc
 
@@ -119,7 +119,7 @@ def _resolve_sizes(sizes: list | None, corpus_len: int) -> list[int]:
 
 def cmd_synth(args) -> int:
     out_dir = _out_dir(args)
-    world = synth.generate_world(synth.SynthConfig(size=args.size, seed=args.seed))
+    world = synth.generate_world(size=args.size, seed=args.seed)
     world.lexicon.save(out_dir / "lexicon.lex")
     (out_dir / "grammar.bnf").write_text(world.grammar_text, encoding="utf-8")
     analysis.write_labeled_corpus(out_dir / "corpus.tsv", world.labeled_rows)
@@ -224,6 +224,8 @@ def cmd_analyze(args) -> int:
     lexicon = vocab.load_lexicon(args.lexicon)
     train_corpus = normalize.read_nus(args.corpus, True, lexicon)
     test_corpus = normalize.read_nus(args.test_corpus, True, lexicon)
+    if not len(test_corpus):
+        raise errors.CorpusError(f"{args.test_corpus}: test corpus is empty")
     sizes = _resolve_sizes(args.sizes, len(train_corpus))
     out_dir = _out_dir(args)
     fmt = args.format

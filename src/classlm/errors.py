@@ -1,9 +1,13 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and the shared rules for reading user files.
 
 Everything user-data related derives from :class:`DataError` so the CLI can
-map it to exit code 1; argparse handles usage errors (exit code 2).
+map it to exit code 1; argparse handles usage errors (exit code 2). Every
+reader of user files opens them with :func:`open_text`, and model-file
+numbers and the CLI's number flags are read by :func:`parse_int` and
+:func:`parse_float`.
 """
 
+import re
 from collections.abc import Iterator
 from contextlib import contextmanager
 from typing import TextIO
@@ -47,3 +51,31 @@ def open_text(path, error: type[DataError]) -> Iterator[TextIO]:
             yield fh
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+def parse_int(text: str) -> int:
+    """Integer written as ASCII digits only, within ``int()``'s digit limit.
+
+    Raises ValueError otherwise: ``int()`` alone also takes signs, spaces,
+    ``_`` separators and non-ASCII digits.
+    """
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"bad integer {text!r}")
+    return int(text)
+
+
+# the float shape export_model writes; float() alone also takes signs,
+# spaces, "_" separators, non-ASCII digits, "inf" and "nan"
+_FLOAT_RE = re.compile(r"-?[0-9]+(?:\.[0-9]+)?(?:e[+-][0-9]+)?")
+
+
+def parse_float(text: str) -> float:
+    """Float written in the ASCII shape :func:`classlm.lm.export_model`
+    writes, ``-?digits[.digits][e±digits]``.
+
+    Raises ValueError otherwise. A value past the float range reads as an
+    infinity, which each caller bounds.
+    """
+    if not _FLOAT_RE.fullmatch(text):
+        raise ValueError(f"bad number {text!r}")
+    return float(text)

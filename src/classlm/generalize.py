@@ -36,8 +36,8 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .analysis import write_csv
 from .errors import DataError, TableError
@@ -53,8 +53,7 @@ MODE_NAIVE = "naive-sentences"
 DEFAULT_GRID: tuple[Count, ...] = (Fraction(1, 2), 1, 2, 4, 8, 10, 16)
 
 
-@dataclass(frozen=True)
-class EventPartition:
+class EventPartition(NamedTuple):
     usual: frozenset[Gram]
     rare: frozenset[Gram]
     unknown: frozenset[Gram]
@@ -67,8 +66,7 @@ class EventPartition:
         }
 
 
-@dataclass(frozen=True)
-class BalanceFactor:
+class BalanceFactor(NamedTuple):
     value: Count
     objective_pp: float
     curve: tuple[tuple[Count, float], ...]
@@ -158,8 +156,7 @@ def naive_sentence_table(
     return extract(histogram, n)
 
 
-@dataclass
-class GeneralizationResult:
+class GeneralizationResult(NamedTuple):
     mode: str
     model: ClassNGramLM
     baseline: ClassNGramLM

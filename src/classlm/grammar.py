@@ -17,7 +17,8 @@ token sequence without ``.,;:!?``, and one without tokens is epsilon; a
 token spelling ``<s>`` or ``</s>`` is rejected as in corpus text
 (:func:`classlm.normalize.boundary_tag`). An empty alternative is also
 allowed and derives no tokens, which is the usual way to mark an element
-optional.
+optional. In a parsed :class:`Grammar`, each alternative is a tuple whose
+items are terminals, each its token tuple, and nonterminals, each its name.
 
 Grammars are written over normalized-utterance tokens, i.e. class tags such
 as ``CITY-NAME`` are terminals, so generated sentences compare directly with
@@ -27,42 +28,47 @@ NUs. Recursion is allowed but flagged, and generation is depth-bounded.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from collections.abc import Generator, Iterable, Iterator
+from typing import NamedTuple
 
 from .errors import GrammarError, open_text
 from .normalize import NU, boundary_tag
 from .vocab import tokenize
 
-
-@dataclass(frozen=True)
-class Terminal:
-    tokens: tuple[str, ...]
-
-
-Alternative = tuple[object, ...]  # items are Terminal or nonterminal name (str)
+# items are terminals, each its token tuple, or nonterminal names (str)
+Alternative = tuple[tuple[str, ...] | str, ...]
 Expansion = tuple[list[NU], bool]  # distinct strings, whether a bound cut any
 
 
-@dataclass(frozen=True)
-class Grammar:
+class Grammar(NamedTuple):
     start: str
     productions: dict[str, tuple[Alternative, ...]]
-    recursive: frozenset[str] = field(default_factory=frozenset)
+    recursive: frozenset[str] = frozenset()
 
 
-@dataclass(frozen=True)
 class SentenceSet:
-    """Deduplicated terminal sequences, lexicographically sorted."""
+    """Deduplicated terminal sequences, lexicographically sorted, and
+    whether a generation bound cut any."""
 
-    sentences: tuple[NU, ...]
-    truncated: bool
+    __slots__ = ("sentences", "truncated")
+
+    def __init__(self, sentences: tuple[NU, ...], truncated: bool):
+        self.sentences = sentences
+        self.truncated = truncated
 
     def __len__(self) -> int:
         return len(self.sentences)
 
     def __iter__(self):
         return iter(self.sentences)
+
+    def __eq__(self, other):
+        if not isinstance(other, SentenceSet):
+            return NotImplemented
+        return (self.sentences, self.truncated) == (other.sentences, other.truncated)
+
+    def __repr__(self) -> str:
+        return f"SentenceSet({self.sentences!r}, truncated={self.truncated!r})"
 
 
 _TOKEN_RE = re.compile(
@@ -133,7 +139,7 @@ def parse_grammar_text(text: str, source: str = "<string>") -> Grammar:
                 tag = boundary_tag(words)
                 if tag is not None:
                     raise GrammarError(f"{source}:{ln}: reserved tag {tag} in a terminal")
-                items.append(Terminal(tuple(words)))
+                items.append(tuple(words))
             elif kind == "name":
                 items.append(value)
             else:
@@ -275,8 +281,8 @@ def _expand(alts: tuple[Alternative, ...], cap: int) -> Generator[str, Expansion
     for alt in alts:
         product: list[NU] = [()]
         for item in alt:
-            if isinstance(item, Terminal):
-                product = [head + item.tokens for head in product]
+            if isinstance(item, tuple):
+                product = [head + item for head in product]
                 continue
             tails, cut = yield item
             truncated |= cut

@@ -34,10 +34,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import ModelError, open_text
-from .ngrams import Gram, NGramTable, parse_float, parse_int, window_counts
+from .errors import ModelError, open_text, parse_float, parse_int
+from .ngrams import Gram, NGramTable, window_counts
 from .normalize import NU
 from .vocab import SENT_END, SENT_START, UNK, ClassLexicon
 
@@ -45,8 +45,7 @@ LN10 = math.log(10.0)
 _BOUNDARY = frozenset((SENT_START, SENT_END))
 
 
-@dataclass(frozen=True)
-class PerplexityReport:
+class PerplexityReport(NamedTuple):
     pp: float
     log_prob_total: float  # natural log
     token_count: int

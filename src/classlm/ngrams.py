@@ -51,34 +51,6 @@ def exact_count(value) -> Count:
     return value.numerator if value.denominator == 1 else value
 
 
-def parse_int(text: str) -> int:
-    """Integer written as ASCII digits only, within ``int()``'s digit limit.
-
-    Raises ValueError otherwise: ``int()`` alone also takes signs, spaces,
-    ``_`` separators and non-ASCII digits.
-    """
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"bad integer {text!r}")
-    return int(text)
-
-
-# the float shape export_model writes; float() alone also takes signs,
-# spaces, "_" separators, non-ASCII digits, "inf" and "nan"
-_FLOAT_RE = re.compile(r"-?[0-9]+(?:\.[0-9]+)?(?:e[+-][0-9]+)?")
-
-
-def parse_float(text: str) -> float:
-    """Float written in the ASCII shape :func:`classlm.lm.export_model`
-    writes, ``-?digits[.digits][e±digits]``.
-
-    Raises ValueError otherwise. A value past the float range reads as an
-    infinity, which each caller bounds.
-    """
-    if not _FLOAT_RE.fullmatch(text):
-        raise ValueError(f"bad number {text!r}")
-    return float(text)
-
-
 _COUNT_RE = re.compile(r"[0-9]+(?:/[0-9]+|\.[0-9]+)?")
 
 

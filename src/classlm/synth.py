@@ -13,7 +13,7 @@ exponent, so new Time NUs keep appearing as the corpus grows. A small pool
 of free-form "noise" utterances (outside the grammar) provides singleton
 NUs and out-of-vocabulary material.
 
-All randomness flows from one seed; the same config always produces the
+All randomness flows from one seed; the same size and seed always produce the
 same corpus bytes. Every weight table is accumulated once per run and drawn
 from with ``choices(cum_weights=...)``, which consumes the same ``random()``
 values and bisects the same float sums as passing ``weights=`` on each draw,
@@ -24,8 +24,8 @@ so any seed gives the same bytes as that per-draw form (kept in
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from itertools import accumulate
+from typing import NamedTuple
 
 from .vocab import ClassLexicon
 
@@ -269,18 +269,10 @@ FILLER_EXPONENT = 2.0
 NOISE_RATE = 0.02
 
 
-@dataclass(frozen=True)
-class SynthConfig:
-    size: int = 5000
-    seed: int = 7
-
-
-@dataclass
-class SynthWorld:
-    config: SynthConfig
+class SynthWorld(NamedTuple):
     lexicon: ClassLexicon
-    labeled_rows: list[tuple[str, str]] = field(default_factory=list)
-    grammar_text: str = ""
+    labeled_rows: list[tuple[str, str]]
+    grammar_text: str
 
     def splits(self) -> tuple[list, list, list]:
         """(train, tune, test) rows; prefixes preserve acquisition order."""
@@ -298,8 +290,8 @@ def _zipf_weights(count: int, exponent: float) -> list[float]:
     return list(accumulate(1.0 / (rank**exponent) for rank in range(1, count + 1)))
 
 
-def generate_world(config: SynthConfig = SynthConfig()) -> SynthWorld:
-    rng = random.Random(config.seed)
+def generate_world(size: int = 5000, seed: int = 7) -> SynthWorld:
+    rng = random.Random(seed)
     lexicon = build_lexicon()
     # "_" spelled as a space up front; each draw still indexes the sorted list
     members = {
@@ -321,7 +313,7 @@ def generate_world(config: SynthConfig = SynthConfig()) -> SynthWorld:
     f_weights = _zipf_weights(len(FILLERS), FILLER_EXPONENT)
 
     rows = []
-    for _ in range(config.size):
+    for _ in range(size):
         group = rng.choices(groups, cum_weights=g_weights)[0]
         if rng.random() < NOISE_RATE:
             text = rng.choice(NOISE_UTTERANCES)
@@ -335,7 +327,6 @@ def generate_world(config: SynthConfig = SynthConfig()) -> SynthWorld:
                 text = f"{filler} {text}"
         rows.append((group, text))
     return SynthWorld(
-        config=config,
         lexicon=lexicon,
         labeled_rows=rows,
         grammar_text=grammar_text(),

@@ -12,7 +12,7 @@ from classlm.grammar import generate, parse_grammar_text
 from classlm.lm import export_model, train
 from classlm.ngrams import extract
 from classlm.normalize import normalize
-from classlm.synth import SynthConfig, generate_world
+from classlm.synth import generate_world
 from classlm.vocab import ClassLexicon
 
 import oracle
@@ -23,7 +23,7 @@ SMALL_SIZE = 1000
 
 @pytest.fixture(scope="session")
 def world():
-    return generate_world(SynthConfig())
+    return generate_world()
 
 
 @pytest.fixture(scope="session")

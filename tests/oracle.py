@@ -25,12 +25,12 @@ import random
 from fractions import Fraction
 
 from classlm.errors import GrammarError, ModelError
-from classlm.grammar import SentenceSet, Terminal
+from classlm.grammar import SentenceSet
 from classlm.lm import ClassNGramLM
 from classlm.ngrams import Gram, NGramTable
 from classlm.synth import (
     FILLER_EXPONENT, FILLER_RATE, FILLERS, GROUP_SAMPLING, GROUP_TEMPLATES,
-    NOISE_RATE, NOISE_UTTERANCES, SynthConfig, SynthWorld, build_lexicon,
+    NOISE_RATE, NOISE_UTTERANCES, SynthWorld, build_lexicon,
     grammar_text,
 )
 from classlm.vocab import RESERVED, SENT_END, SENT_START, UNK
@@ -481,9 +481,9 @@ def naive_generate(grammar, max_depth, max_sentences):
             yield ()
             return
         head, rest = items[0], items[1:]
-        if isinstance(head, Terminal):
+        if isinstance(head, tuple):
             for tail in expand_items(rest, depth):
-                yield head.tokens + tail
+                yield head + tail
         else:
             for first in expand_nt(head, depth + 1):
                 for tail in expand_items(rest, depth):
@@ -504,9 +504,9 @@ def _zipf_weights(count, exponent):
     return [1.0 / (rank**exponent) for rank in range(1, count + 1)]
 
 
-def naive_generate_world(config=SynthConfig()):
+def naive_generate_world(size=5000, seed=7):
     """The seeded bundle drawn with ``weights=`` on every call, template by template."""
-    rng = random.Random(config.seed)
+    rng = random.Random(seed)
     lexicon = build_lexicon()
     members = {tag: sorted(lexicon.classes[tag]) for tag in lexicon.classes}
     groups = list(GROUP_SAMPLING)
@@ -527,7 +527,7 @@ def naive_generate_world(config=SynthConfig()):
         return " ".join(out)
 
     rows = []
-    for _ in range(config.size):
+    for _ in range(size):
         group = rng.choices(groups, weights=g_weights)[0]
         if rng.random() < NOISE_RATE:
             text = rng.choice(NOISE_UTTERANCES)
@@ -541,7 +541,6 @@ def naive_generate_world(config=SynthConfig()):
                 text = f"{filler} {text}"
         rows.append((group, text))
     return SynthWorld(
-        config=config,
         lexicon=lexicon,
         labeled_rows=rows,
         grammar_text=grammar_text(),

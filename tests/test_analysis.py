@@ -23,7 +23,7 @@ from classlm.errors import CorpusError
 from classlm.lm import perplexity, train
 from classlm.ngrams import extract
 from classlm.normalize import normalize, read_nus
-from classlm.synth import SynthConfig, generate_world
+from classlm.synth import generate_world
 
 import oracle
 
@@ -103,13 +103,6 @@ def test_coverage_rejects_empty_ranking():
         coverage_curve([], [("a",)])
 
 
-def test_coverage_at_helper():
-    curve = coverage_curve([("a",), ("a",), ("b",)], [("a",), ("b",)])
-    assert curve.coverage_at(1) == pytest.approx(0.5)
-    assert curve.coverage_at(99) == pytest.approx(1.0)
-    assert curve.coverage_at(0) == 0.0
-
-
 def test_sweep_deterministic_and_validated(splits, lexicon):
     labeled = splits["labeled"]["train"][:400]
     test = splits["labeled"]["test"]
@@ -141,7 +134,7 @@ def test_sweep_deterministic_and_validated(splits, lexicon):
     data=st.data(),
 )
 def test_sweep_matches_naive_sweep(size, seed, n, emission, data):
-    world = generate_world(SynthConfig(size=size, seed=seed))
+    world = generate_world(size=size, seed=seed)
     labeled_train, _, labeled_test = (label_nus(world.lexicon, rows) for rows in world.splits())
     sizes = sorted(data.draw(st.lists(st.integers(min_value=1, max_value=len(labeled_train)),
                                       min_size=1, max_size=3), label="sizes"))
@@ -169,7 +162,7 @@ def test_sweep_matches_naive_sweep(size, seed, n, emission, data):
 )
 def test_studies_on_read_corpora_match_naive_twins(tmp_path_factory, size, seed, min_count,
                                                    threshold, emission, data):
-    world = generate_world(SynthConfig(size=size, seed=seed))
+    world = generate_world(size=size, seed=seed)
     train_rows, _, test_rows = world.splits()
     directory = tmp_path_factory.mktemp("studies")
     write_labeled_corpus(directory / "train.tsv", train_rows)

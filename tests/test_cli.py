@@ -209,6 +209,20 @@ def test_generalize_given_empty_corpus_is_data_error(tmp_path, workspace, capsys
     assert not (tmp_path / "gen").exists()
 
 
+def test_analyze_rejects_an_empty_test_corpus(tmp_path, workspace, capsys):
+    # like perplexity and generalize, instead of writing tables of zeros
+    # and headers only
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("", encoding="utf-8")
+    assert main([
+        "analyze", "--lexicon", str(workspace / "lexicon.lex"),
+        "--corpus", str(workspace / "corpus_train.tsv"), "--test-corpus", str(empty),
+        "--out-dir", str(tmp_path / "out"),
+    ]) == 1
+    assert capsys.readouterr().err == f"error: {empty}: test corpus is empty\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_analyze_outputs_deterministic(tmp_path, workspace):
     first, second = tmp_path / "a", tmp_path / "b"
     argv = [
@@ -712,7 +726,7 @@ except SystemExit as exit:
     code = exit.code
 executed = sorted(name for name, module in sys.modules.items()
                   if name.startswith("classlm.") and type(module) is types.ModuleType)
-print(json.dumps([code, executed, "fractions" in sys.modules]))
+print(json.dumps([code, executed, "fractions" in sys.modules, "dataclasses" in sys.modules]))
 """
 
 
@@ -720,34 +734,59 @@ print(json.dumps([code, executed, "fractions" in sys.modules]))
     ("generate", ["cli", "errors", "grammar", "normalize", "vocab"]),
     ("train", ["cli", "errors", "lm", "ngrams", "normalize", "vocab"]),
     ("perplexity", ["cli", "errors", "lm", "ngrams", "normalize", "vocab"]),
+    # reading the bounds runs no module of counts and loads no fractions
+    pytest.param("generate --max-depth 12 --max-sentences 100000",
+                 ["cli", "errors", "grammar", "normalize", "vocab"], id="generate-bounds"),
+    # write_labeled_corpus lives in analysis, which runs lm and ngrams
+    pytest.param("synth", ["analysis", "cli", "errors", "lm", "ngrams", "normalize", "synth",
+                           "vocab"], id="synth"),
+    pytest.param("normalize", ["analysis", "cli", "errors", "lm", "ngrams", "normalize",
+                               "vocab"], id="normalize"),
+    pytest.param("generalize", ["analysis", "cli", "errors", "generalize", "grammar", "lm",
+                                "ngrams", "normalize", "vocab"], id="generalize"),
+    pytest.param("analyze", ["analysis", "cli", "errors", "lm", "ngrams", "normalize",
+                             "vocab"], id="analyze"),
 ])
 def test_each_command_runs_only_the_modules_it_calls(tmp_path, workspace, model_small,
                                                      command, executed):
     # -X dev -W error: a warning from the lazy loader, on any Python the CI
     # matrix runs, fails the command
+    name, *flags = command.split()
     model = tmp_path / "m.arpa"
-    if command == "perplexity":
+    if name == "perplexity":
         export_model(model_small, model)
+    lexicon, train = workspace / "lexicon.lex", workspace / "corpus_train.tsv"
     args = {
+        "synth": ["--size", "50", "--out-dir", tmp_path / "bundle"],
+        "normalize": ["--labeled", "--lexicon", lexicon, "--corpus", train,
+                      "--out", tmp_path / "n.tsv"],
         "generate": ["--grammar", workspace / "grammar.bnf", "--out", tmp_path / "s.txt"],
-        "train": ["--labeled", "--lexicon", workspace / "lexicon.lex",
-                  "--corpus", workspace / "corpus_train.tsv", "--out", tmp_path / "t.arpa"],
-        "perplexity": ["--labeled", "--emission", "--model", model,
-                       "--lexicon", workspace / "lexicon.lex",
+        "train": ["--labeled", "--lexicon", lexicon, "--corpus", train,
+                  "--out", tmp_path / "t.arpa"],
+        "perplexity": ["--labeled", "--emission", "--model", model, "--lexicon", lexicon,
                        "--corpus", workspace / "corpus_test.tsv"],
-    }[command]
+        "generalize": ["--labeled", "--lexicon", lexicon, "--corpus", train,
+                       "--grammar", workspace / "grammar.bnf",
+                       "--tune-corpus", workspace / "corpus_tune.tsv",
+                       "--out-dir", tmp_path / "gen"],
+        "analyze": ["--lexicon", lexicon, "--corpus", train,
+                    "--test-corpus", workspace / "corpus_test.tsv",
+                    "--out-dir", tmp_path / "analysis"],
+    }[name] + flags
     src = str(Path(classlm.__file__).resolve().parent.parent)
     out = subprocess.run(
-        [sys.executable, "-X", "dev", "-W", "error", "-c", RUN_AS_MAIN, command, *map(str, args)],
+        [sys.executable, "-X", "dev", "-W", "error", "-c", RUN_AS_MAIN, name, *map(str, args)],
         capture_output=True, text=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1"),
     )
     assert out.stderr == ""
-    code, modules, fractions = json.loads(out.stdout.splitlines()[-1])
+    code, modules, fractions, dataclasses = json.loads(out.stdout.splitlines()[-1])
     assert code == 0
-    assert modules == [f"classlm.{name}" for name in executed]
-    if command == "generate":
+    assert modules == [f"classlm.{module}" for module in executed]
+    if name == "generate":
         assert not fractions
+    # the records are plain classes: no command pays for dataclasses and inspect
+    assert not dataclasses
 
 
 def test_readme_library_example_scores_like_the_cli(tmp_path, workspace, monkeypatch, capsys):

@@ -18,12 +18,12 @@ from classlm.generalize import (
     tune_balance_factor,
     write_report,
 )
-from classlm.grammar import Terminal, parse_grammar_text
+from classlm.grammar import parse_grammar_text
 from classlm.lm import export_model, perplexity, train
 from classlm.ngrams import NGramTable, extract, window_counts
 from classlm.normalize import Corpus, nu_histogram
 from classlm.score import Scorer
-from classlm.synth import SynthConfig, generate_world
+from classlm.synth import generate_world
 from classlm.vocab import ClassLexicon
 
 import oracle
@@ -385,7 +385,7 @@ def _naive_generation_steps(grammar, max_depth):
         for alternative in grammar.productions[name]:
             product = 1
             for item in alternative:
-                if not isinstance(item, Terminal):
+                if isinstance(item, str):
                     item_count, item_steps = derivations(item, depth + 1)
                     steps += product * item_steps
                     product *= item_count
@@ -441,7 +441,7 @@ _PIPELINE_DRAWS = dict(
        variant=st.sampled_from(_CITY_VARIANTS))
 def test_pipeline_matches_naive_generalize(size, seed, n, grid, emission, mode,
                                            max_sentences, variant):
-    world = generate_world(SynthConfig(size=size, seed=seed))
+    world = generate_world(size=size, seed=seed)
     assert "monte_bianco" in world.lexicon.classes["CITY-NAME"]
     assert world.grammar_text.count("CityRequest -> ") == 1
     grammar = parse_grammar_text(
@@ -462,7 +462,7 @@ def test_pipeline_matches_naive_generalize_on_recursive_grammars(
         size, seed, n, grid, emission, mode, text, max_depth, max_sentences):
     grammar = parse_grammar_text(text, source="drawn-grammar")
     assume(_naive_generation_steps(grammar, max_depth) < 10**5)
-    world = generate_world(SynthConfig(size=size, seed=seed))
+    world = generate_world(size=size, seed=seed)
     assert_generalize_matches_naive(world, grammar, n, grid, max_depth=max_depth,
                                     max_sentences=max_sentences, emission=emission,
                                     mode=mode)

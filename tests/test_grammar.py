@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from classlm.errors import GrammarError
 from classlm.grammar import (
     Grammar,
-    Terminal,
+    SentenceSet,
     generate,
     nu_coverage,
     parse_grammar_text,
@@ -31,7 +31,7 @@ def test_parse_structured_time_grammar():
     )
     assert grammar.start == "Time"
     assert len(grammar.productions["PartOfDay"]) == 4
-    assert grammar.productions["PartOfDay"][0] == (Terminal(("in", "the", "morning")),)
+    assert grammar.productions["PartOfDay"][0] == (("in", "the", "morning"),)
     assert grammar.recursive == frozenset()
 
 
@@ -69,7 +69,7 @@ def test_terminal_spelling_a_boundary_tag_is_rejected(terminal, tag):
 def test_terminals_are_tokenized_like_corpus_text():
     grammar = parse_grammar_text('start S; S -> "Hello, Rome!" ". ;" "<unk>";')
     assert grammar.productions["S"] == (
-        (Terminal(("Hello", "Rome")), Terminal(()), Terminal(("<unk>",))),)
+        (("Hello", "Rome"), (), ("<unk>",)),)
 
 
 def test_comments_and_merged_productions():
@@ -83,7 +83,7 @@ def test_hash_inside_a_terminal_is_text():
     # the corpus line "track # 5" is three tokens; a # outside quotes still
     # starts a comment, also right after a terminal
     grammar = parse_grammar_text('start S; S -> "track # 5" # or "x"\n | "#";# end\n')
-    assert grammar.productions["S"] == ((Terminal(("track", "#", "5")),), (Terminal(("#",)),))
+    assert grammar.productions["S"] == ((("track", "#", "5"),), (("#",),))
     assert generate(grammar, 5, 100).sentences == (("#",), ("track", "#", "5"))
 
 
@@ -143,6 +143,17 @@ def test_max_sentences_truncates():
     assert result.truncated
 
 
+def test_sentence_sets_differing_only_in_truncation_are_unequal():
+    # the recursive alternative adds no sentence within the depth bound, but
+    # cuts one past it
+    cut = generate(parse_grammar_text('start S; S -> "a" | S;'), 3, 10)
+    whole = generate(parse_grammar_text('start S; S -> "a";'), 3, 10)
+    assert cut.sentences == whole.sentences == (("a",),)
+    assert (cut.truncated, whole.truncated) == (True, False)
+    assert cut != whole
+    assert whole == SentenceSet((("a",),), False)
+
+
 def test_bounds_must_be_positive():
     grammar = parse_grammar_text('start S; S -> "a";')
     for depth, count in ((0, 10), (10, 0)):
@@ -165,7 +176,7 @@ def _small_grammars(draw):
     """Up to 3 nonterminals, each with 1-3 alternatives of at most 2 items."""
     names = ["S", "A", "B"][: draw(st.integers(min_value=1, max_value=3))]
     item = st.one_of(
-        st.sampled_from(["a", "b", ""]).map(lambda t: Terminal(tuple(t.split()))),
+        st.sampled_from(["a", "b", ""]).map(lambda t: tuple(t.split())),
         st.sampled_from(names),
     )
     alternative = st.lists(item, max_size=2).map(tuple)

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from classlm.errors import TableError
-from classlm.ngrams import NGramTable, extract, parse_count, parse_float, window_counts
+from classlm.errors import TableError, parse_float
+from classlm.ngrams import NGramTable, extract, parse_count, window_counts
 from classlm.vocab import SENT_END, SENT_START
 
 import oracle

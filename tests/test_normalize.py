@@ -12,7 +12,7 @@ from classlm.grammar import generate, parse_grammar_text
 from classlm.normalize import (
     Corpus, normalize, normalize_sentences, nu_histogram, read_corpus, read_nus, tokenize,
 )
-from classlm.synth import SynthConfig, generate_world
+from classlm.synth import generate_world
 from classlm.vocab import ClassLexicon
 
 import oracle
@@ -117,7 +117,7 @@ def test_histogram_total_is_corpus_size(corpus):
 
 def test_histogram_matches_independent_recount(lexicon):
     # one-pass recount with a plain dict, no Counter machinery
-    world = generate_world(SynthConfig(size=1000, seed=23))
+    world = generate_world(size=1000, seed=23)
     nus = [normalize(lexicon, text) for _, text in world.labeled_rows]
     recount = {}
     for nu in nus:

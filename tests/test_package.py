@@ -50,3 +50,20 @@ def test_exports_are_the_names_the_readme_and_the_acceptance_suite_import():
                   for alias in node.names}
     assert documented
     assert classlm.__all__ == sorted(documented)
+
+
+def test_the_package_imports_only_itself_and_the_standard_library():
+    # the package is pure stdlib at run time: no third-party import, however
+    # guarded, in any of its modules
+    package = Path(classlm.__file__).resolve().parent
+    imported = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module)
+    assert imported
+    outside = sorted(name for name in imported
+                     if name.split(".")[0] not in sys.stdlib_module_names | {"classlm"})
+    assert outside == []

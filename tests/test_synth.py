@@ -9,7 +9,6 @@ from classlm.cli import main
 from classlm.normalize import GROUPS
 from classlm.grammar import parse_grammar_text
 from classlm.synth import (
-    SynthConfig,
     build_lexicon,
     generate_world,
     time_templates,
@@ -17,15 +16,15 @@ from classlm.synth import (
 
 
 def test_same_seed_same_corpus():
-    first = generate_world(SynthConfig(size=300, seed=42))
-    second = generate_world(SynthConfig(size=300, seed=42))
+    first = generate_world(size=300, seed=42)
+    second = generate_world(size=300, seed=42)
     assert first.labeled_rows == second.labeled_rows
     assert first.grammar_text == second.grammar_text
 
 
 def test_different_seed_differs():
-    a = generate_world(SynthConfig(size=300, seed=1))
-    b = generate_world(SynthConfig(size=300, seed=2))
+    a = generate_world(size=300, seed=1)
+    b = generate_world(size=300, seed=2)
     assert a.labeled_rows != b.labeled_rows
 
 
@@ -77,16 +76,15 @@ def test_generation_is_fast(world):
     import time
 
     start = time.perf_counter()
-    generate_world(SynthConfig())
+    generate_world()
     assert time.perf_counter() - start < 5.0
 
 
 @settings(max_examples=40, deadline=None)
 @given(size=st.integers(0, 3000), seed=st.integers(0, 10**6))
 def test_generate_world_matches_naive_oracle(size, seed):
-    config = SynthConfig(size=size, seed=seed)
-    world = generate_world(config)
-    naive = oracle.naive_generate_world(config)
+    world = generate_world(size=size, seed=seed)
+    naive = oracle.naive_generate_world(size=size, seed=seed)
     assert world.labeled_rows == naive.labeled_rows
     assert world.grammar_text == naive.grammar_text
 
