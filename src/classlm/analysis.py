@@ -8,23 +8,24 @@ two studies that depend on row order, walk the rows themselves. A study
 given a list of NUs or (group, NU) rows builds that value first.
 
 All functions are pure over their inputs and all CSV writers emit sorted,
-repr-formatted rows, so outputs are byte-identical across runs.
+repr-formatted rows (:func:`classlm.errors.write_csv`), so outputs are
+byte-identical across runs.
 
-Labeled corpus format: ``group<TAB>utterance text`` per line, with groups
-drawn from the closed set City, Date, Time, Other. Partial training sets are
-corpus prefixes, so corpus files must preserve acquisition order.
+Labeled corpora (``group<TAB>utterance text`` per line, groups City, Date,
+Time, Other) are read and written by :mod:`classlm.normalize`. Partial
+training sets are corpus prefixes, so corpus files must keep acquisition order.
 """
 
 from __future__ import annotations
 
-import csv
 from bisect import bisect_left
 from typing import NamedTuple
 
-from .errors import CorpusError, DataError
+from .errors import CorpusError, write_csv
 from .lm import PerplexityReport, train
 from .ngrams import extract, window_counts
 from .normalize import NU, Corpus, normalize, read_corpus
+from .normalize import write_labeled_corpus  # pinned by perfbench TARGETS; ROADMAP item 2 deletes it
 from .vocab import ClassLexicon
 
 LabeledNUs = list[tuple[str, NU]]
@@ -43,13 +44,6 @@ def _plain(corpus: Corpus | list[NU]) -> Corpus:
 def read_labeled_corpus(path) -> list[tuple[str, str]]:
     """(group, raw text) rows of a labeled corpus; see :func:`read_corpus`."""
     return read_corpus(path, labeled=True)
-
-
-def write_labeled_corpus(path, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for group, text in rows:
-            text = text if isinstance(text, str) else " ".join(text)
-            fh.write(f"{group}\t{text}\n")
 
 
 def label_nus(lexicon: ClassLexicon, rows: list[tuple[str, str]]) -> LabeledNUs:
@@ -216,16 +210,6 @@ def frequency_overlap(
 
 
 # -- CSV output ---------------------------------------------------------------
-
-
-def write_csv(path, fmt: str, header, rows) -> None:
-    """Write a header and rows as CSV (``fmt="csv"``) or TSV (``fmt="tsv"``)."""
-    if fmt not in ("csv", "tsv"):
-        raise DataError(f"unknown report format {fmt!r}")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        out = csv.writer(fh, delimiter="," if fmt == "csv" else "\t", lineterminator="\n")
-        out.writerow(header)
-        out.writerows(rows)
 
 
 def write_coverage_csv(path, curve: CoverageCurve, fmt: str = "csv") -> None:

@@ -122,10 +122,10 @@ def cmd_synth(args) -> int:
     world = synth.generate_world(size=args.size, seed=args.seed)
     world.lexicon.save(out_dir / "lexicon.lex")
     (out_dir / "grammar.bnf").write_text(world.grammar_text, encoding="utf-8")
-    analysis.write_labeled_corpus(out_dir / "corpus.tsv", world.labeled_rows)
+    normalize.write_labeled_corpus(out_dir / "corpus.tsv", world.labeled_rows)
     names = ("corpus_train.tsv", "corpus_tune.tsv", "corpus_test.tsv")
     for name, rows in zip(names, world.splits()):
-        analysis.write_labeled_corpus(out_dir / name, rows)
+        normalize.write_labeled_corpus(out_dir / name, rows)
     print(f"wrote {len(world.labeled_rows)} utterances (seed {args.seed}) to {out_dir}")
     return 0
 
@@ -134,9 +134,9 @@ def cmd_normalize(args) -> int:
     lexicon = vocab.load_lexicon(args.lexicon)
     corpus = normalize.read_nus(args.corpus, args.labeled, lexicon)
     if args.labeled:
-        analysis.write_labeled_corpus(args.out, corpus.rows)
+        normalize.write_labeled_corpus(args.out, corpus.rows)
     else:
-        grammar_mod.write_sentences(args.out, corpus.nus)
+        normalize.write_sentences(args.out, corpus.nus)
     return 0
 
 
@@ -173,7 +173,7 @@ def cmd_generate(args) -> int:
         print(f"note: recursive nonterminals {sorted(gram.recursive)}, "
               f"expansion bounded at depth {max_depth}")
     sentences = grammar_mod.generate(gram, max_depth, max_sentences)
-    grammar_mod.write_sentences(args.out, sentences)
+    normalize.write_sentences(args.out, sentences)
     flag = " (truncated)" if sentences.truncated else ""
     print(f"generated {len(sentences)} sentences{flag} -> {args.out}")
     return 0

@@ -1,10 +1,10 @@
-"""Exception hierarchy, and the shared rules for reading user files.
+"""Exception hierarchy, and the shared rules for reading and writing files.
 
 Everything user-data related derives from :class:`DataError` so the CLI can
 map it to exit code 1; argparse handles usage errors (exit code 2). Every
-reader of user files opens them with :func:`open_text`, and model-file
-numbers and the CLI's number flags are read by :func:`parse_int` and
-:func:`parse_float`.
+reader of user files opens them with :func:`open_text`, model-file numbers
+and the CLI's number flags are read by :func:`parse_int` and
+:func:`parse_float`, and every report table is written by :func:`write_csv`.
 """
 
 import re
@@ -51,6 +51,17 @@ def open_text(path, error: type[DataError]) -> Iterator[TextIO]:
             yield fh
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+def write_csv(path, fmt: str, header, rows) -> None:
+    """Write a header and rows as CSV (``fmt="csv"``) or TSV (``fmt="tsv"``)."""
+    import csv  # only the commands that write a report load it
+    if fmt not in ("csv", "tsv"):
+        raise DataError(f"unknown report format {fmt!r}")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        out = csv.writer(fh, delimiter="," if fmt == "csv" else "\t", lineterminator="\n")
+        out.writerow(header)
+        out.writerows(rows)
 
 
 def parse_int(text: str) -> int:

@@ -39,8 +39,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from typing import NamedTuple
 
-from .analysis import write_csv
-from .errors import DataError, TableError
+from .errors import DataError, TableError, write_csv
 from .grammar import _MAX_DEPTH, _MAX_SENTENCES, Grammar, generate
 from .lm import ClassNGramLM, PerplexityReport, train
 from .ngrams import Count, Gram, NGramTable, exact_count, extract, window_counts

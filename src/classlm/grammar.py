@@ -22,17 +22,19 @@ items are terminals, each its token tuple, and nonterminals, each its name.
 
 Grammars are written over normalized-utterance tokens, i.e. class tags such
 as ``CITY-NAME`` are terminals, so generated sentences compare directly with
-NUs. Recursion is allowed but flagged, and generation is depth-bounded.
+NUs, and are written as a plain corpus (:func:`classlm.normalize.write_sentences`).
+Recursion is allowed but flagged, and generation is depth-bounded.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Generator, Iterable, Iterator
+from collections.abc import Generator, Iterator
 from typing import NamedTuple
 
 from .errors import GrammarError, open_text
 from .normalize import NU, boundary_tag
+from .normalize import write_sentences  # pinned by perfbench TARGETS; ROADMAP item 2 deletes it
 from .vocab import tokenize
 
 # items are terminals, each its token tuple, or nonterminal names (str)
@@ -305,18 +307,3 @@ def _concat(heads: list[NU], tails: list[NU], cap: int) -> list[NU]:
             if len(out) == cap:
                 return list(out)
     return list(out)
-
-
-def nu_coverage(sentences, nus: Iterable[NU]) -> float:
-    """Fraction of distinct NUs exactly matched by a generated sentence."""
-    distinct = {tuple(nu) for nu in nus}
-    if not distinct:
-        return 1.0
-    return len(distinct & {tuple(s) for s in sentences}) / len(distinct)
-
-
-def write_sentences(path, sentences: Iterable[NU]) -> None:
-    """Write one sentence or NU per line, tokens joined by spaces."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for sentence in sentences:
-            fh.write(" ".join(sentence) + "\n")

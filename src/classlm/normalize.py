@@ -16,13 +16,14 @@ just the lengths of the members it begins
 through :func:`boundary_tag`: corpus lines here, grammar terminals in
 :mod:`classlm.grammar`.
 
-Corpus files, plain and labeled, are read here too. :func:`read_nus` reads
-a file in one pass into a :class:`Corpus`, the list of its (group, NU) rows
-in corpus order: each distinct raw line is parsed, checked and normalized
-once, and its repeats share its row, so the histograms that the commands
-and the corpus studies read are each counted once per file from that list.
-:func:`read_corpus` returns the raw (group, text) rows through the same
-per-line parser.
+Corpus files, plain and labeled, are read and written here. :func:`read_nus`
+reads a file in one pass into a :class:`Corpus`, the list of its (group, NU)
+rows in corpus order: each distinct raw line is parsed, checked and
+normalized once, and its repeats share its row, so the histograms that the
+commands and the corpus studies read are each counted once per file from
+that list. :func:`read_corpus` returns the raw (group, text) rows through
+the same per-line parser; :func:`write_labeled_corpus` and
+:func:`write_sentences` write the labeled and the plain form.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from collections.abc import Iterable, Sequence
 from functools import cached_property
 
 from .errors import CorpusError, open_text
-from .vocab import SENT_END, SENT_START, ClassLexicon, tokenize
+from .vocab import PUNCTUATION, SENT_END, SENT_START, ClassLexicon, tokenize
 
 NU = tuple[str, ...]
 
@@ -155,7 +156,7 @@ def boundary_tag(tokens: Iterable[str]) -> str | None:
 
 
 def _parse_line(path, lineno: int, line: str, labeled: bool) -> tuple[str, str] | None:
-    """The (group, text) row of one corpus line, or None if its text is blank.
+    """The (group, text) row of one corpus line, or None if its text has no token.
 
     Labeled lines are ``group<TAB>text`` with a group from :data:`GROUPS`;
     the group is ``""`` for plain corpora.
@@ -171,9 +172,9 @@ def _parse_line(path, lineno: int, line: str, labeled: bool) -> tuple[str, str] 
                 f"(expected one of {', '.join(GROUPS)})"
             )
     text = line.strip()
-    if not text:
+    # one-character tests spare most lines the token scans
+    if not text or (text[0] in PUNCTUATION and not tokenize(text)):
         return None
-    # one character search spares most lines the token scan
     tag = boundary_tag(tokenize(text)) if ">" in text else None
     if tag is not None:
         raise CorpusError(f"{path}:{lineno}: reserved tag {tag} in the text")
@@ -184,7 +185,7 @@ def read_corpus(path, labeled: bool = False) -> list[tuple[str, str]]:
     """(group, text) rows, one per line; the group is ``""`` for plain corpora.
 
     Labeled lines are ``group<TAB>text`` with a group from :data:`GROUPS`. In
-    both formats a row whose text is blank is skipped.
+    both formats a row whose text holds no token is skipped.
     """
     rows = []
     with open_text(path, CorpusError) as fh:
@@ -219,3 +220,19 @@ def read_nus(path, labeled: bool = False, lexicon: ClassLexicon | None = None) -
                 row = memo[line] = corpus._row(group, nu)
             append(row)
     return corpus
+
+
+def write_labeled_corpus(path, rows) -> None:
+    """Write (group, text) rows as ``group<TAB>text`` lines; a token
+    sequence is joined by spaces."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for group, text in rows:
+            text = text if isinstance(text, str) else " ".join(text)
+            fh.write(f"{group}\t{text}\n")
+
+
+def write_sentences(path, sentences: Iterable[NU]) -> None:
+    """Write one sentence or NU per line, tokens joined by spaces."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for sentence in sentences:
+            fh.write(" ".join(sentence) + "\n")

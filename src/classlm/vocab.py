@@ -26,7 +26,8 @@ SENT_END = "</s>"
 UNK = "<unk>"
 RESERVED = frozenset((SENT_START, SENT_END, UNK))
 
-_PUNCT = re.compile("[.,;:!?]")
+PUNCTUATION = ".,;:!?"  # sentence punctuation, which tokenize drops
+_PUNCT = re.compile(f"[{PUNCTUATION}]")
 
 
 def tokenize(text: str) -> list[str]:

@@ -13,7 +13,6 @@ from classlm.analysis import (
     saturation_table,
     unseen_split,
     write_coverage_csv,
-    write_labeled_corpus,
     write_overlap_csv,
     write_saturation_csv,
     write_sweep_csv,
@@ -22,7 +21,7 @@ from classlm.analysis import (
 from classlm.errors import CorpusError
 from classlm.lm import perplexity, train
 from classlm.ngrams import extract
-from classlm.normalize import normalize, read_nus
+from classlm.normalize import normalize, read_nus, write_labeled_corpus
 from classlm.synth import generate_world
 
 import oracle

@@ -709,6 +709,10 @@ def test_benchmark_pinned_names_resolve(tmp_path, model_small):
     ).stdout.split()
     assert sorted({f"classlm.{short}" for short in targets} - set(loaded)) == []
     assert classlm.score.Scorer is classlm.lm.ClassNGramLM
+    # the pinned writers are the ones the commands call, so the tracer's
+    # wrapper lands on them
+    assert classlm.analysis.write_labeled_corpus is classlm.normalize.write_labeled_corpus
+    assert classlm.grammar.write_sentences is classlm.normalize.write_sentences
     assert isinstance(classlm.score.extension_available(), bool)
     export_model(model_small, tmp_path / "m.arpa")
     assert import_model(tmp_path / "m.arpa").scorer().backend == "python"
@@ -716,7 +720,8 @@ def test_benchmark_pinned_names_resolve(tmp_path, model_small):
 
 # runs ``python -m classlm`` with the given arguments and prints its exit
 # code, the classlm modules it executed (a lazily registered module that no
-# code used is not a plain module) and whether it loaded fractions
+# code used is not a plain module) and whether it loaded fractions, csv and
+# dataclasses
 RUN_AS_MAIN = """
 import json, runpy, sys, types
 sys.argv[0] = "classlm"
@@ -726,7 +731,8 @@ except SystemExit as exit:
     code = exit.code
 executed = sorted(name for name, module in sys.modules.items()
                   if name.startswith("classlm.") and type(module) is types.ModuleType)
-print(json.dumps([code, executed, "fractions" in sys.modules, "dataclasses" in sys.modules]))
+print(json.dumps([code, executed] + [name in sys.modules
+                                      for name in ("fractions", "csv", "dataclasses")]))
 """
 
 
@@ -737,13 +743,12 @@ print(json.dumps([code, executed, "fractions" in sys.modules, "dataclasses" in s
     # reading the bounds runs no module of counts and loads no fractions
     pytest.param("generate --max-depth 12 --max-sentences 100000",
                  ["cli", "errors", "grammar", "normalize", "vocab"], id="generate-bounds"),
-    # write_labeled_corpus lives in analysis, which runs lm and ngrams
-    pytest.param("synth", ["analysis", "cli", "errors", "lm", "ngrams", "normalize", "synth",
-                           "vocab"], id="synth"),
-    pytest.param("normalize", ["analysis", "cli", "errors", "lm", "ngrams", "normalize",
-                               "vocab"], id="normalize"),
-    pytest.param("generalize", ["analysis", "cli", "errors", "generalize", "grammar", "lm",
-                                "ngrams", "normalize", "vocab"], id="generalize"),
+    pytest.param("synth", ["cli", "errors", "normalize", "synth", "vocab"], id="synth"),
+    pytest.param("normalize --labeled", ["cli", "errors", "normalize", "vocab"],
+                 id="normalize"),
+    pytest.param("normalize", ["cli", "errors", "normalize", "vocab"], id="normalize-plain"),
+    pytest.param("generalize", ["cli", "errors", "generalize", "grammar", "lm", "ngrams",
+                                "normalize", "vocab"], id="generalize"),
     pytest.param("analyze", ["analysis", "cli", "errors", "lm", "ngrams", "normalize",
                              "vocab"], id="analyze"),
 ])
@@ -758,8 +763,7 @@ def test_each_command_runs_only_the_modules_it_calls(tmp_path, workspace, model_
     lexicon, train = workspace / "lexicon.lex", workspace / "corpus_train.tsv"
     args = {
         "synth": ["--size", "50", "--out-dir", tmp_path / "bundle"],
-        "normalize": ["--labeled", "--lexicon", lexicon, "--corpus", train,
-                      "--out", tmp_path / "n.tsv"],
+        "normalize": ["--lexicon", lexicon, "--corpus", train, "--out", tmp_path / "n.tsv"],
         "generate": ["--grammar", workspace / "grammar.bnf", "--out", tmp_path / "s.txt"],
         "train": ["--labeled", "--lexicon", lexicon, "--corpus", train,
                   "--out", tmp_path / "t.arpa"],
@@ -780,11 +784,12 @@ def test_each_command_runs_only_the_modules_it_calls(tmp_path, workspace, model_
         env=dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1"),
     )
     assert out.stderr == ""
-    code, modules, fractions, dataclasses = json.loads(out.stdout.splitlines()[-1])
+    code, modules, fractions, csv_loaded, dataclasses = json.loads(out.stdout.splitlines()[-1])
     assert code == 0
     assert modules == [f"classlm.{module}" for module in executed]
-    if name == "generate":
-        assert not fractions
+    # the commands that count nothing and write no report load neither
+    if name in ("generate", "synth", "normalize"):
+        assert not fractions and not csv_loaded
     # the records are plain classes: no command pays for dataclasses and inspect
     assert not dataclasses
 
@@ -995,6 +1000,26 @@ def test_blank_labeled_row_trains_like_plain_corpus(tmp_path, workspace):
         assert main(["train", "--lexicon", lexicon, "--corpus", str(corpus),
                      "--out", str(tmp_path / f"{corpus.stem}.arpa"), *flags]) == 0
     assert (tmp_path / "labeled.arpa").read_bytes() == (tmp_path / "plain.arpa").read_bytes()
+
+
+@pytest.mark.parametrize("labeled, text", [
+    pytest.param(False, "to rome\n...\nat five\n", id="plain"),
+    pytest.param(True, "City\tto rome\nOther\t?!\nTime\tat five\n", id="labeled"),
+])
+def test_normalize_then_train_gives_the_model_of_the_raw_corpus(tmp_path, workspace,
+                                                                labeled, text):
+    # a punctuation-only text holds no utterance, so normalize writes no line
+    # for it and train counts no <s> </s> for it, on either file
+    raw = tmp_path / "raw.txt"
+    raw.write_text(text, encoding="utf-8")
+    lexicon = str(workspace / "lexicon.lex")
+    flags = ["--labeled"] if labeled else []
+    assert main(["normalize", "--lexicon", lexicon, "--corpus", str(raw),
+                 "--out", str(tmp_path / "nus.txt"), *flags]) == 0
+    for corpus in ("raw", "nus"):
+        assert main(["train", "--lexicon", lexicon, "--corpus", str(tmp_path / f"{corpus}.txt"),
+                     "--out", str(tmp_path / f"{corpus}.arpa"), *flags]) == 0
+    assert (tmp_path / "nus.arpa").read_bytes() == (tmp_path / "raw.arpa").read_bytes()
 
 
 def test_malformed_lexicon_is_data_error(tmp_path, workspace, capsys):

@@ -288,6 +288,11 @@ _READER_LINES = [
     ("Weather\tsunny", True, False),
     ("City\thello <s> rome", True, True),
     ("at </S>.", True, True),
+    # punctuation only: no token, so no utterance
+    ("...", True, False),
+    ("City\t?!", False, False),
+    ("Other\t. ,;", False, False),
+    ("Date\t, at five", False, False),
 ]
 
 
@@ -326,7 +331,7 @@ def test_read_nus_matches_read_corpus_then_label_nus(tmp_path_factory, lines, la
     assert read_nus(path, labeled).rows == [(group, tuple(text.split())) for group, text in rows]
     # the counted views against plain recounts of the rows
     nus = [nu for _, nu in corpus.rows]
-    assert len(corpus) == len(rows) and corpus.nus == nus
+    assert len(corpus) == len(rows) and corpus.nus == nus and all(nus)
     first = {}
     assert all(first.setdefault(nu, nu) is nu for nu in nus)
     first_row = {}
