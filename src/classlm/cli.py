@@ -169,13 +169,15 @@ def cmd_perplexity(args) -> int:
 def cmd_generate(args) -> int:
     max_depth, max_sentences = _bounds(args)
     gram = grammar_mod.parse_grammar(args.grammar)
-    if gram.recursive:
-        print(f"note: recursive nonterminals {sorted(gram.recursive)}, "
-              f"expansion bounded at depth {max_depth}")
     sentences = grammar_mod.generate(gram, max_depth, max_sentences)
-    normalize.write_sentences(args.out, sentences)
+    # the empty sentence is no corpus line, as in the corpus readers
+    lines = [sentence for sentence in sentences if sentence]
+    normalize.write_sentences(args.out, lines)
+    # below the sentence cap, only the depth bound truncates (grammar.generate)
+    if sentences.truncated and len(sentences) < max_sentences:
+        print(f"note: --max-depth {max_depth} cut the expansion")
     flag = " (truncated)" if sentences.truncated else ""
-    print(f"generated {len(sentences)} sentences{flag} -> {args.out}")
+    print(f"generated {len(lines)} sentences{flag} -> {args.out}")
     return 0
 
 

@@ -23,13 +23,14 @@ items are terminals, each its token tuple, and nonterminals, each its name.
 Grammars are written over normalized-utterance tokens, i.e. class tags such
 as ``CITY-NAME`` are terminals, so generated sentences compare directly with
 NUs, and are written as a plain corpus (:func:`classlm.normalize.write_sentences`).
-Recursion is allowed but flagged, and generation is depth-bounded.
+Recursion is allowed. Generation is depth-bounded, and ``classlm generate``
+notes when the depth bound cut the expansion.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Generator, Iterator
+from collections.abc import Generator
 from typing import NamedTuple
 
 from .errors import GrammarError, open_text
@@ -45,7 +46,6 @@ Expansion = tuple[list[NU], bool]  # distinct strings, whether a bound cut any
 class Grammar(NamedTuple):
     start: str
     productions: dict[str, tuple[Alternative, ...]]
-    recursive: frozenset[str] = frozenset()
 
 
 class SentenceSet:
@@ -161,65 +161,12 @@ def parse_grammar_text(text: str, source: str = "<string>") -> Grammar:
                         f"{source}: undefined nonterminal {item} "
                         f"(referenced from {lhs})"
                     )
-    frozen = {lhs: tuple(alts) for lhs, alts in productions.items()}
-    return Grammar(start=start, productions=frozen, recursive=_recursive_set(frozen))
+    return Grammar(start, {lhs: tuple(alts) for lhs, alts in productions.items()})
 
 
 def parse_grammar(path) -> Grammar:
     with open_text(path, GrammarError) as fh:
         return parse_grammar_text(fh.read(), source=str(path))
-
-
-def _uses(productions: dict[str, tuple[Alternative, ...]]) -> dict[str, set[str]]:
-    """The nonterminals that each nonterminal's alternatives name."""
-    return {
-        lhs: {item for alt in alts for item in alt if isinstance(item, str)}
-        for lhs, alts in productions.items()
-    }
-
-
-def _recursive_set(productions: dict[str, tuple[Alternative, ...]]) -> frozenset[str]:
-    """Nonterminals that can reach themselves (flagged, not forbidden): the
-    members of a strongly connected component of more than one, and those
-    that name themselves. The components come from one iterative pass of
-    Tarjan's algorithm (SIAM J. Comput. 1972)."""
-    edges = _uses(productions)
-    # visiting order; the members of a closed component get len(edges), so
-    # that they no longer lower the low link of a nonterminal naming them
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    open_nodes: list[str] = []
-    path: list[tuple[str, Iterator[str]]] = []
-    recursive: set[str] = set()
-
-    def enter(node: str) -> None:
-        index[node] = low[node] = len(index)
-        open_nodes.append(node)
-        path.append((node, iter(edges[node])))
-
-    for root in edges:
-        if root not in index:
-            enter(root)
-        while path:
-            node, pending = path[-1]
-            for child in pending:
-                if child not in index:
-                    enter(child)
-                    break
-                low[node] = min(low[node], index[child])
-            else:
-                path.pop()
-                if path:
-                    parent = path[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                if low[node] == index[node]:
-                    component = [open_nodes.pop()]
-                    while component[-1] != node:
-                        component.append(open_nodes.pop())
-                    if len(component) > 1 or node in edges[node]:
-                        recursive.update(component)
-                    index.update(dict.fromkeys(component, len(edges)))
-    return frozenset(recursive)
 
 
 # the generation bounds of the CLI and of build_generalized_lm unless given
@@ -234,7 +181,10 @@ def generate(grammar: Grammar, max_depth: int, max_sentences: int) -> SentenceSe
     nonterminal expansion past max_depth, or a distinct sentence beyond
     max_sentences. Past that bound, the sentences kept are the first
     max_sentences distinct ones in derivation order (leftmost alternative
-    first, leftmost item varying slowest).
+    first, leftmost item varying slowest). So a truncated set of fewer than
+    max_sentences was cut by the depth bound: an expansion comes back empty
+    only from past max_depth, and one that fills its cap fills every
+    expansion it is joined into.
 
     Without recursion, an explicit stack of :func:`_expand` frames expands
     each (nonterminal, depth) the derivation reaches once, and drops it when
@@ -246,7 +196,9 @@ def generate(grammar: Grammar, max_depth: int, max_sentences: int) -> SentenceSe
     if max_depth < 1 or max_sentences < 1:
         raise GrammarError("generation bounds must be positive")
     cap = max_sentences + 1
-    children = _uses(grammar.productions)
+    # the nonterminals that each nonterminal's alternatives name
+    children = {name: {item for alt in alts for item in alt if isinstance(item, str)}
+                for name, alts in grammar.productions.items()}
     parents: dict[str, set[str]] = {name: set() for name in children}
     for name, used in children.items():
         for child in used:

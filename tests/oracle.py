@@ -440,25 +440,6 @@ def naive_generalize(train_nus, grammar, lexicon, n, grid, tuning_corpus, test_c
     }
 
 
-def naive_recursive_set(productions):
-    """Nonterminals that can reach themselves: one search from each."""
-    edges = {lhs: {item for alt in alts for item in alt if isinstance(item, str)}
-             for lhs, alts in productions.items()}
-    recursive = set()
-    for origin in edges:
-        seen = set()
-        stack = list(edges[origin])
-        while stack:
-            node = stack.pop()
-            if node == origin:
-                recursive.add(origin)
-                break
-            if node not in seen:
-                seen.add(node)
-                stack.extend(edges[node])
-    return frozenset(recursive)
-
-
 def naive_generate(grammar, max_depth, max_sentences):
     """Every derivation up to max_depth, enumerated lazily one by one.
 

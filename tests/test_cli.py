@@ -321,8 +321,34 @@ def test_ambiguous_grammar_generates_quickly(tmp_path):
     out = tmp_path / "sentences.txt"
     proc = run_cli("generate", "--grammar", grammar, "--max-depth", "6", "--out", out)
     assert proc.returncode == 0
-    assert proc.stdout.endswith(f"generated 129 sentences (truncated) -> {out}\n")
-    assert len(out.read_text(encoding="utf-8").splitlines()) == 129
+    assert proc.stdout.endswith(f"generated 128 sentences (truncated) -> {out}\n")
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 128
+
+
+_DEEP_CHAIN = "start N0;\n" + "".join(
+    f'N{i} -> N{i + 1} "a" | "b";\n' for i in range(19)) + 'N19 -> "b";\n'
+
+
+@pytest.mark.parametrize("text,argv,note,count,flag", [
+    (_DEEP_CHAIN, [], True, 12, " (truncated)"),
+    ('start S; S -> "a"; T -> T "b";\n', [], False, 1, ""),
+    ('start S; S -> S "a" | "a";\n', [], True, 12, " (truncated)"),
+    ('start S; S -> "a" | "b" | "c";\n', ["--max-sentences", "2"], False, 2, " (truncated)"),
+    # the empty derivation is no corpus line, so the file reads back whole
+    ('start S; S -> "a" | ;\n', [], False, 1, ""),
+], ids=["deep-chain", "unreachable-recursion", "left-recursion", "sentence-cap",
+        "empty-derivation"])
+def test_generate_counts_its_lines_and_notes_exactly_a_depth_cut(tmp_path, text, argv, note,
+                                                                 count, flag):
+    grammar = tmp_path / "g.bnf"
+    grammar.write_text(text, encoding="utf-8")
+    out = tmp_path / "sentences.txt"
+    proc = run_cli("generate", "--grammar", grammar, *argv, "--out", out)
+    assert proc.returncode == 0
+    assert proc.stdout == ("note: --max-depth 12 cut the expansion\n" * note
+                           + f"generated {count} sentences{flag} -> {out}\n")
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == len(read_nus(out).rows) == count
 
 
 def test_deep_left_recursion_generates_without_traceback(tmp_path):

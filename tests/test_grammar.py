@@ -26,7 +26,6 @@ def test_parse_structured_time_grammar():
     assert grammar.start == "Time"
     assert len(grammar.productions["PartOfDay"]) == 4
     assert grammar.productions["PartOfDay"][0] == (("in", "the", "morning"),)
-    assert grammar.recursive == frozenset()
 
 
 def test_undefined_nonterminal_is_named():
@@ -116,7 +115,6 @@ def test_product_of_alternatives_counts():
 
 def test_bounded_recursion():
     grammar = parse_grammar_text('start S; S -> "a" S | "a";')
-    assert grammar.recursive == frozenset({"S"})
     result = generate(grammar, 3, 1000)
     assert result.sentences == (("a",), ("a", "a"), ("a", "a", "a"))
     assert result.truncated
@@ -194,20 +192,6 @@ def test_generate_matches_naive_enumeration(grammar, max_depth, max_sentences):
     assert result.truncated == expected.truncated
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.integers(min_value=1, max_value=7).flatmap(lambda size: st.lists(
-    st.lists(st.integers(min_value=0, max_value=size - 1), max_size=3),
-    min_size=size, max_size=size)))
-def test_recursive_set_matches_one_search_per_nonterminal(uses):
-    # nonterminal i has one alternative naming each of uses[i], and a terminal
-    names = [f"N{i}" for i in range(len(uses))]
-    text = "start N0;\n" + "".join(
-        f'{name} -> {" ".join(names[j] for j in used)} | "t";\n'
-        for name, used in zip(names, uses))
-    grammar = parse_grammar_text(text)
-    assert grammar.recursive == oracle.naive_recursive_set(grammar.productions)
-
-
 def _chain(size):
     """Ni -> N(i+1) "a" | "b", for i below size, the last rule "b" alone."""
     return "start N0;\n" + "".join(
@@ -223,13 +207,13 @@ def test_grammar_set_up_is_linear_in_the_nonterminals():
     parsed = time.perf_counter()
     result = generate(grammar, 12, 100)
     generated = time.perf_counter()
-    assert grammar.recursive == frozenset()
     assert result.sentences == tuple(sorted(("b",) + ("a",) * k for k in range(12)))
     assert parsed - started < 1.5
     assert generated - parsed < 0.3
-    # a cycle through the whole chain makes every nonterminal recursive
-    cycle = parse_grammar_text(text.replace('N7999 -> "b";', 'N7999 -> N0 | "b";'))
-    assert len(cycle.recursive) == 8000
+    # a cycle through the whole chain parses as fast
+    started = time.perf_counter()
+    parse_grammar_text(text.replace('N7999 -> "b";', 'N7999 -> N0 | "b";'))
+    assert time.perf_counter() - started < 1.5
 
 
 def test_ambiguous_grammar_stops_at_max_sentences():

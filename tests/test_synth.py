@@ -59,7 +59,6 @@ def test_time_template_variety():
 def test_grammar_parses_and_mentions_tags(world):
     grammar = parse_grammar_text(world.grammar_text)
     assert grammar.start == "Request"
-    assert grammar.recursive == frozenset()
     assert "CITY-NAME" in world.grammar_text
     assert "HOUR-NUMBER" in world.grammar_text
 
