@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -122,10 +123,15 @@ def cmd_synth(args) -> int:
     world = synth.generate_world(size=args.size, seed=args.seed)
     world.lexicon.save(out_dir / "lexicon.lex")
     (out_dir / "grammar.bnf").write_text(world.grammar_text, encoding="utf-8")
-    normalize.write_labeled_corpus(out_dir / "corpus.tsv", world.labeled_rows)
     names = ("corpus_train.tsv", "corpus_tune.tsv", "corpus_test.tsv")
     for name, rows in zip(names, world.splits()):
         normalize.write_labeled_corpus(out_dir / name, rows)
+    # the whole corpus is the three splits in order: copy their bytes, not
+    # format every row a second time
+    with open(out_dir / "corpus.tsv", "wb") as out:
+        for name in names:
+            with open(out_dir / name, "rb") as part:
+                shutil.copyfileobj(part, out)
     print(f"wrote {len(world.labeled_rows)} utterances (seed {args.seed}) to {out_dir}")
     return 0
 

@@ -14,16 +14,18 @@ of free-form "noise" utterances (outside the grammar) provides singleton
 NUs and out-of-vocabulary material.
 
 All randomness flows from one seed; the same size and seed always produce the
-same corpus bytes. Every weight table is accumulated once per run and drawn
-from with ``choices(cum_weights=...)``, which consumes the same ``random()``
-values and bisects the same float sums as passing ``weights=`` on each draw,
-so any seed gives the same bytes as that per-draw form (kept in
-``tests/oracle.py:naive_generate_world``).
+same corpus bytes. Every weight table is accumulated once per run, and each
+weighted draw is one bisect of ``random() * total`` over the accumulated
+weights, the computation ``choices(cum_weights=...)`` performs. It consumes
+the same ``random()`` values and bisects the same float sums as passing
+``weights=`` on each draw, so any seed gives the same bytes as that per-draw
+form (kept in ``tests/oracle.py:naive_generate_world``).
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -286,7 +288,7 @@ class SynthWorld(NamedTuple):
 
 
 def _zipf_weights(count: int, exponent: float) -> list[float]:
-    """Cumulative Zipf weights of ranks 1..count, for ``choices(cum_weights=)``."""
+    """Cumulative Zipf weights of ranks 1..count."""
     return list(accumulate(1.0 / (rank**exponent) for rank in range(1, count + 1)))
 
 
@@ -312,18 +314,30 @@ def generate_world(size: int = 5000, seed: int = 7) -> SynthWorld:
     }
     f_weights = _zipf_weights(len(FILLERS), FILLER_EXPONENT)
 
+    # a weighted draw is population[bisect(weights, rand() * total, 0, hi)],
+    # the body of choices(cum_weights=...), with total and hi taken once
+    g_total, g_hi = g_weights[-1] + 0.0, len(groups) - 1
+    t_tables = {
+        g: (slots[g], t_weights[g], t_weights[g][-1] + 0.0, len(slots[g]) - 1)
+        for g in groups
+    }
+    f_total, f_hi = f_weights[-1] + 0.0, len(FILLERS) - 1
+
+    rand = rng.random
+    choice = rng.choice
     rows = []
     for _ in range(size):
-        group = rng.choices(groups, cum_weights=g_weights)[0]
-        if rng.random() < NOISE_RATE:
-            text = rng.choice(NOISE_UTTERANCES)
+        group = groups[bisect(g_weights, rand() * g_total, 0, g_hi)]
+        if rand() < NOISE_RATE:
+            text = choice(NOISE_UTTERANCES)
         else:
-            template = rng.choices(slots[group], cum_weights=t_weights[group])[0]
+            templates, weights, total, hi = t_tables[group]
+            template = templates[bisect(weights, rand() * total, 0, hi)]
             text = " ".join(
-                [word if pool is None else rng.choice(pool) for word, pool in template]
+                [word if pool is None else choice(pool) for word, pool in template]
             )
-            if rng.random() < FILLER_RATE:
-                filler = rng.choices(FILLERS, cum_weights=f_weights)[0]
+            if rand() < FILLER_RATE:
+                filler = FILLERS[bisect(f_weights, rand() * f_total, 0, f_hi)]
                 text = f"{filler} {text}"
         rows.append((group, text))
     return SynthWorld(

@@ -537,6 +537,15 @@ def test_synth_accepts_size_zero(tmp_path):
     assert (tmp_path / "corpus.tsv").read_text(encoding="utf-8") == ""
 
 
+@pytest.mark.parametrize("size,lines", [(7, (5, 0, 2)), (0, (0, 0, 0))], ids=["size-7", "size-0"])
+def test_synth_corpus_is_the_splits_concatenated(tmp_path, size, lines):
+    # size 7 splits 5/0/2: an empty split in the middle of the whole corpus
+    assert main(["synth", "--size", str(size), "--seed", "7", "--out-dir", str(tmp_path)]) == 0
+    splits = [(tmp_path / f"corpus_{name}.tsv").read_bytes() for name in ("train", "tune", "test")]
+    assert tuple(split.count(b"\n") for split in splits) == lines
+    assert (tmp_path / "corpus.tsv").read_bytes() == b"".join(splits)
+
+
 def test_analyze_accepts_bound_edges(tmp_path, workspace):
     proc = run_cli(
         "analyze", "--lexicon", workspace / "lexicon.lex",

@@ -2,6 +2,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
@@ -88,16 +89,20 @@ def test_generate_world_matches_naive_oracle(size, seed):
     assert world.grammar_text == naive.grammar_text
 
 
-def test_seed7_bundle_matches_recorded_digests(tmp_path):
+@pytest.mark.parametrize("workload,size", [
+    pytest.param("corpus-50k", 50000, id="corpus-50k"),
+    pytest.param("grammar-5k", 5000, id="grammar-5k"),
+])
+def test_seed7_bundle_matches_recorded_digests(tmp_path, workload, size):
     expected = json.loads(
         (Path(__file__).resolve().parents[1] / "perfbench" / "expected_seed7.json")
         .read_text(encoding="utf-8")
-    )["grammar-5k"]["digests"]
+    )[workload]["digests"]
     bundle = {
         name.split("/", 1)[1]: digest
         for name, digest in expected.items() if name.startswith("bundle/")
     }
     assert len(bundle) == 6
-    assert main(["synth", "--size", "5000", "--seed", "7", "--out-dir", str(tmp_path)]) == 0
+    assert main(["synth", "--size", str(size), "--seed", "7", "--out-dir", str(tmp_path)]) == 0
     for name, digest in sorted(bundle.items()):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
