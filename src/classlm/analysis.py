@@ -1,11 +1,12 @@
 """Corpus studies: coverage curves, training-size sweeps, rare-NU behavior.
 
 Each study takes its corpora as :class:`~classlm.normalize.Corpus` values,
-which :func:`classlm.normalize.read_nus` builds in one pass over a file,
-and reads the histograms derived from its rows, so a corpus is counted
-once however many studies use it; the sweep and the saturation table, the
-two studies that depend on row order, walk the rows themselves. A study
-given a list of NUs or (group, NU) rows builds that value first.
+which :func:`classlm.normalize.read_nus` builds as counts from a file's
+distinct lines, and reads the histograms derived from those counts, so a
+corpus is counted once however many studies use it; the sweep and the
+saturation table, the two studies that depend on row order, walk the rows
+themselves, which a corpus lists on first use. A study given a list of NUs
+or (group, NU) rows builds that value first.
 
 All functions are pure over their inputs and all CSV writers emit sorted,
 repr-formatted rows (:func:`classlm.errors.write_csv`), so outputs are

@@ -31,8 +31,10 @@ the same bytes.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from collections.abc import Callable, Collection, Iterable, Iterator, Mapping
 from fractions import Fraction
+from itertools import chain
 
 from .errors import TableError
 from .normalize import NU, nu_histogram
@@ -201,18 +203,26 @@ def window_counts(corpus: Iterable[NU] | Mapping[NU, int], n: int) -> dict[Gram,
     :attr:`classlm.normalize.Corpus.histogram`. Each utterance gets n-1
     start tags and one end tag, and has one window per scored position: the
     n tokens ending there. Each distinct NU is walked once, weighted by its
-    count. This is the one counting kernel: :func:`extract` derives the
-    shorter grams from it, :mod:`classlm.generalize` keeps the keys of the
-    grammar's windows, and :meth:`classlm.lm.ClassNGramLM.score_windows`
-    scores it.
+    count: the NUs of one count are counted together, in one
+    :class:`~collections.Counter` pass over their chained windows, and each
+    window then gains that count times its tally. This is the one counting
+    kernel: :func:`extract` derives the shorter grams from it,
+    :mod:`classlm.generalize` keeps the keys of the grammar's windows, and
+    :meth:`classlm.lm.ClassNGramLM.score_windows` scores it.
     """
     histogram = corpus if isinstance(corpus, Mapping) else nu_histogram(corpus)
     lead = (SENT_START,) * (n - 1)
-    windows: dict[Gram, int] = {}
+    end = (SENT_END,)
+    by_weight: dict[Count, list[NU]] = {}
     for nu, weight in histogram.items():
-        padded = lead + nu + (SENT_END,)
-        for window in zip(*[padded[j:] for j in range(n)]):
-            windows[window] = windows.get(window, 0) + weight
+        by_weight.setdefault(weight, []).append(nu)
+    windows: dict[Gram, int] = {}
+    for weight, nus in by_weight.items():
+        padded = [lead + nu + end for nu in nus]
+        tallies = Counter(chain.from_iterable(
+            zip(*[utterance[j:] for j in range(n)]) for utterance in padded))
+        for window, tally in tallies.items():
+            windows[window] = windows.get(window, 0) + tally * weight
     return windows
 
 

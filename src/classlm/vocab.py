@@ -28,6 +28,9 @@ RESERVED = frozenset((SENT_START, SENT_END, UNK))
 
 PUNCTUATION = ".,;:!?"  # sentence punctuation, which tokenize drops
 _PUNCT = re.compile(f"[{PUNCTUATION}]")
+# the same rule as a str.translate table: cheaper than the pattern over
+# many lines joined at once, dearer per line
+UNPUNCTUATE = str.maketrans(PUNCTUATION, " " * len(PUNCTUATION))
 
 
 def tokenize(text: str) -> list[str]:
@@ -149,10 +152,18 @@ def check_class(
         raise LexiconError(f"class tag {tag!r} collides with a reserved tag", tag)
     if not members:
         raise LexiconError(f"class {tag} is empty", tag)
+    # every part checked at once: tokenize and lower() treat each
+    # space-joined part on its own, so a bad part fails the joined check,
+    # and the loop below then names it (a part spelling a tag fails lower()
+    # without being bad, and the loop passes it)
+    parts = [part for word in members for part in word.split("_")]
+    joined = " ".join(parts)
+    parts_valid = (tokenize(joined) == parts and joined.lower() == joined
+                   and SENT_START not in parts and SENT_END not in parts)
     for word in members:
         if word in RESERVED:
             raise LexiconError(f"reserved tag {word!r} cannot be a member of class {tag}", tag)
-        for part in word.split("_"):
+        for part in () if parts_valid else word.split("_"):
             if (tokenize(part) != [part] or lexicon.cased(part) != part
                     or part in (SENT_START, SENT_END)):
                 raise LexiconError(

@@ -1,3 +1,4 @@
+import re
 import time
 import types
 from collections import Counter
@@ -7,13 +8,14 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import classlm
 from classlm.analysis import label_nus
-from classlm.errors import CorpusError
+from classlm.errors import CorpusError, LexiconError
 from classlm.grammar import generate, parse_grammar_text
 from classlm.normalize import (
     Corpus, normalize, normalize_sentences, nu_histogram, read_corpus, read_nus, tokenize,
+    write_labeled_corpus,
 )
 from classlm.synth import generate_world
-from classlm.vocab import ClassLexicon
+from classlm.vocab import RESERVED, ClassLexicon
 
 import oracle
 
@@ -269,6 +271,42 @@ def test_grammar_terminal_punctuation_is_stripped_like_corpus_text(tiny_lexicon)
     assert normalize(tiny_lexicon, text) == ("to", "CITY-NAME")
 
 
+def _per_part_error(tag, members, tags):
+    """The first error of the member checks of a class whose members are
+    new, one :func:`tokenize` per part."""
+    for word in members:
+        if word in RESERVED:
+            return f"reserved tag {word!r} cannot be a member of class {tag}"
+        for part in word.split("_"):
+            cased = part if part in tags | RESERVED else part.lower()
+            if tokenize(part) != [part] or cased != part or part in ("<s>", "</s>"):
+                return (f"invalid member {word!r} in class {tag}: normalization never "
+                        f"matches {part!r}")
+        if word in tags:
+            return f"word {word!r} in class {tag} collides with a class tag"
+    return None
+
+
+# parts that pass, and parts that tokenize splits or drops, that lowering
+# changes (in context, for the final sigma), that spell a boundary or a tag
+_MEMBER_PARTS = ["rome", "new", "σας", "", "a.b", "x y", "york!", "Rome", "ΣΑΣ", "İ",
+                 "<s>", "</s>", "<unk>", "CITY", "STOP"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(_MEMBER_PARTS), min_size=1, max_size=3).map("_".join),
+                min_size=1, max_size=6, unique=True))
+def test_member_checks_in_bulk_match_one_check_per_part(members):
+    # STOP's members come second, so a member part may spell either tag
+    try:
+        ClassLexicon({"CITY": ["oslo"], "STOP": members})
+    except LexiconError as exc:
+        got = str(exc)
+    else:
+        got = None
+    assert got == _per_part_error("STOP", members, {"CITY", "STOP"})
+
+
 _READER_LEXICON = ClassLexicon({"CITY-NAME": {"naples", "rome", "new_york"},
                                 "HOUR-NUMBER": {"five"}})
 # (line without its end, bad in a labeled file, bad in a plain file)
@@ -293,6 +331,13 @@ _READER_LINES = [
     ("City\t?!", False, False),
     ("Other\t. ,;", False, False),
     ("Date\t, at five", False, False),
+    # a tab inside the text, line and paragraph separators that file reading
+    # keeps inside a line (str.splitlines would break there)
+    ("City\tfrom naples\tto rome", False, False),
+    ("Other\tfrom a\u2028b", False, False),
+    ("Time\tat\x1cfive", False, False),
+    ("City \tfrom rome", True, False),
+    ("Other\tfrom a>b", False, False),
 ]
 
 
@@ -343,6 +388,17 @@ def test_read_nus_matches_read_corpus_then_label_nus(tmp_path_factory, lines, la
         (row, corpus.rows.count(row)) for row in dict.fromkeys(corpus.rows)]
 
 
+def test_read_nus_matches_label_nus_on_the_bundle(tmp_path, world):
+    # thousands of distinct lines, whose punctuation is stripped a block of
+    # lines at a time
+    path = tmp_path / "corpus.tsv"
+    write_labeled_corpus(path, world.labeled_rows)
+    rows = label_nus(world.lexicon, read_corpus(path, True))
+    corpus = read_nus(path, True, world.lexicon)
+    assert len(corpus) == len(rows) and corpus.counts == Counter(rows)
+    assert corpus.rows == rows
+
+
 def test_corpus_shares_equal_rows_and_nus(tmp_path):
     # equal NUs in different groups, and one NU written two ways
     path = tmp_path / "corpus.tsv"
@@ -357,3 +413,34 @@ def test_corpus_shares_equal_rows_and_nus(tmp_path):
         assert corpus.nus == [city[1]] * 4 and all(nu is city[1] for nu in corpus.nus)
         assert list(corpus.counts.items()) == [(city, 2), (time, 2)]
 
+
+def test_counted_views_build_no_rows(tmp_path):
+    # the counts, the histograms and the size come from the tallies; the
+    # ordered rows are built only when read
+    path = tmp_path / "corpus.tsv"
+    path.write_text("City\tto rome\nTime\tat five\n\nCity\tto Naples!\nDate\t...\n"
+                    "City\tto new york\nOther\tat <unk>\n", encoding="utf-8")
+    corpus = read_nus(path, True, _READER_LEXICON)
+    city, time_, unk = (("City", ("to", "CITY-NAME")), ("Time", ("at", "HOUR-NUMBER")),
+                        ("Other", ("at", "<unk>")))
+    assert corpus.counts == {city: 3, time_: 1, unk: 1} and len(corpus) == 5
+    assert corpus.histogram == {city[1]: 3, time_[1]: 1, unk[1]: 1}
+    assert corpus.group_histograms == {"City": {city[1]: 3}, "Time": {time_[1]: 1},
+                                       "Other": {unk[1]: 1}}
+    assert "rows" not in vars(corpus) and "nus" not in vars(corpus)
+    assert corpus.rows == [city, time_, city, city, unk]
+    assert corpus.rows[0] is corpus.rows[2] is corpus.rows[3]
+
+
+@pytest.mark.parametrize("reader", [read_corpus, read_nus])
+def test_a_file_is_decoded_whole_before_its_lines_are_read(tmp_path, reader):
+    # a bad line before undecodable bytes more than one read chunk later: the
+    # file is decoded before any line is parsed, so the decode error comes first
+    path = tmp_path / "corpus.tsv"
+    where = re.escape(str(path))
+    path.write_bytes(b"Weather\tsunny\n" + b"City\tto rome\n" * 5000 + b"City\tto \xff\n")
+    with pytest.raises(CorpusError, match=f"^{where}: not UTF-8 text"):
+        reader(path, True)
+    path.write_bytes(b"Weather\tsunny\n" + b"City\tto rome\n" * 5000)
+    with pytest.raises(CorpusError, match=f"^{where}:1: unknown request group 'Weather'"):
+        reader(path, True)
