@@ -25,7 +25,7 @@ from typing import NamedTuple
 from .errors import CorpusError, write_csv
 from .lm import PerplexityReport, train
 from .ngrams import extract, window_counts
-from .normalize import NU, Corpus, normalize, read_corpus
+from .normalize import NU, Corpus, normalize, read_nus
 from .normalize import write_labeled_corpus  # pinned by perfbench TARGETS; ROADMAP item 2 deletes it
 from .vocab import ClassLexicon
 
@@ -43,8 +43,10 @@ def _plain(corpus: Corpus | list[NU]) -> Corpus:
 
 
 def read_labeled_corpus(path) -> list[tuple[str, str]]:
-    """(group, raw text) rows of a labeled corpus; see :func:`read_corpus`."""
-    return read_corpus(path, labeled=True)
+    """(group, text) rows of a labeled corpus, one per utterance: each row of
+    :func:`classlm.normalize.read_nus`, read without a lexicon, its tokens
+    joined by spaces."""
+    return [(group, " ".join(nu)) for group, nu in read_nus(path, True).rows]
 
 
 def label_nus(lexicon: ClassLexicon, rows: list[tuple[str, str]]) -> LabeledNUs:
@@ -138,28 +140,22 @@ def partial_training_sweep(
 
 
 class UnseenSplit(NamedTuple):
-    seen: tuple[NU, ...]
-    unseen: tuple[NU, ...]
-
-    @property
-    def seen_types(self) -> int:
-        return len(set(self.seen))
-
-    @property
-    def unseen_types(self) -> int:
-        return len(set(self.unseen))
+    # each test NU -> its occurrences in the test corpus, by whether it
+    # occurs in training
+    seen: dict[NU, int]
+    unseen: dict[NU, int]
 
 
 def unseen_split(
     training_corpus: Corpus | list[NU], test_corpus: Corpus | list[NU]
 ) -> UnseenSplit:
-    """Split test utterances by whether their NU occurs in training at all."""
+    """Split the test histogram by whether each NU occurs in training at all."""
     known = _plain(training_corpus).histogram
-    seen = []
-    unseen = []
-    for nu in _plain(test_corpus).nus:
-        (seen if nu in known else unseen).append(nu)
-    return UnseenSplit(seen=tuple(seen), unseen=tuple(unseen))
+    seen: dict[NU, int] = {}
+    unseen: dict[NU, int] = {}
+    for nu, count in _plain(test_corpus).histogram.items():
+        (seen if nu in known else unseen)[nu] = count
+    return UnseenSplit(seen=seen, unseen=unseen)
 
 
 # -- frequent-NU saturation ---------------------------------------------------
@@ -238,6 +234,6 @@ def write_overlap_csv(path, overlap: dict[str, float], fmt: str = "csv") -> None
 
 def write_unseen_csv(path, split: UnseenSplit, fmt: str = "csv") -> None:
     write_csv(path, fmt, ["part", "utterances", "nu_types"], [
-        ["seen", len(split.seen), split.seen_types],
-        ["unseen", len(split.unseen), split.unseen_types],
+        ["seen", sum(split.seen.values()), len(split.seen)],
+        ["unseen", sum(split.unseen.values()), len(split.unseen)],
     ])

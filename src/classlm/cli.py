@@ -142,7 +142,7 @@ def cmd_normalize(args) -> int:
     if args.labeled:
         normalize.write_labeled_corpus(args.out, corpus.rows)
     else:
-        normalize.write_sentences(args.out, corpus.nus)
+        normalize.write_sentences(args.out, (nu for _, nu in corpus.rows))
     return 0
 
 

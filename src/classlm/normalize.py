@@ -12,24 +12,22 @@ just the lengths of the members it begins
 (:attr:`ClassLexicon.member_lengths`) against the one member table
 (:attr:`ClassLexicon.member_tag`). The grammar side
 (:func:`normalize_sentences`) goes through it, and so does every corpus
-line that may hold a multi-word member; :func:`read_nus` maps the tokens
-of any other line through the same memo itself, which is all that
-:func:`normalize` would do with them. Both sides split text by the rule of
-:func:`classlm.vocab.tokenize` and reject a token spelling a boundary tag
-through :func:`boundary_tag`: corpus lines here, grammar terminals in
-:mod:`classlm.grammar`.
+line with a token that may begin a multi-word member; :func:`read_nus`
+maps the tokens of any other line through the same memo itself, which is
+all that :func:`normalize` would do with them. Both sides split text by the
+rule of :func:`classlm.vocab.tokenize` and reject a token spelling a
+boundary tag through :func:`boundary_tag`: corpus lines here, grammar
+terminals in :mod:`classlm.grammar`.
 
-Corpus files, plain and labeled, are read and written here. A reader
-decodes the whole file before it parses a line. :func:`read_nus` reads a
-file into a :class:`Corpus`, the counts of its (group, NU) rows: it counts
-the raw lines first and reads each distinct line once, adding its count to
-its row's tally, so the histograms that the commands and the corpus
-studies read come from those tallies, and the rows in corpus order are
-built only for a study that walks them. :func:`read_corpus` returns the raw
-(group, text) rows, one per line, through the parser that :func:`read_nus`
-uses for every line it does not read itself, so both raise the same errors;
-:func:`write_labeled_corpus` and :func:`write_sentences` write the labeled
-and the plain form.
+Corpus files, plain and labeled, are read and written here.
+:func:`read_nus` is the one corpus reader: it decodes the whole file,
+counts the raw lines, and reads each distinct line once, through one loop
+body that checks its group, splits it, rejects a boundary tag and
+normalizes it, adding its count to its (group, NU) row's tally. The
+histograms that the commands and the corpus studies read come from those
+tallies, and the rows in corpus order are built only for a study that walks
+them. :func:`write_labeled_corpus` and :func:`write_sentences` write the
+labeled and the plain form.
 """
 
 from __future__ import annotations
@@ -39,9 +37,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
 
 from .errors import CorpusError, open_text
-from .vocab import (
-    PUNCTUATION, SENT_END, SENT_START, UNPUNCTUATE, ClassLexicon, tokenize,
-)
+from .vocab import SENT_END, SENT_START, UNPUNCTUATE, ClassLexicon, tokenize
 
 NU = tuple[str, ...]
 
@@ -138,11 +134,6 @@ class Corpus:
         return list(map(list(self.counts).__getitem__, self._order))
 
     @cached_property
-    def nus(self) -> list[NU]:
-        """NU per utterance, in corpus order."""
-        return [nu for _, nu in self.rows]
-
-    @cached_property
     def histogram(self) -> dict[NU, int]:
         """Occurrences of each distinct NU, whatever its group."""
         histogram: dict[NU, int] = {}
@@ -171,32 +162,6 @@ def boundary_tag(tokens: Iterable[str]) -> str | None:
     return next((tag for tag in (SENT_START, SENT_END) if tag in spelled), None)
 
 
-def _parse_line(path, lines: list[str], line: str, labeled: bool) -> tuple[str, str] | None:
-    """The (group, text) row of the corpus line ``line``, or None if its
-    text has no token.
-
-    Labeled lines are ``group<TAB>text`` with a group from :data:`GROUPS`;
-    the group is ``""`` for plain corpora. An error names the line's first
-    occurrence in ``lines``, the file's lines.
-    """
-    group, text = "", line
-    if labeled and line.strip():
-        if "\t" not in line:
-            raise _line_error(path, lines, line, "expected 'group<TAB>utterance'")
-        group, _, text = line.partition("\t")
-        if group not in GROUPS:
-            raise _line_error(path, lines, line, f"unknown request group {group!r} "
-                              f"(expected one of {', '.join(GROUPS)})")
-    text = text.strip()
-    # one-character tests spare most lines the token scans
-    if not text or (text[0] in PUNCTUATION and not tokenize(text)):
-        return None
-    tag = boundary_tag(tokenize(text)) if ">" in text else None
-    if tag is not None:
-        raise _line_error(path, lines, line, f"reserved tag {tag} in the text")
-    return group, text
-
-
 def _line_error(path, lines: list[str], line: str, message: str) -> CorpusError:
     """The error ``message`` at the first line of ``lines`` equal to ``line``."""
     return CorpusError(f"{path}:{lines.index(line) + 1}: {message}")
@@ -217,37 +182,24 @@ def _read_lines(path) -> list[str]:
         return fh.readlines()
 
 
-def read_corpus(path, labeled: bool = False) -> list[tuple[str, str]]:
-    """(group, text) rows, one per line; the group is ``""`` for plain corpora.
-
-    Labeled lines are ``group<TAB>text`` with a group from :data:`GROUPS`. In
-    both formats a row whose text holds no token is skipped. The file is
-    decoded whole before any line is parsed.
-    """
-    lines = _read_lines(path)
-    rows = []
-    for line in lines:
-        row = _parse_line(path, lines, line, labeled)
-        if row is not None:
-            rows.append(row)
-    return rows
-
-
 def read_nus(path, labeled: bool = False, lexicon: ClassLexicon | None = None) -> Corpus:
     """The :class:`Corpus` of a corpus file, its rows tallied per distinct line.
 
-    Rows are those of :func:`read_corpus`, with the text normalized through
-    ``lexicon``; without one the text is taken as already normalized and
-    only split (normalizing it again would lowercase its class tags).
+    A line's text is split by the rule of :func:`tokenize` and normalized
+    through ``lexicon``; without one its tokens are taken as already
+    normalized (normalizing them again would lowercase their class tags).
+    Labeled lines are ``group<TAB>text`` with a group from :data:`GROUPS`;
+    the group is ``""`` for plain corpora. In both formats a line whose text
+    holds no token is skipped, and a token spelling a boundary tag is an
+    error. The file is decoded whole before any line is read.
 
     The raw lines are counted first, and each distinct line is read once,
     in first-occurrence order, adding its count to the tally of its row, so
-    an error names the first bad line. A common line (a known group, no
-    ``>``, and no token that :attr:`ClassLexicon.token_tag` marks as a
-    possible start of a multi-word member) is read here, its punctuation
-    stripped together with that of the distinct lines around it; any other
-    goes through the parser of :func:`read_corpus`, and :func:`normalize`
-    runs only where a multi-word member may start.
+    an error names the first bad line. Every line takes the one path below:
+    its punctuation is stripped together with that of the distinct lines
+    around it, its tokens are mapped through
+    :attr:`ClassLexicon.token_tag`, and :func:`normalize` runs only where a
+    token may start a multi-word member.
     """
     lines = _read_lines(path)
     # raw line -> its count, then -> the index of its row (-1: no utterance)
@@ -259,22 +211,30 @@ def read_nus(path, labeled: bool = False, lexicon: ClassLexicon | None = None) -
     rows: list[tuple[str, NU]] = []
     tallies: list[int] = []
     skipped = False
+    group = ""
     for (line, count), text in zip(tally.items(), _unpunctuated(list(tally))):
         if labeled:
             group, tab, text = text.partition("\t")
-            common = tab and group in GROUPS
+            if not tab or group not in GROUPS:
+                if not line.strip():
+                    text = ""  # a blank line: no utterance
+                elif not tab:
+                    raise _line_error(path, lines, line, "expected 'group<TAB>utterance'")
+                else:
+                    raw_group = line.partition("\t")[0]
+                    raise _line_error(path, lines, line, f"unknown request group {raw_group!r} "
+                                      f"(expected one of {', '.join(GROUPS)})")
+        tokens = text.split()
+        if ">" in text:
+            tag = boundary_tag(tokens)
+            if tag is not None:
+                raise _line_error(path, lines, line, f"reserved tag {tag} in the text")
+        if token_tag is None:
+            nu = tuple(tokens)
         else:
-            group, common = "", True
-        nu = None
-        if common and token_tag is not None and ">" not in text:
-            nu = tuple(map(token_tag, text.split()))
-        if nu is None or None in nu:
-            parsed = _parse_line(path, lines, line, labeled)
-            if parsed is None:
-                nu = ()
-            else:
-                group, text = parsed
-                nu = tuple(text.split()) if lexicon is None else normalize(lexicon, text)
+            nu = tuple(map(token_tag, tokens))
+            if None in nu:
+                nu = normalize(lexicon, tokens)
         if not nu:
             tally[line] = -1
             skipped = True

@@ -15,7 +15,9 @@ generalization pipeline and the training-size sweep are composed from these
 pieces alone, the obvious way: every count table in full, one merge and one
 training per grid factor or prefix. The corpus studies (coverage,
 saturation, overlap, unseen split) count with plain loops over the row
-lists, with no histogram. The rest deliberately share no code with the
+lists, with no histogram. The corpus reader parses one line at a time,
+splits it with the tokenizer's pattern and numbers its errors as it counts
+the lines. The rest deliberately share no code with the
 package's scoring loop, table internals, normalization shortcuts,
 stack-driven generation or precomputed sampling tables.
 """
@@ -24,16 +26,17 @@ import math
 import random
 from fractions import Fraction
 
-from classlm.errors import GrammarError, ModelError
+from classlm.errors import CorpusError, GrammarError, ModelError
 from classlm.grammar import SentenceSet
 from classlm.lm import ClassNGramLM
 from classlm.ngrams import Gram, NGramTable
+from classlm.normalize import GROUPS
 from classlm.synth import (
     FILLER_EXPONENT, FILLER_RATE, FILLERS, GROUP_SAMPLING, GROUP_TEMPLATES,
     NOISE_RATE, NOISE_UTTERANCES, SynthWorld, build_lexicon,
     grammar_text,
 )
-from classlm.vocab import RESERVED, SENT_END, SENT_START, UNK
+from classlm.vocab import RESERVED, SENT_END, SENT_START, UNK, tokenize
 
 LN10 = math.log(10.0)
 BOUNDARY = (SENT_START, SENT_END)
@@ -296,6 +299,34 @@ def naive_model(counts, n, lexicon):
     table = NGramTable(n, counts)
     assert dict(table) == counts
     return naive_train(table, lexicon)
+
+
+def naive_read_corpus(path, labeled=False):
+    """(group, text) rows of a corpus file, one per line whose text has a
+    token; the group is ``""`` for plain corpora.
+
+    Lines are read one at a time: a labeled line needs a tab after a group
+    from :data:`GROUPS`, and a token spelling ``<s>`` or ``</s>`` in any case
+    is an error naming the line by its number in the file.
+    """
+    rows = []
+    with open(path, encoding="utf-8-sig") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            group, text = "", line
+            if labeled and line.strip():
+                if "\t" not in line:
+                    raise CorpusError(f"{path}:{lineno}: expected 'group<TAB>utterance'")
+                group, _, text = line.partition("\t")
+                if group not in GROUPS:
+                    raise CorpusError(f"{path}:{lineno}: unknown request group {group!r} "
+                                      f"(expected one of {', '.join(GROUPS)})")
+            tokens = tokenize(text)
+            for tag in (SENT_START, SENT_END):
+                if any(token.lower() == tag for token in tokens):
+                    raise CorpusError(f"{path}:{lineno}: reserved tag {tag} in the text")
+            if tokens:
+                rows.append((group, text.strip()))
+    return rows
 
 
 def nus_of(labeled):

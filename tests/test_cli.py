@@ -28,7 +28,7 @@ from classlm.errors import (
 )
 from classlm.grammar import generate, parse_grammar
 from classlm.lm import export_model, import_model
-from classlm.normalize import read_corpus, read_nus
+from classlm.normalize import read_nus
 from classlm.vocab import ClassLexicon, load_lexicon
 
 
@@ -86,6 +86,23 @@ def test_train_perplexity_cycle(tmp_path, workspace, capsys):
     pp = float(output.splitlines()[0].split()[0].split("=")[1])
     assert pp >= 1.0
     assert "pp[City]=" in output
+
+
+def test_perplexity_without_lexicon_drops_punctuation(tmp_path, workspace, capsys):
+    # NU input is split like any corpus text: `.,;:!?` are no part of a token
+    model = tmp_path / "model.arpa"
+    assert main(["train", "--lexicon", str(workspace / "lexicon.lex"),
+                 "--corpus", str(workspace / "corpus_train.tsv"), "--labeled",
+                 "--out", str(model)]) == 0
+    punctuated, plain = tmp_path / "punctuated.nus", tmp_path / "plain.nus"
+    punctuated.write_text("from CITY-NAME, to CITY-NAME.\nto CITY-NAME!\n", encoding="utf-8")
+    plain.write_text("from CITY-NAME to CITY-NAME\nto CITY-NAME\n", encoding="utf-8")
+    outputs = []
+    for corpus in (punctuated, plain):
+        capsys.readouterr()
+        assert main(["perplexity", "--model", str(model), "--corpus", str(corpus)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and " oov=0" in outputs[1]
 
 
 def test_generate_deterministic(tmp_path, workspace):
@@ -897,9 +914,6 @@ def test_non_utf8_corpus_is_data_error(tmp_path, workspace):
 # every reader of user files, with the DataError subclass it raises
 READERS = [
     (load_lexicon, LexiconError),
-    (read_corpus, CorpusError),
-    pytest.param(functools.partial(read_corpus, labeled=True), CorpusError,
-                 id="read_corpus_labeled-CorpusError"),
     (read_labeled_corpus, CorpusError),
     (read_nus, CorpusError),
     pytest.param(functools.partial(read_nus, labeled=True,
@@ -1022,7 +1036,7 @@ def test_read_corpus_rejects_boundary_tags(tmp_path):
     path = tmp_path / "tags.txt"
     path.write_text("from <unk> to rome\n\nback </s>\n", encoding="utf-8")
     with pytest.raises(CorpusError, match=f"{path}:3: reserved tag </s>"):
-        read_corpus(path)
+        read_nus(path)
 
 
 def test_blank_labeled_row_trains_like_plain_corpus(tmp_path, workspace):

@@ -287,13 +287,12 @@ def test_pipeline_counts_each_corpus_once(monkeypatch, splits, grammar_obj, lexi
 @pytest.mark.parametrize("mode", ["ngram-injection", "naive-sentences"])
 def test_pipeline_reads_histograms_like_nus(mode, splits, grammar_obj, lexicon):
     # classlm generalize passes each corpus's histogram
-    corpora = [Corpus(("", nu) for nu in nus) for nus in (
-        splits["nus"]["train"][:1000], splits["nus"]["tune"], splits["nus"]["test"])]
+    nus = [splits["nus"]["train"][:1000], splits["nus"]["tune"], splits["nus"]["test"]]
+    corpora = [Corpus(("", nu) for nu in part) for part in nus]
     assert all(len(corpus.histogram) < len(corpus) for corpus in corpora)
     runs = [build_generalized_lm(train_nus, grammar_obj, lexicon, 3, tuning_corpus=tune,
                                  test_corpus=test, mode=mode)
-            for train_nus, tune, test in ([corpus.nus for corpus in corpora],
-                                          [corpus.histogram for corpus in corpora])]
+            for train_nus, tune, test in (nus, [corpus.histogram for corpus in corpora])]
     listed, counted = runs
     assert counted.model == listed.model
     assert counted.baseline == listed.baseline
