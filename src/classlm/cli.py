@@ -22,6 +22,10 @@ from . import (analysis, errors, generalize, grammar as grammar_mod, lm, ngrams,
 # training corpus length are used, then the full corpus
 DEFAULT_SIZES = (100, 500, 1000, 2000)
 
+# the largest --order: a model stores a gram of every length up to the order
+# at each position, so its time and size grow as the square of the order
+MAX_ORDER = 10
+
 
 class UsageError(Exception):
     """Bad flag combination; maps to exit code 2 like argparse errors."""
@@ -88,11 +92,20 @@ def _count_arg(text: str) -> int:
 
 
 def _positive_arg(text: str) -> int:
-    """argparse type for --order, --max-depth and --max-sentences: an integer
-    >= 1; errors exit 2."""
+    """argparse type for --max-depth and --max-sentences: an integer >= 1;
+    errors exit 2."""
     value = _count_arg(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"{text!r} is not positive")
+    return value
+
+
+def _order_arg(text: str) -> int:
+    """argparse type for --order: an integer from 1 to :data:`MAX_ORDER`;
+    errors exit 2."""
+    value = _positive_arg(text)
+    if value > MAX_ORDER:
+        raise argparse.ArgumentTypeError(f"{text!r} is above the largest order, {MAX_ORDER}")
     return value
 
 
@@ -282,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--format", choices=("csv", "tsv"), default="csv")
 
     def add_order(p):
-        p.add_argument("--order", "-n", type=_positive_arg, default=3)
+        p.add_argument("--order", "-n", type=_order_arg, default=3)
 
     def add_bounds(p):
         p.add_argument("--max-depth", type=_positive_arg)

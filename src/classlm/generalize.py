@@ -16,9 +16,10 @@ minimizing perplexity on the tuning corpus; the test corpus is only
 evaluated, never tuned on.
 
 The grammar side enters only through the distinct top-order windows of the
-generated sentences, which are normalized like every corpus, one
-:func:`classlm.normalize.normalize` per sentence
-(:func:`classlm.normalize.normalize_sentences`).
+generated sentences. Each terminal is normalized once, before generation,
+so the non-empty sentences are the sentence NUs, distinct and sorted: a
+multi-word member is merged only inside one terminal, and the sentence cap
+counts distinct NUs.
 
 Each corpus is counted once (:func:`classlm.ngrams.window_counts`), and
 every model scores it from those counts, one backoff walk per distinct
@@ -43,7 +44,7 @@ from .errors import DataError, TableError, write_csv
 from .grammar import _MAX_DEPTH, _MAX_SENTENCES, Grammar, generate
 from .lm import ClassNGramLM, PerplexityReport, train
 from .ngrams import Count, Gram, NGramTable, exact_count, extract, window_counts
-from .normalize import NU, normalize_sentences
+from .normalize import NU, normalize
 from .vocab import ClassLexicon
 
 MODE_INJECTION = "ngram-injection"
@@ -155,6 +156,14 @@ def naive_sentence_table(
     return extract(histogram, n)
 
 
+def _normalized(grammar: Grammar, lexicon: ClassLexicon) -> Grammar:
+    """``grammar`` with each terminal replaced by its NU."""
+    return grammar._replace(productions={
+        name: tuple(tuple(item if isinstance(item, str) else normalize(lexicon, item)
+                          for item in alt) for alt in alts)
+        for name, alts in grammar.productions.items()})
+
+
 class GeneralizationResult(NamedTuple):
     mode: str
     model: ClassNGramLM
@@ -200,8 +209,8 @@ def build_generalized_lm(
     tuning_windows = None if tuning_corpus is None else window_counts(tuning_corpus, n)
     test_windows = None if test_corpus is None else window_counts(test_corpus, n)
 
-    sentences = generate(grammar, max_depth, max_sentences)
-    sentence_nus = normalize_sentences(lexicon, sentences)
+    sentence_nus = [nu for nu in generate(_normalized(grammar, lexicon), max_depth,
+                                          max_sentences) if nu]
     sentence_windows = window_counts(sentence_nus, n)
     grammar_table = NGramTable(n, dict.fromkeys(sentence_windows, 1))
 

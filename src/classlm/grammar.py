@@ -23,6 +23,8 @@ items are terminals, each its token tuple, and nonterminals, each its name.
 Grammars are written over normalized-utterance tokens, i.e. class tags such
 as ``CITY-NAME`` are terminals, so generated sentences compare directly with
 NUs, and are written as a plain corpus (:func:`classlm.normalize.write_sentences`).
+:mod:`classlm.generalize` reads each terminal through the lexicon before it
+generates, so a class member written inside one terminal becomes its tag.
 Recursion is allowed. Generation is depth-bounded, and ``classlm generate``
 notes when the depth bound cut the expansion.
 """

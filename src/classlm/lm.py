@@ -58,7 +58,13 @@ class PerplexityReport(NamedTuple):
         returns them."""
         if not tokens:
             raise ModelError("cannot evaluate perplexity on an empty corpus")
-        return cls(10.0 ** (-total10 / tokens), total10 * LN10, tokens, oov)
+        try:
+            pp = 10.0 ** (-total10 / tokens)
+        except OverflowError:
+            pp = math.inf
+        if not math.isfinite(pp):
+            raise ModelError("perplexity past the float range")
+        return cls(pp, total10 * LN10, tokens, oov)
 
 
 class ClassNGramLM:

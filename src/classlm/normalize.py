@@ -10,8 +10,8 @@ looks it up once per lexicon, and the greedy longest-match search runs only
 for an utterance holding a token that may begin a multi-word member, trying
 just the lengths of the members it begins
 (:attr:`ClassLexicon.member_lengths`) against the one member table
-(:attr:`ClassLexicon.member_tag`). The grammar side
-(:func:`normalize_sentences`) goes through it, and so does every corpus
+(:attr:`ClassLexicon.member_tag`). The grammar side, one call per terminal
+(:mod:`classlm.generalize`), goes through it, and so does every corpus
 line with a token that may begin a multi-word member; :func:`read_nus`
 maps the tokens of any other line through the same memo itself, which is
 all that :func:`normalize` would do with them. Both sides split text by the
@@ -78,17 +78,6 @@ def normalize(lexicon: ClassLexicon, utterance: str | Sequence[str]) -> NU:
         out.append(tag)
         i += length
     return tuple(out)
-
-
-def normalize_sentences(
-    lexicon: ClassLexicon, sentences: Iterable[Sequence[str]]
-) -> list[NU]:
-    """Sorted distinct NUs of the non-empty token sequences in ``sentences``.
-
-    Deduplicating keeps the input order, so sorted input, as
-    :func:`classlm.grammar.generate` gives, sorts in linear time.
-    """
-    return sorted(dict.fromkeys(normalize(lexicon, s) for s in sentences if s))
 
 
 def nu_histogram(corpus: Iterable[NU]) -> Counter:

@@ -4,22 +4,21 @@ The scorers re-derive probabilities by the textbook chain rule, recursively,
 in the raw probability domain, reading only the model's stored tables. The
 counter enumerates every padded window gram by gram, one utterance at a time.
 The normalizer tries every member length at every token. The grammar
-generator enumerates every derivation lazily, and the recursion check
-searches once from each nonterminal. The corpus sampler passes raw weights
-on every draw and splits each template as it fills it. The trainer builds a
-Fraction for every unigram probability and backoff weight, and the utterance
-scorer slices each position's backoff grams by index from a window of the
-model's full order; both are the package's earlier kernels, the scorer with
-the package's rule that a boundary tag never maps to ``<unk>``. The
+generator enumerates every derivation lazily. The corpus sampler passes raw
+weights on every draw and splits each template as it fills it. The trainer
+builds a Fraction for every unigram probability and backoff weight, and the
+utterance scorer slices each position's backoff grams by index from a window
+of the model's full order; both are the package's earlier kernels, the scorer
+with the package's rule that a boundary tag never maps to ``<unk>``. The
 generalization pipeline and the training-size sweep are composed from these
 pieces alone, the obvious way: every count table in full, one merge and one
-training per grid factor or prefix. The corpus studies (coverage,
-saturation, overlap, unseen split) count with plain loops over the row
-lists, with no histogram. The corpus reader parses one line at a time,
-splits it with the tokenizer's pattern and numbers its errors as it counts
-the lines. The rest deliberately share no code with the
-package's scoring loop, table internals, normalization shortcuts,
-stack-driven generation or precomputed sampling tables.
+training per grid factor or prefix. The corpus studies (coverage, saturation,
+overlap, unseen split) count with plain loops over the row lists, with no
+histogram. The corpus reader parses one line at a time, splits it with the
+tokenizer's pattern and numbers its errors as it counts the lines. The rest
+deliberately share no code with the package's scoring loop, table internals,
+normalization shortcuts, stack-driven generation or precomputed sampling
+tables.
 """
 
 import math
@@ -425,8 +424,14 @@ def naive_generalize(train_nus, grammar, lexicon, n, grid, tuning_corpus, test_c
     pairs of the grid search), ``model``, ``baseline``, ``sentence_nus`` and
     ``perplexities`` (corpus label -> (baseline pp, generalized pp)).
     """
-    sentences = naive_generate(grammar, max_depth, max_sentences).sentences
-    sentence_nus = sorted({naive_normalize(lexicon, s) for s in sentences if s})
+    # the grammar is written over NU tokens: each terminal stands for its NU
+    terminal_nus = {name: tuple(tuple(item if isinstance(item, str)
+                                      else naive_normalize(lexicon, item) for item in alt)
+                                for alt in alts)
+                    for name, alts in grammar.productions.items()}
+    sentences = naive_generate(grammar._replace(productions=terminal_nus), max_depth,
+                               max_sentences).sentences
+    sentence_nus = [nu for nu in sentences if nu]
     train_counts = naive_extract(train_nus, n)
     grammar_counts = naive_extract(sentence_nus, n)
     train_top = {gram for gram in train_counts if len(gram) == n}

@@ -694,6 +694,41 @@ def test_model_declared_far_above_its_grams_scores_quickly(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("log_prob", ["-400", "-1.7e+308"],
+                         ids=["pp-past-float-range", "total-past-float-range"])
+def test_perplexity_past_float_range_is_data_error(tmp_path, log_prob):
+    # a valid model: at -400 the perplexity 10**400 used to end in an
+    # OverflowError traceback, and at -1.7e+308 the log total overflowed and
+    # pp=inf was printed with exit 0
+    model = tmp_path / "far.arpa"
+    model.write_text(
+        "# classlm model format v1\n\n\\data\\\nngram 1=4\n\n\\class-sizes:\n\n"
+        "\\1-grams:\n" + "".join(f"{log_prob}\t{token}\n" for token in ("<s>", "</s>", "<unk>", "a"))
+        + "\n\\end\\\n", encoding="utf-8")
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("a a a\n", encoding="utf-8")
+    proc = run_cli("perplexity", "--model", model, "--corpus", corpus)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: perplexity past the float range\n"
+
+
+@pytest.mark.parametrize("command", ["train", "analyze", "generalize"])
+def test_order_above_ceiling_exits_two_before_any_work(tmp_path, workspace, command):
+    # train --order 400 on the 5k bundle used to run for 89 s in 5 GB
+    (tmp_path / "out").mkdir()
+    proc = run_cli(*_bound_command(command, workspace), "--order=11", cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "argument --order/-n: '11' is above the largest order, 10" in proc.stderr
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_order_at_ceiling_trains(tmp_path, workspace):
+    (tmp_path / "out").mkdir()
+    proc = run_cli(*_bound_command("train", workspace), "--order=10", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert import_model(tmp_path / "out" / "model.arpa").order == 10
+
+
 def load_benchmark_tracer():
     """perfbench/tracing.py as a fresh module, compiled in memory so that no
     bytecode is written next to it."""
@@ -723,9 +758,11 @@ def test_benchmark_tracer_wraps_the_scoring_names(tmp_path, workspace):
 
 
 def test_benchmark_tracer_sees_the_grammar_side(tmp_path, workspace):
-    # the generated sentences go through the traced normalize, so the
+    # the grammar's terminals go through the traced normalize, so the
     # benchmark's normalize metrics cover the grammar side of generalize
-    sentences = generate(parse_grammar(workspace / "grammar.bnf"), 12, 100000)
+    grammar = parse_grammar(workspace / "grammar.bnf")
+    terminals = {item for alts in grammar.productions.values() for alt in alts
+                 for item in alt if isinstance(item, tuple) and item}
     tracer = load_benchmark_tracer().Tracer()
     tracer.install()
     try:
@@ -737,7 +774,7 @@ def test_benchmark_tracer_sees_the_grammar_side(tmp_path, workspace):
     finally:
         tracer.remove()
     spans = [span for span in tracer.spans if span[0] == "normalize.normalize"]
-    assert len(spans) >= sum(1 for sentence in sentences if sentence) > 0
+    assert len(spans) >= len(terminals) > 0
 
 
 def test_benchmark_pinned_names_resolve(tmp_path, model_small):

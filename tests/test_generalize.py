@@ -21,7 +21,7 @@ from classlm.generalize import (
 from classlm.grammar import parse_grammar_text
 from classlm.lm import export_model, perplexity, train
 from classlm.ngrams import NGramTable, extract, window_counts
-from classlm.normalize import Corpus, nu_histogram
+from classlm.normalize import Corpus, normalize, nu_histogram
 from classlm.score import Scorer
 from classlm.synth import generate_world
 from classlm.vocab import ClassLexicon
@@ -284,6 +284,42 @@ def test_pipeline_counts_each_corpus_once(monkeypatch, splits, grammar_obj, lexi
     assert nu_histogram(train_nus) in counted
 
 
+def test_pipeline_normalizes_each_terminal_once(monkeypatch, splits, grammar_obj, lexicon):
+    # the grammar side is normalized at its terminals, not sentence by sentence
+    calls = []
+
+    def counting(lexicon, utterance):
+        calls.append(utterance)
+        return normalize(lexicon, utterance)
+
+    monkeypatch.setattr(generalize_module, "normalize", counting)
+    result = build_generalized_lm(splits["nus"]["train"][:100], grammar_obj, lexicon, 3,
+                                  mode="naive-sentences")
+    terminals = [item for alts in grammar_obj.productions.values() for alt in alts
+                 for item in alt if isinstance(item, tuple)]
+    assert sorted(calls) == sorted(terminals)
+    assert len(calls) < len(result.sentence_nus)
+
+
+def test_member_split_across_terminals_stays_plain(tiny_lexicon):
+    # "new york" is merged into its tag only inside one terminal; normalizing
+    # each generated sentence used to merge "from new" "york" too
+    grammar = parse_grammar_text('start S; S -> "from new" "york" | "to new york";')
+    result = build_generalized_lm([("to", "CITY-NAME")], grammar, tiny_lexicon, 2,
+                                  mode="naive-sentences")
+    assert result.sentence_nus == [("from", "new", "york"), ("to", "CITY-NAME")]
+
+
+def test_sentence_cap_counts_distinct_nus():
+    # the first two raw sentences share one NU; a cap on raw sentences used to
+    # leave that one NU
+    lexicon = ClassLexicon({"CITY-NAME": ["rome", "naples"]})
+    grammar = parse_grammar_text('start S; S -> "to rome" | "to naples" | "from rome";')
+    result = build_generalized_lm([("to", "CITY-NAME")], grammar, lexicon, 2,
+                                  max_sentences=2, mode="naive-sentences")
+    assert result.sentence_nus == [("from", "CITY-NAME"), ("to", "CITY-NAME")]
+
+
 @pytest.mark.parametrize("mode", ["ngram-injection", "naive-sentences"])
 def test_pipeline_reads_histograms_like_nus(mode, splits, grammar_obj, lexicon):
     # classlm generalize passes each corpus's histogram
@@ -328,7 +364,9 @@ def assert_close(actual, expected):
 
 # alternatives put first in CityRequest, so even the first few generated
 # sentences hold them: case variants, and a member spelled out in one terminal
-# or across two; each normalizes like the alternative "from CITY-NAME"
+# or across two; each but the last normalizes like the alternative
+# "from CITY-NAME", since a member is merged into its tag only inside one
+# terminal
 _CITY_VARIANTS = ["", '"From CITY-NAME" | "FROM" "CITY-NAME" | ',
                   '"from monte bianco" | "from monte" "bianco" | ']
 
@@ -338,8 +376,14 @@ _WORLD_TERMINALS = ["from", "to", "CITY-NAME", "WEEK-DAY", "please", "the DAY-NU
                     "from CITY-NAME"]
 
 
+# world terminals with class members written in them, whole: in one word or
+# several, in any case
+_MEMBER_TERMINALS = _WORLD_TERMINALS + ["monte bianco", "to Riva del Sole", "MONDAY",
+                                        "the twenty"]
+
+
 @st.composite
-def _recursive_grammar_texts(draw):
+def _recursive_grammar_texts(draw, terminals=_WORLD_TERMINALS):
     """Grammar text of 2-4 nonterminals, each with 1-3 alternatives of 1-3
     items over world NU tokens, recursive through a drawn cycle of 1 (self
     recursion) to 4 (mutual) nonterminals that starts at the start symbol.
@@ -350,7 +394,7 @@ def _recursive_grammar_texts(draw):
     nonterminals makes the naive enumeration exponential.
     """
     names = ["S", "A", "B", "C"][: draw(st.integers(min_value=2, max_value=4))]
-    terminal = st.sampled_from(_WORLD_TERMINALS).map('"{}"'.format)
+    terminal = st.sampled_from(terminals).map('"{}"'.format)
     item = st.one_of(terminal, st.sampled_from(names))
     cycle = names[: draw(st.integers(min_value=1, max_value=len(names)))]
     rules = []
@@ -465,6 +509,22 @@ def test_pipeline_matches_naive_generalize_on_recursive_grammars(
     assert_generalize_matches_naive(world, grammar, n, grid, max_depth=max_depth,
                                     max_sentences=max_sentences, emission=emission,
                                     mode=mode)
+
+
+@settings(max_examples=30, deadline=None)
+@given(text=_recursive_grammar_texts(_MEMBER_TERMINALS), max_depth=st.sampled_from([5, 4, 3, 2]))
+def test_sentence_nus_are_the_generated_sentences_normalized(lexicon, text, max_depth):
+    # with each member inside one terminal and no sentence cut by the cap,
+    # normalizing the terminals gives the NUs of the raw sentences
+    grammar = parse_grammar_text(text, source="drawn-grammar")
+    assume(_naive_generation_steps(grammar, max_depth) < 10**5)
+    sentences = oracle.naive_generate(grammar, max_depth, 10**4)
+    assume(len(sentences) < 10**4)
+    result = build_generalized_lm([("to", "CITY-NAME")], grammar, lexicon, 2,
+                                  max_depth=max_depth, max_sentences=10**4,
+                                  mode="naive-sentences")
+    assert result.sentence_nus == sorted(
+        {oracle.naive_normalize(lexicon, s) for s in sentences if s})
 
 
 def test_naive_mode_has_no_factor(generalization_runs):

@@ -9,9 +9,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 import classlm
 from classlm.analysis import label_nus, read_labeled_corpus
 from classlm.errors import CorpusError, LexiconError
-from classlm.grammar import generate, parse_grammar_text
+from classlm.generalize import MODE_NAIVE, build_generalized_lm
+from classlm.grammar import Grammar, generate, parse_grammar_text
 from classlm.normalize import (
-    Corpus, normalize, normalize_sentences, nu_histogram, read_nus, tokenize, write_labeled_corpus,
+    Corpus, normalize, nu_histogram, read_nus, tokenize, write_labeled_corpus,
 )
 from classlm.synth import generate_world
 from classlm.vocab import RESERVED, ClassLexicon
@@ -221,18 +222,28 @@ def test_normalize_matches_naive_oracle_on_synthetic_corpus(world, lexicon):
         assert normalize(lexicon, text) == oracle.naive_normalize(lexicon, text)
 
 
+def generalized_sentence_nus(lexicon, grammar):
+    """The sentence NUs that the generalization pipeline takes from ``grammar``."""
+    return build_generalized_lm([("x",)], grammar, lexicon, 2, mode=MODE_NAIVE).sentence_nus
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(lexicons(), st.sampled_from(_OVERLAPPING_LEXICONS)),
        st.lists(st.lists(_WORDS, max_size=6).map(tuple), max_size=6), st.data())
-def test_normalize_sentences_matches_normalize(lex, pool, data):
-    # repeats: sentences of the pool drawn again, in any order
+def test_sentence_nus_of_whole_sentence_terminals_match_normalize(lex, pool, data):
+    # each sentence one terminal of the start rule; repeats: sentences of the
+    # pool drawn again, in any order
     sentences = pool + (data.draw(st.lists(st.sampled_from(pool), max_size=4)) if pool else [])
+    grammar = Grammar("S", {"S": tuple((s,) for s in sentences) or ((),)})
     expected = sorted({normalize(lex, s) for s in sentences if s})
-    assert normalize_sentences(lex, sentences) == expected
+    assert generalized_sentence_nus(lex, grammar) == expected
 
 
-def test_normalize_sentences_on_the_bundle_grammar(lexicon, sentences, sentence_nus):
-    got = normalize_sentences(lexicon, sentences)
+def test_sentence_nus_on_the_bundle_grammar(generalization_runs, lexicon, sentences,
+                                            sentence_nus):
+    # the terminals are normalized once each, and on the bundled grammar that
+    # gives the NUs of the generated sentences normalized one by one
+    got = generalization_runs["small"].sentence_nus
     assert got == sentence_nus
     assert got == sorted({oracle.naive_normalize(lexicon, s) for s in sentences if s})
 
@@ -259,14 +270,14 @@ def test_grammar_terminal_gives_the_nu_of_the_same_corpus_text(lex, data):
     nu = normalize(lex, text)
     assume(nu)
     grammar = parse_grammar_text(f'start S; S -> "{text}";')
-    assert normalize_sentences(lex, generate(grammar, 2, 10)) == [nu]
+    assert generalized_sentence_nus(lex, grammar) == [nu]
 
 
 def test_grammar_terminal_punctuation_is_stripped_like_corpus_text(tiny_lexicon):
     text = "to new york."
-    sentences = generate(parse_grammar_text(f'start S; S -> "{text}";'), 2, 10)
-    assert sentences.sentences == (("to", "new", "york"),)
-    assert normalize_sentences(tiny_lexicon, sentences) == [("to", "CITY-NAME")]
+    grammar = parse_grammar_text(f'start S; S -> "{text}";')
+    assert generate(grammar, 2, 10).sentences == (("to", "new", "york"),)
+    assert generalized_sentence_nus(tiny_lexicon, grammar) == [("to", "CITY-NAME")]
     assert normalize(tiny_lexicon, text) == ("to", "CITY-NAME")
 
 
