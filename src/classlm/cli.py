@@ -41,7 +41,7 @@ def _out_dir(args) -> Path:
 def _grid_arg(text: str) -> list:
     """argparse type for --grid: counts (see :func:`parse_count`); errors exit 2."""
     try:
-        grid = [ngrams.parse_count(part) for part in text.split(",") if part]
+        grid = [errors.parse_count(part) for part in text.split(",") if part]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad grid value in {text!r}") from exc
     if not grid:

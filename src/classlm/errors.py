@@ -3,8 +3,9 @@
 Everything user-data related derives from :class:`DataError` so the CLI can
 map it to exit code 1; argparse handles usage errors (exit code 2). Every
 reader of user files opens them with :func:`open_text`, model-file numbers
-and the CLI's number flags are read by :func:`parse_int` and
-:func:`parse_float`, and every report table is written by :func:`write_csv`.
+and the CLI's number flags are read by :func:`parse_int`, :func:`parse_float`
+and :func:`parse_count`, and every report table is written by
+:func:`write_csv`.
 """
 
 import re
@@ -90,3 +91,22 @@ def parse_float(text: str) -> float:
     if not _FLOAT_RE.fullmatch(text):
         raise ValueError(f"bad number {text!r}")
     return float(text)
+
+
+def parse_count(text: str):
+    """Exact count written as digits, optionally followed by ``/digits`` or
+    ``.digits``, whose value fits a float: an int when integral, else a
+    Fraction, as ``--grid`` reads balance factors.
+
+    Raises ValueError otherwise: signs and exponents are not count syntax,
+    and a value past the float range could not be trained on.
+    """
+    from fractions import Fraction  # loaded, and the pattern compiled, only for a --grid
+    if not re.fullmatch(r"[0-9]+(?:/[0-9]+|\.[0-9]+)?", text):
+        raise ValueError(f"bad count {text!r}")
+    try:
+        count = Fraction(text)
+        float(count)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"bad count {text!r}") from exc
+    return count.numerator if count.denominator == 1 else count

@@ -43,14 +43,14 @@ from typing import NamedTuple
 from .errors import DataError, TableError, write_csv
 from .grammar import _MAX_DEPTH, _MAX_SENTENCES, Grammar, generate
 from .lm import ClassNGramLM, PerplexityReport, train
-from .ngrams import Count, Gram, NGramTable, exact_count, extract, window_counts
+from .ngrams import Gram, NGramTable, extract, window_counts
 from .normalize import NU, normalize
 from .vocab import ClassLexicon
 
 MODE_INJECTION = "ngram-injection"
 MODE_NAIVE = "naive-sentences"
 
-DEFAULT_GRID: tuple[Count, ...] = (Fraction(1, 2), 1, 2, 4, 8, 10, 16)
+DEFAULT_GRID: tuple[int | Fraction, ...] = (Fraction(1, 2), 1, 2, 4, 8, 10, 16)
 
 
 class EventPartition(NamedTuple):
@@ -67,9 +67,9 @@ class EventPartition(NamedTuple):
 
 
 class BalanceFactor(NamedTuple):
-    value: Count
+    value: Fraction
     objective_pp: float
-    curve: tuple[tuple[Count, float], ...]
+    curve: tuple[tuple[Fraction, float], ...]
 
 
 def classify_events(
@@ -95,19 +95,21 @@ def merge_tables(train_table: NGramTable, grammar_table: NGramTable, factor) -> 
     A usual top-order gram gets its training count times ``factor``, an
     unknown one gets ``factor``, and a rare one keeps its training count;
     the shorter grams are closed by :class:`NGramTable`. With factor 1 and
-    no unknown events this is exactly the training table.
+    no unknown events this is exactly the training table. For ``factor``
+    p/q the numerators are multiplied by q (a usual gram's by p instead), an
+    unknown gram gets p times the training ``den``, and ``den`` by q.
     """
-    factor = exact_count(factor)  # an integral factor keeps int counts int
-    if factor <= 0:
+    p, q = factor.as_integer_ratio()
+    if p <= 0:
         raise DataError(f"balance factor must be positive, got {factor}")
     n = train_table.order
     partition = classify_events(train_table, grammar_table, n)
-    counts = dict(train_table)
-    for gram in partition.usual:
-        counts[gram] *= factor
-    for gram in partition.unknown:
-        counts[gram] = factor
-    return NGramTable(n, counts)
+    levels = [{gram: count * q for gram, count in train_table.level(k).items()} if q > 1
+              else dict(train_table.level(k)) for k in range(1, n + 1)]
+    counts = train_table.level(n)
+    levels[-1].update({gram: counts[gram] * p for gram in partition.usual})
+    levels[-1].update(dict.fromkeys(partition.unknown, p * train_table.den))
+    return NGramTable.from_levels(levels, q * train_table.den)
 
 
 def _pp(model: ClassNGramLM, windows: Mapping[Gram, int], emission: bool) -> float:

@@ -173,38 +173,39 @@ def train(table: NGramTable, lexicon: ClassLexicon) -> ClassNGramLM:
     """Estimate a model from a closure-valid count table.
 
     Levels are built bottom-up so each conditional can interpolate with the
-    already-smoothed lower level. Counts may be fractional (rescaled
-    tables); type counts are always integers. Raises :class:`ModelError`
-    when a context's count mass does not fit a float, naming the smallest
-    such context of the lowest order that has one.
+    already-smoothed lower level. Counts are the table's int numerators over
+    its ``den`` (:meth:`NGramTable.level`); type counts are integers. Raises
+    :class:`ModelError` when a context's count mass does not fit a float,
+    naming the smallest such context of the lowest order that has one.
 
-    Each unigram probability and backoff weight is one quotient of exact
-    counts, ``num / den``. On int counts that is int true division, which
-    rounds correctly, so it gives the float of the exact rational; on
-    Fraction counts it is Fraction division, rounded once by ``float``.
+    Each quotient is one int true division of the exact rational, so it
+    rounds once: a count ``C / den``, a context's scale ``(D + T*den) / den``
+    and backoff weight ``T*den / (D + T*den)`` for mass D over T types, and
+    a unigram ``(C*size + t_root*den) / ((N + t_root*den)*size)``.
 
     The table is not validated here: every :class:`NGramTable` holds the
     closure invariant once it is built.
     """
-    unigram_counts = {g[0]: c for g, c in table if len(g) == 1}
-    if not unigram_counts:
+    unigrams = table.level(1)
+    if not unigrams:
         raise ModelError("cannot train on an empty table")
+    den = table.den
 
-    # injected grams can mention tokens that never occur as unigrams, so the
-    # closed vocabulary collects tokens from every gram position
-    table_tokens = {token for gram, _ in table for token in gram}
-    vocab = table_tokens | lexicon.tags | {SENT_START, SENT_END, UNK}
+    # injected grams can mention tokens that never occur as unigrams; every
+    # other token of a gram ends its stored prefix, so the closed vocabulary
+    # collects the last token of every gram
+    vocab = {gram[-1] for k in range(1, table.order + 1) for gram in table.level(k)}
+    vocab |= lexicon.tags | {SENT_START, SENT_END, UNK}
     raw: dict[Gram, float] = {}
     raw_bow: dict[Gram, float] = {}
 
     # unigram level: interpolate with the uniform distribution over vocab
     # (count + t_root / size) / (n_total + t_root), as one exact quotient
-    n_total = sum(unigram_counts.values())
-    t_root = len(unigram_counts)
+    root = len(unigrams) * den
     size = len(vocab)
-    denom = (n_total + t_root) * size
+    denom = (sum(unigrams.values()) + root) * size
     for word in vocab:
-        raw[(word,)] = float((unigram_counts.get(word, 0) * size + t_root) / denom)
+        raw[(word,)] = (unigrams.get((word,), 0) * size + root) / denom
 
     def lookup(context: Gram, word: str) -> float:
         acc = 1.0
@@ -217,23 +218,22 @@ def train(table: NGramTable, lexicon: ClassLexicon) -> ClassNGramLM:
         return acc * raw[(word,)]
 
     for k in range(2, table.order + 1):
-        groups: dict[Gram, list[tuple[str, object]]] = {}
-        for gram, count in table:
-            if len(gram) == k:
-                groups.setdefault(gram[:-1], []).append((gram[-1], count))
+        groups: dict[Gram, list[tuple[str, int]]] = {}
+        for gram, count in table.level(k).items():
+            groups.setdefault(gram[:-1], []).append((gram[-1], count))
         overflowed = []
         for context, events in groups.items():
-            mass = sum(count for _, count in events)
             types = len(events)
+            mass = sum(count for _, count in events) + types * den
             try:
-                scale = float(mass + types)
+                scale = mass / den
             except OverflowError:
                 overflowed.append(context)
                 continue
-            raw_bow[context] = float(types / (mass + types))
+            raw_bow[context] = types * den / mass
             for word, count in events:
                 p_low = lookup(context[1:], word)
-                raw[context + (word,)] = (float(count) + types * p_low) / scale
+                raw[context + (word,)] = (count / den + types * p_low) / scale
         if overflowed:
             raise ModelError(
                 f"counts of context {' '.join(min(overflowed))!r} sum past the float range"

@@ -204,12 +204,19 @@ def naive_extract(corpus, n):
     return counts
 
 
+# id(lexicon) -> (lexicon, kept tokens, member words -> tag, longest member);
+# the entry holds its lexicon, so the id is not reused while it is cached
+_MEMBER_TABLES = {}
+
+
 def naive_normalize(lexicon, utterance):
     """NU by greedy longest match, trying every member length at every token.
 
     Text is split at whitespace after each of ``.,;:!?`` becomes a space.
     Tags and reserved tags are kept, other tokens lowercased one by one; a
     run of tokens equal to a member split at ``_`` becomes the member's tag.
+    The kept tokens and the member table are built from ``lexicon.classes``
+    once per lexicon object.
     """
     if isinstance(utterance, str):
         for mark in ".,;:!?":
@@ -217,11 +224,14 @@ def naive_normalize(lexicon, utterance):
         tokens = utterance.split()
     else:
         tokens = list(utterance)
-    keep = set(lexicon.classes) | RESERVED
+    entry = _MEMBER_TABLES.get(id(lexicon))
+    if entry is None:
+        tag_of = {tuple(member.split("_")): tag
+                  for tag, members in lexicon.classes.items() for member in members}
+        entry = _MEMBER_TABLES[id(lexicon)] = (
+            lexicon, set(lexicon.classes) | RESERVED, tag_of, max(map(len, tag_of), default=1))
+    _, keep, tag_of, longest = entry
     tokens = [t if t in keep else t.lower() for t in tokens]
-    tag_of = {tuple(member.split("_")): tag
-              for tag, members in lexicon.classes.items() for member in members}
-    longest = max(map(len, tag_of), default=1)
     out = []
     i = 0
     while i < len(tokens):

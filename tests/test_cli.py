@@ -173,6 +173,34 @@ def test_generalize_on_seed7_bundle_matches_recorded_outputs(tmp_path):
                 assert math.isclose(float(got), float(value), rel_tol=1e-9, abs_tol=0.0), row
 
 
+# sha256 of model.arpa and curve.csv from `generalize --grid <factor>` on the
+# seed-7 5k bundle, recorded when merged counts were still Fractions: a model
+# trained at a fractional factor stays byte for byte what it was
+FRACTIONAL_GRID_DIGESTS = {
+    "1/2": ("ba4cae9a20bb0d32c656abc5c4072a6434b6676c7bc7d8396ead32e2b52fc10d",
+            "3139132b43c4883b759d8b2a07274f57d06d321f74c5885934019754d6179484"),
+    "7/3": ("95386081a3d92a4ef97a08bfc18fdf889316b0fc25c61f2b33a28b39158b1ca2",
+            "282ec0a70dd4765da34056bd1d482c4397100cf400f43337b89f24764fd6af49"),
+}
+
+
+def test_generalize_at_fractional_factors_matches_recorded_digests(tmp_path):
+    bundle = tmp_path / "bundle"
+    assert main(["synth", "--size", "5000", "--seed", "7", "--out-dir", str(bundle)]) == 0
+    for factor, (model_digest, curve_digest) in FRACTIONAL_GRID_DIGESTS.items():
+        out = tmp_path / factor.replace("/", "_")
+        assert main([
+            "generalize", "--labeled", "--lexicon", str(bundle / "lexicon.lex"),
+            "--corpus", str(bundle / "corpus_train.tsv"),
+            "--grammar", str(bundle / "grammar.bnf"),
+            "--tune-corpus", str(bundle / "corpus_tune.tsv"),
+            "--test-corpus", str(bundle / "corpus_test.tsv"),
+            "--grid", factor, "--out-dir", str(out),
+        ]) == 0
+        assert hashlib.sha256((out / "model.arpa").read_bytes()).hexdigest() == model_digest
+        assert hashlib.sha256((out / "curve.csv").read_bytes()).hexdigest() == curve_digest
+
+
 def test_generalize_naive_mode(tmp_path, workspace):
     out = tmp_path / "naive"
     assert main([
@@ -876,9 +904,11 @@ def test_each_command_runs_only_the_modules_it_calls(tmp_path, workspace, model_
     code, modules, fractions, csv_loaded, dataclasses = json.loads(out.stdout.splitlines()[-1])
     assert code == 0
     assert modules == [f"classlm.{module}" for module in executed]
-    # the commands that count nothing and write no report load neither
+    # counts are ints: only generalize, whose grid holds 1/2, loads fractions
+    assert fractions == (name == "generalize")
+    # the commands that write no report load no csv
     if name in ("generate", "synth", "normalize"):
-        assert not fractions and not csv_loaded
+        assert not csv_loaded
     # the records are plain classes: no command pays for dataclasses and inspect
     assert not dataclasses
 

@@ -303,14 +303,30 @@ def test_train_matches_fraction_oracle_on_extracted_tables(corpus, n):
     assert_train_matches_oracle(extract(corpus, n))
 
 
+# the default grid, and rationals p/q far past it: q up to 10**6, p up to 2**80
+_factors = st.one_of(
+    st.sampled_from(DEFAULT_GRID),
+    st.builds(Fraction, st.integers(min_value=1, max_value=2**80),
+              st.integers(min_value=1, max_value=10**6)),
+)
+
+
 @settings(max_examples=150, deadline=None)
-@given(_train_nus, _train_nus, st.sampled_from(DEFAULT_GRID),
-       st.integers(min_value=1, max_value=4), st.sampled_from([extract, grammar_windows]))
+@given(_train_nus, _train_nus, _factors, st.integers(min_value=1, max_value=4),
+       st.sampled_from([extract, grammar_windows]), st.sampled_from([1, Fraction(2, 3)]))
 def test_train_matches_fraction_oracle_on_merged_tables(corpus, sentences, factor, n,
-                                                        grammar_table):
-    # factor 1/2 leaves Fraction counts, which train divides as Fractions
-    merged = merge_tables(extract(corpus, n), grammar_table(sentences, n), factor)
-    assert_train_matches_oracle(merged)
+                                                        grammar_table, prescale):
+    # a factor p/q puts the merged numerators over q times the training
+    # table's denominator, which prescaling by 2/3 makes 3; the oracle merges
+    # and trains on Fraction counts
+    train_table, grammar = extract(corpus, n), grammar_table(sentences, n)
+    train_table.scale(prescale)
+    merged = merge_tables(train_table, grammar, factor)
+    expected = oracle.naive_merge(dict(train_table), dict(grammar), n, factor)
+    assert dict(merged) == expected
+    model, naive = train(merged, _train_lexicon), oracle.naive_model(expected, n, _train_lexicon)
+    assert model.probs10 == naive.probs10
+    assert model.bows10 == naive.bows10
 
 
 @settings(max_examples=100, deadline=None)

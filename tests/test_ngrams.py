@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from classlm.errors import TableError, parse_float
-from classlm.ngrams import NGramTable, extract, parse_count, window_counts
+from classlm.errors import TableError, parse_count, parse_float
+from classlm.ngrams import NGramTable, extract, window_counts
 from classlm.vocab import SENT_END, SENT_START
 
 import oracle
@@ -33,6 +33,11 @@ def test_extract_rejects_zero_order():
         extract([("a",)], 0)
 
 
+def test_extract_rejects_negative_counts():
+    with pytest.raises(TableError):
+        extract({("a",): 2, ("b",): -1}, 2)
+
+
 def test_extract_total_matches_naive_recount(splits):
     corpus = splits["nus"]["train"][:200]
     table = extract(corpus, 3)
@@ -54,8 +59,10 @@ def assert_matches_oracle(corpus, n):
     assert dict(table) == expected
     # the counting kernel's windows are the top-order grams
     assert window_counts(corpus, n) == {g: c for g, c in expected.items() if len(g) == n}
-    # an NU -> count mapping, as a Corpus histogram is, counts as its NUs
+    # an NU -> count mapping, as a Corpus histogram is, counts as its NUs,
+    # and an NU of count 0 adds nothing
     assert extract(Counter(map(tuple, corpus)), n) == table
+    assert dict(extract({**Counter(map(tuple, corpus)), ("zz",): 0}, n)) == expected
     table.validate()
 
 
@@ -205,10 +212,12 @@ def test_fraction_counts_stay_exact():
 
 
 def test_validate_names_the_smallest_violation_and_their_number():
-    table = NGramTable(2)
-    # the constructor repairs closure, so only counts set behind its back break it
-    table._counts = {("a",): 1, ("a", "b"): Fraction(3, 2), ("a", "c"): Fraction(1, 2),
-                     ("b",): 2, ("b", "a"): 3, ("c",): 1}
+    table = NGramTable(2, {("a",): 2, ("a", "b"): Fraction(3, 2), ("a", "c"): Fraction(1, 2),
+                           ("b",): 3, ("b", "a"): 3, ("c",): 1})
+    assert table.den == 2
+    # the constructor repairs closure, so only numerators set behind its back
+    # break it: a at 1 and b at 2
+    table.level(1).update({("a",): 2, ("b",): 4})
     with pytest.raises(TableError, match=r"^context closure violated at \('a',\): count 1 < "
                        r"extension sum 2 \(2 violations\)$"):
         table.validate()
