@@ -1,12 +1,12 @@
 """Corpus studies: coverage curves, training-size sweeps, rare-NU behavior.
 
 Each study takes its corpora as :class:`~classlm.normalize.Corpus` values,
-which :func:`classlm.normalize.read_nus` builds as counts from a file's
-distinct lines, and reads the histograms derived from those counts, so a
-corpus is counted once however many studies use it; the sweep and the
-saturation table, the two studies that depend on row order, walk the rows
-themselves, which a corpus lists on first use. A study given a list of NUs
-or (group, NU) rows builds that value first.
+which :func:`classlm.normalize.read_nus` builds from a file's distinct
+lines, and reads the histograms derived from their counts, so a corpus is
+counted once however many studies use it; the sweep and the saturation
+table, the two studies that depend on row order, read the row index of each
+utterance, so no study lists the rows. A study given a list of NUs or
+(group, NU) rows indexes it first (:func:`classlm.normalize.index_rows`).
 
 All functions are pure over their inputs and all CSV writers emit sorted,
 repr-formatted rows (:func:`classlm.errors.write_csv`), so outputs are
@@ -20,12 +20,13 @@ training sets are corpus prefixes, so corpus files must keep acquisition order.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from typing import NamedTuple
 
 from .errors import CorpusError, write_csv
 from .lm import PerplexityReport, train
 from .ngrams import extract, window_counts
-from .normalize import NU, Corpus, normalize, read_nus
+from .normalize import NU, Corpus, index_rows, normalize, read_nus
 from .normalize import write_labeled_corpus  # pinned by perfbench TARGETS; ROADMAP item 2 deletes it
 from .vocab import ClassLexicon
 
@@ -34,12 +35,12 @@ LabeledNUs = list[tuple[str, NU]]
 
 def _labeled(corpus: Corpus | LabeledNUs) -> Corpus:
     """``corpus`` itself if it is a :class:`Corpus`, else the value of its rows."""
-    return corpus if isinstance(corpus, Corpus) else Corpus(corpus)
+    return corpus if isinstance(corpus, Corpus) else index_rows(corpus)
 
 
 def _plain(corpus: Corpus | list[NU]) -> Corpus:
     """``corpus`` itself if it is a :class:`Corpus`, else the value of its NUs."""
-    return corpus if isinstance(corpus, Corpus) else Corpus(("", nu) for nu in corpus)
+    return corpus if isinstance(corpus, Corpus) else index_rows(("", nu) for nu in corpus)
 
 
 def read_labeled_corpus(path) -> list[tuple[str, str]]:
@@ -113,19 +114,21 @@ def partial_training_sweep(
 ) -> list[tuple[int, dict[str, PerplexityReport]]]:
     """Train on each corpus prefix, evaluate perplexity per request group.
 
-    The prefix histogram grows row by row as the sizes ascend, and each test
-    group's windows are counted once and scored by every prefix's model.
+    The prefix histogram grows by a slice of the row indices as the sizes
+    ascend, and each test group's windows are counted once and scored by
+    every prefix's model.
     """
     corpus = _labeled(labeled_corpus)
     sizes = check_sizes(sizes, len(corpus))
     histograms = _labeled(labeled_test).group_histograms
     test_windows = [(group, window_counts(histograms[group], n)) for group in sorted(histograms)]
+    nus = [nu for _, nu in corpus.counts]  # the NU of each row index
     prefix: dict[NU, int] = {}
     grown = 0
     rows = []
     for size in sizes:
-        for _, nu in corpus.rows[grown:size]:
-            prefix[nu] = prefix.get(nu, 0) + 1
+        for at, count in Counter(corpus.order[grown:size]).items():
+            prefix[nus[at]] = prefix.get(nus[at], 0) + count
         grown = size
         model = train(extract(prefix, n), lexicon)
         per_group = {
@@ -168,18 +171,18 @@ def saturation_table(
 
     Frequencies and presence are both taken within each request group; each
     row is non-decreasing because partial sets are prefixes. A frequent NU
-    is present in a prefix of ``size`` rows when its first row index within
-    its group is below ``size``.
+    is present in a prefix of ``size`` rows when the first index of its row
+    in the corpus's row indices is below ``size``.
     """
     corpus = _labeled(labeled_corpus)
     sizes = check_sizes(sizes, len(corpus))
-    firsts: dict[tuple[str, NU], int] = {}  # in first-occurrence order
-    for index, row in enumerate(corpus.rows):
-        firsts.setdefault(row, index)
+    firsts: dict[int, int] = {}  # each row index -> its first position, both ascending
+    for position, at in enumerate(corpus.order):
+        firsts.setdefault(at, position)
     frequent: dict[str, list[int]] = {group: [] for group in corpus.group_histograms}
-    for row, first in firsts.items():
-        if corpus.counts[row] > min_count:
-            frequent[row[0]].append(first)  # ascending, as firsts is
+    for ((group, _), count), first in zip(corpus.counts.items(), firsts.values()):
+        if count > min_count:
+            frequent[group].append(first)
     return {group: [bisect_left(frequent[group], size) for size in sizes]
             for group in sorted(frequent)}
 

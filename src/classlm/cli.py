@@ -128,6 +128,15 @@ def _resolve_sizes(sizes: list | None, corpus_len: int) -> list[int]:
     return analysis.check_sizes(sorted(resolved), corpus_len)
 
 
+def _read_corpus(path, role: str, labeled: bool, lexicon) -> normalize.Corpus:
+    """The corpus of ``path`` (:func:`normalize.read_nus`); a data error
+    naming the file and the corpus's ``role`` if it holds no utterance."""
+    corpus = normalize.read_nus(path, labeled, lexicon)
+    if not len(corpus):
+        raise errors.CorpusError(f"{path}: {role} corpus is empty")
+    return corpus
+
+
 # -- commands -----------------------------------------------------------------
 
 
@@ -161,7 +170,7 @@ def cmd_normalize(args) -> int:
 
 def cmd_train(args) -> int:
     lexicon = vocab.load_lexicon(args.lexicon)
-    corpus = normalize.read_nus(args.corpus, args.labeled, lexicon)
+    corpus = _read_corpus(args.corpus, "training", args.labeled, lexicon)
     model = lm.train(ngrams.extract(corpus.histogram, args.order), lexicon)
     lm.export_model(model, args.out)
     print(f"trained order-{args.order} model on {len(corpus)} utterances -> {args.out}")
@@ -173,7 +182,7 @@ def cmd_perplexity(args) -> int:
     # normalize raw text (already-normalized corpora score as-is)
     model = lm.import_model(args.model)
     lexicon = vocab.load_lexicon(args.lexicon) if args.lexicon else None
-    corpus = normalize.read_nus(args.corpus, args.labeled, lexicon)
+    corpus = _read_corpus(args.corpus, "test", args.labeled, lexicon)
     report = lm.perplexity(model, corpus.histogram, args.emission)
     print(
         f"pp={report.pp:.4f} tokens={report.token_count} oov={report.oov_count}"
@@ -205,13 +214,13 @@ def cmd_generalize(args) -> int:
         raise UsageError("need --tune-corpus for the factor search")
     lexicon = vocab.load_lexicon(args.lexicon)
 
-    def histogram(path):
-        return normalize.read_nus(path, args.labeled, lexicon).histogram if path else None
+    def histogram(path, role):
+        return _read_corpus(path, role, args.labeled, lexicon).histogram if path else None
 
-    train_counts = histogram(args.corpus)
+    train_counts = histogram(args.corpus, "training")
     gram = grammar_mod.parse_grammar(args.grammar)
-    test_counts = histogram(args.test_corpus)
-    tune_counts = histogram(args.tune_corpus)
+    test_counts = histogram(args.test_corpus, "test")
+    tune_counts = histogram(args.tune_corpus, "tuning")
     max_depth, max_sentences = _bounds(args)
     result = generalize.build_generalized_lm(
         train_counts,
@@ -243,10 +252,8 @@ def cmd_generalize(args) -> int:
 
 def cmd_analyze(args) -> int:
     lexicon = vocab.load_lexicon(args.lexicon)
-    train_corpus = normalize.read_nus(args.corpus, True, lexicon)
-    test_corpus = normalize.read_nus(args.test_corpus, True, lexicon)
-    if not len(test_corpus):
-        raise errors.CorpusError(f"{args.test_corpus}: test corpus is empty")
+    train_corpus = _read_corpus(args.corpus, "training", True, lexicon)
+    test_corpus = _read_corpus(args.test_corpus, "test", True, lexicon)
     sizes = _resolve_sizes(args.sizes, len(train_corpus))
     out_dir = _out_dir(args)
     fmt = args.format

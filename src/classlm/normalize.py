@@ -20,14 +20,15 @@ boundary tag through :func:`boundary_tag`: corpus lines here, grammar
 terminals in :mod:`classlm.grammar`.
 
 Corpus files, plain and labeled, are read and written here.
-:func:`read_nus` is the one corpus reader: it decodes the whole file,
-counts the raw lines, and reads each distinct line once, through one loop
-body that checks its group, splits it, rejects a boundary tag and
-normalizes it, adding its count to its (group, NU) row's tally. The
-histograms that the commands and the corpus studies read come from those
-tallies, and the rows in corpus order are built only for a study that walks
-them. :func:`write_labeled_corpus` and :func:`write_sentences` write the
-labeled and the plain form.
+:func:`read_nus` is the one corpus reader: it decodes the whole file and
+reads each distinct line once, through one loop body that checks its group,
+splits it, rejects a boundary tag and normalizes it, mapping the line to
+the index of its (group, NU) row. A :class:`Corpus` is those distinct rows
+and the row index of each utterance; :func:`index_rows` builds one from a
+list of rows. The histograms that the commands and the corpus studies read
+come from the row counts, and the rows in corpus order are listed only for
+a caller that asks for them. :func:`write_labeled_corpus` and
+:func:`write_sentences` write the labeled and the plain form.
 """
 
 from __future__ import annotations
@@ -86,41 +87,36 @@ def nu_histogram(corpus: Iterable[NU]) -> Counter:
 
 
 class Corpus:
-    """The (group, NU) rows of one corpus, kept as counts.
+    """The (group, NU) rows of one corpus: its distinct rows and one row
+    index per utterance.
 
-    The value is :attr:`counts`, each distinct row -> its occurrences in
-    first-occurrence order (equal NUs are one shared tuple), and beside it
-    the row index of each utterance, in one list. :func:`read_nus` builds
-    both from a file's distinct lines, keeping no object per utterance; a
-    corpus built from rows counts them. :attr:`rows`, the rows in corpus
+    :attr:`counts` maps each distinct row to its occurrences in
+    first-occurrence order (equal NUs are one shared tuple), and
+    :attr:`order` holds the index of each utterance's row, so its indices
+    first occur in ascending order; the constructor takes both, from
+    :func:`read_nus` or :func:`index_rows`. :attr:`rows`, the rows in corpus
     order with equal rows one shared tuple, is built on first use, and so
     is every other view, once each. Plain corpora have group ``""``.
 
     Counting and scoring read :attr:`histogram` and
     :attr:`group_histograms`: a corpus's windows, and so its perplexity, do
     not depend on the order of its rows. Only training prefixes and first
-    occurrences do, and they read :attr:`rows`.
+    occurrences do, and they read :attr:`order`.
     """
 
-    def __init__(self, rows: Iterable[tuple[str, Sequence[str]]] = ()):
-        shared: dict[NU, NU] = {}  # each distinct NU -> its one tuple
-        index: dict[tuple[str, NU], int] = {}  # each distinct row -> its index
-        self._order: list[int] = []  # the row index of each utterance
-        for group, nu in rows:
-            nu = tuple(nu)
-            row = (group, shared.setdefault(nu, nu))
-            self._order.append(index.setdefault(row, len(index)))
-        # indices are given in first-occurrence order, so the tallies of
+    def __init__(self, rows: Iterable[tuple[str, NU]], order: list[int]):
+        self.order = order
+        # indices first occur in ascending order, so the tallies of
         # Counter(order) come in index order
-        self.counts: dict[tuple[str, NU], int] = dict(zip(index, Counter(self._order).values()))
+        self.counts: dict[tuple[str, NU], int] = dict(zip(rows, Counter(order).values()))
 
     def __len__(self) -> int:
-        return len(self._order)
+        return len(self.order)
 
     @cached_property
     def rows(self) -> list[tuple[str, NU]]:
         """(group, NU) per utterance, in corpus order."""
-        return list(map(list(self.counts).__getitem__, self._order))
+        return list(map(list(self.counts).__getitem__, self.order))
 
     @cached_property
     def histogram(self) -> dict[NU, int]:
@@ -137,6 +133,19 @@ class Corpus:
         for (group, nu), count in self.counts.items():
             histograms.setdefault(group, {})[nu] = count
         return histograms
+
+
+def index_rows(rows: Iterable[tuple[str, Sequence[str]]]) -> Corpus:
+    """The :class:`Corpus` of (group, NU) rows, one per utterance in corpus
+    order; each NU may be any token sequence."""
+    shared: dict[NU, NU] = {}  # each distinct NU -> its one tuple
+    index: dict[tuple[str, NU], int] = {}  # each distinct row -> its index
+    order: list[int] = []
+    for group, nu in rows:
+        nu = tuple(nu)
+        row = (group, shared.setdefault(nu, nu))
+        order.append(index.setdefault(row, len(index)))
+    return Corpus(index, order)
 
 
 def boundary_tag(tokens: Iterable[str]) -> str | None:
@@ -172,7 +181,7 @@ def _read_lines(path) -> list[str]:
 
 
 def read_nus(path, labeled: bool = False, lexicon: ClassLexicon | None = None) -> Corpus:
-    """The :class:`Corpus` of a corpus file, its rows tallied per distinct line.
+    """The :class:`Corpus` of a corpus file, each distinct line read once.
 
     A line's text is split by the rule of :func:`tokenize` and normalized
     through ``lexicon``; without one its tokens are taken as already
@@ -182,26 +191,24 @@ def read_nus(path, labeled: bool = False, lexicon: ClassLexicon | None = None) -
     holds no token is skipped, and a token spelling a boundary tag is an
     error. The file is decoded whole before any line is read.
 
-    The raw lines are counted first, and each distinct line is read once,
-    in first-occurrence order, adding its count to the tally of its row, so
-    an error names the first bad line. Every line takes the one path below:
-    its punctuation is stripped together with that of the distinct lines
-    around it, its tokens are mapped through
+    Each distinct raw line is read once, in first-occurrence order, and
+    mapped to the index of its row, so an error names the first bad line
+    and the rows are numbered by first occurrence. Every line takes the one
+    path below: its punctuation is stripped together with that of the
+    distinct lines around it, its tokens are mapped through
     :attr:`ClassLexicon.token_tag`, and :func:`normalize` runs only where a
     token may start a multi-word member.
     """
     lines = _read_lines(path)
-    # raw line -> its count, then -> the index of its row (-1: no utterance)
-    tally = Counter(lines)
+    # each distinct raw line -> the index of its row, or None: no utterance
+    row_of: dict[str, int | None] = dict.fromkeys(lines)
     token_tag = lexicon.token_tag.__getitem__ if lexicon is not None else None
     # group -> each of its NUs -> the index of its row
     index: dict[str, dict[NU, int]] = {group: {} for group in ("",) + GROUPS}
     shared: dict[NU, NU] = {}  # each distinct NU -> its one tuple
     rows: list[tuple[str, NU]] = []
-    tallies: list[int] = []
-    skipped = False
     group = ""
-    for (line, count), text in zip(tally.items(), _unpunctuated(list(tally))):
+    for line, text in zip(row_of, _unpunctuated(list(row_of))):
         if labeled:
             group, tab, text = text.partition("\t")
             if not tab or group not in GROUPS:
@@ -224,24 +231,12 @@ def read_nus(path, labeled: bool = False, lexicon: ClassLexicon | None = None) -
             nu = tuple(map(token_tag, tokens))
             if None in nu:
                 nu = normalize(lexicon, tokens)
-        if not nu:
-            tally[line] = -1
-            skipped = True
-            continue
-        nus = index[group]
-        at = nus.get(nu)
-        if at is None:
-            at = nus[nu] = len(rows)
-            rows.append((group, shared.setdefault(nu, nu)))
-            tallies.append(count)
-        else:
-            tallies[at] += count
-        tally[line] = at
-    corpus = Corpus()
-    corpus.counts = dict(zip(rows, tallies))
-    order = map(tally.__getitem__, lines)
-    corpus._order = [at for at in order if at >= 0] if skipped else list(order)
-    return corpus
+        if nu:
+            nus = index[group]
+            at = row_of[line] = nus.setdefault(nu, len(rows))
+            if at == len(rows):
+                rows.append((group, shared.setdefault(nu, nu)))
+    return Corpus(rows, [at for at in map(row_of.__getitem__, lines) if at is not None])
 
 
 def write_labeled_corpus(path, rows) -> None:

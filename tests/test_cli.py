@@ -230,28 +230,60 @@ def test_generalize_tune_on_test(tmp_path, workspace):
     assert rows["tuning"] == rows["test"]
 
 
-@pytest.mark.parametrize("mode, empty, message", [
-    ("ngram-injection", "--tune-corpus", "tuning corpus is empty"),
-    ("naive-sentences", "--tune-corpus", "cannot evaluate perplexity on an empty corpus"),
-    ("ngram-injection", "--test-corpus", "cannot evaluate perplexity on an empty corpus"),
-], ids=["injection-tune", "naive-tune", "injection-test"])
+@pytest.mark.parametrize("mode, empty, role", [
+    ("ngram-injection", "--corpus", "training"),
+    ("ngram-injection", "--tune-corpus", "tuning"),
+    ("naive-sentences", "--tune-corpus", "tuning"),
+    ("ngram-injection", "--test-corpus", "test"),
+], ids=["injection-train", "injection-tune", "naive-tune", "injection-test"])
 def test_generalize_given_empty_corpus_is_data_error(tmp_path, workspace, capsys,
-                                                     mode, empty, message):
-    # a corpus that is given but empty fails like perplexity on it, instead
-    # of dropping its row from pp.csv
-    (tmp_path / "empty.tsv").write_text("", encoding="utf-8")
-    corpora = {"--tune-corpus": workspace / "corpus_tune.tsv",
+                                                     mode, empty, role):
+    # a corpus that is given but empty fails naming its file, instead of
+    # dropping its row from pp.csv
+    (tmp_path / "empty.tsv").write_text("\n \n", encoding="utf-8")
+    corpora = {"--corpus": workspace / "corpus_train.tsv",
+               "--tune-corpus": workspace / "corpus_tune.tsv",
                "--test-corpus": workspace / "corpus_test.tsv",
                empty: tmp_path / "empty.tsv"}
     assert main([
         "generalize", "--lexicon", str(workspace / "lexicon.lex"),
-        "--corpus", str(workspace / "corpus_train.tsv"),
         "--grammar", str(workspace / "grammar.bnf"), "--labeled", "--mode", mode,
         *(str(arg) for pair in corpora.items() for arg in pair),
         "--grid", "1,2", "--out-dir", str(tmp_path / "gen"),
     ]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {tmp_path / 'empty.tsv'}: {role} corpus is empty\n"
     assert not (tmp_path / "gen").exists()
+
+
+@pytest.mark.parametrize("command, flag, role", [
+    ("train", "--corpus", "training"),
+    ("perplexity", "--corpus", "test"),
+    ("analyze", "--corpus", "training"),
+], ids=["train", "perplexity", "analyze"])
+def test_an_empty_corpus_file_is_named(tmp_path, workspace, capsys, command, flag, role):
+    # a file of blank lines holds no utterance: the error names the file, as
+    # for analyze's test corpus, instead of failing later with the library's
+    # unnamed message
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("\n\t\n  \r\n", encoding="utf-8")
+    model = tmp_path / "model.arpa"
+    args = {
+        "train": ["--lexicon", workspace / "lexicon.lex", "--labeled",
+                  "--corpus", workspace / "corpus_train.tsv", "--out", model],
+        "perplexity": ["--lexicon", workspace / "lexicon.lex", "--labeled",
+                       "--corpus", workspace / "corpus_test.tsv", "--model", model],
+        "analyze": ["--lexicon", workspace / "lexicon.lex",
+                    "--corpus", workspace / "corpus_train.tsv",
+                    "--test-corpus", workspace / "corpus_test.tsv",
+                    "--out-dir", tmp_path / "out"],
+    }[command]
+    args[args.index(flag) + 1] = empty
+    if command == "perplexity":
+        assert main(["train", "--lexicon", str(workspace / "lexicon.lex"), "--labeled",
+                     "--corpus", str(workspace / "corpus_train.tsv"), "--out", str(model)]) == 0
+    assert main([command, *map(str, args)]) == 1
+    assert capsys.readouterr().err == f"error: {empty}: {role} corpus is empty\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_analyze_rejects_an_empty_test_corpus(tmp_path, workspace, capsys):
@@ -285,6 +317,27 @@ def test_analyze_outputs_deterministic(tmp_path, workspace):
     for name in names:
         assert (first / name).exists(), name
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+def test_analyze_studies_read_the_row_indices(tmp_path, workspace, monkeypatch):
+    # the sweep and the saturation table read each corpus's row indices, so
+    # no study lists the rows of either corpus
+    read = []
+
+    def read_nus(*args):
+        read.append(real(*args))
+        return read[-1]
+
+    real = classlm.normalize.read_nus
+    monkeypatch.setattr(classlm.normalize, "read_nus", read_nus)
+    assert main([
+        "analyze", "--lexicon", str(workspace / "lexicon.lex"),
+        "--corpus", str(workspace / "corpus_train.tsv"),
+        "--test-corpus", str(workspace / "corpus_test.tsv"),
+        "--sizes", "100,200,all", "--out-dir", str(tmp_path),
+    ]) == 0
+    assert len(read) == 2 and all(len(corpus) for corpus in read)
+    assert all("rows" not in vars(corpus) for corpus in read)
 
 
 def test_outdir_env_override(tmp_path, workspace, monkeypatch):

@@ -21,7 +21,7 @@ from classlm.generalize import (
 from classlm.grammar import parse_grammar_text
 from classlm.lm import export_model, perplexity, train
 from classlm.ngrams import NGramTable, extract, window_counts
-from classlm.normalize import Corpus, normalize, nu_histogram
+from classlm.normalize import index_rows, normalize, nu_histogram
 from classlm.score import Scorer
 from classlm.synth import generate_world
 from classlm.vocab import ClassLexicon
@@ -324,7 +324,7 @@ def test_sentence_cap_counts_distinct_nus():
 def test_pipeline_reads_histograms_like_nus(mode, splits, grammar_obj, lexicon):
     # classlm generalize passes each corpus's histogram
     nus = [splits["nus"]["train"][:1000], splits["nus"]["tune"], splits["nus"]["test"]]
-    corpora = [Corpus(("", nu) for nu in part) for part in nus]
+    corpora = [index_rows(("", nu) for nu in part) for part in nus]
     assert all(len(corpus.histogram) < len(corpus) for corpus in corpora)
     runs = [build_generalized_lm(train_nus, grammar_obj, lexicon, 3, tuning_corpus=tune,
                                  test_corpus=test, mode=mode)

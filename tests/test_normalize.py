@@ -1,3 +1,5 @@
+import contextlib
+import io
 import re
 import time
 import types
@@ -8,11 +10,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import classlm
 from classlm.analysis import label_nus, read_labeled_corpus
+from classlm.cli import main
 from classlm.errors import CorpusError, LexiconError
 from classlm.generalize import MODE_NAIVE, build_generalized_lm
 from classlm.grammar import Grammar, generate, parse_grammar_text
 from classlm.normalize import (
-    Corpus, normalize, nu_histogram, read_nus, tokenize, write_labeled_corpus,
+    index_rows, normalize, nu_histogram, read_nus, tokenize, write_labeled_corpus,
 )
 from classlm.synth import generate_world
 from classlm.vocab import RESERVED, ClassLexicon
@@ -351,10 +354,24 @@ _READER_LINES = [
 ]
 
 
+# (a line of _READER_LINES, its line end) per line of a corpus file
+_READER_FILE_LINES = st.lists(
+    st.tuples(st.sampled_from(_READER_LINES), st.sampled_from(["\n", "\r\n"])), max_size=25)
+
+
+def _corpus_bytes(lines, last_end: bool, bom: bool) -> bytes:
+    """The UTF-8 bytes of a corpus file of ``lines``, drawn from
+    :data:`_READER_FILE_LINES`; the last line end is dropped unless
+    ``last_end``, and a byte-order mark leads if ``bom``."""
+    text = "".join(line + end for (line, _, _), end in lines)
+    if lines and not last_end:
+        text = text[: -len(lines[-1][1])]
+    return (("\ufeff" if bom else "") + text).encode("utf-8")
+
+
 @settings(max_examples=150, deadline=None)
 @given(
-    lines=st.lists(st.tuples(st.sampled_from(_READER_LINES), st.sampled_from(["\n", "\r\n"])),
-                   max_size=25),
+    lines=_READER_FILE_LINES,
     last_end=st.booleans(),
     bom=st.booleans(),
     labeled=st.booleans(),
@@ -364,11 +381,8 @@ _READER_LINES = [
          bom=False, labeled=True)
 def test_read_nus_matches_read_corpus_then_label_nus(tmp_path_factory, lines, last_end,
                                                       bom, labeled):
-    text = "".join(line + end for (line, _, _), end in lines)
-    if lines and not last_end:
-        text = text[: -len(lines[-1][1])]
     path = tmp_path_factory.mktemp("reader") / "corpus.tsv"
-    path.write_bytes((("\ufeff" if bom else "") + text).encode("utf-8"))
+    path.write_bytes(_corpus_bytes(lines, last_end, bom))
     bad = [i for i, ((_, bad_labeled, bad_plain), _) in enumerate(lines, start=1)
            if (bad_labeled if labeled else bad_plain)]
     if bad:
@@ -382,7 +396,13 @@ def test_read_nus_matches_read_corpus_then_label_nus(tmp_path_factory, lines, la
         return
     rows = oracle.naive_read_corpus(path, labeled)
     corpus = read_nus(path, labeled, _READER_LEXICON)
-    assert corpus.rows == label_nus(_READER_LEXICON, rows)
+    labeled_rows = label_nus(_READER_LEXICON, rows)
+    # the two fields: the distinct rows by first occurrence, and the index
+    # of each utterance's row among them
+    numbered = {}
+    assert corpus.order == [numbered.setdefault(row, len(numbered)) for row in labeled_rows]
+    assert list(corpus.counts) == list(numbered)
+    assert corpus.rows == labeled_rows
     # without a lexicon the tokens are kept as written, punctuation dropped
     assert read_nus(path, labeled).rows == [(group, tuple(tokenize(text)))
                                             for group, text in rows]
@@ -398,6 +418,67 @@ def test_read_nus_matches_read_corpus_then_label_nus(tmp_path_factory, lines, la
         group: Counter(nu for g, nu in corpus.rows if g == group) for group, _ in corpus.rows}
     assert list(corpus.counts.items()) == [
         (row, corpus.rows.count(row)) for row in dict.fromkeys(corpus.rows)]
+
+
+def _expected_error(path, labeled: bool, role: str | None) -> str | None:
+    """The error a command reading the corpus file ``path`` as its ``role``
+    corpus must report: the oracle's error at the first bad line, else, for
+    a command that needs an utterance (a ``role``), the empty-corpus error."""
+    try:
+        rows = oracle.naive_read_corpus(path, labeled)
+    except CorpusError as exc:
+        return str(exc)
+    return None if rows or role is None else f"{path}: {role} corpus is empty"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    files=st.lists(st.builds(_corpus_bytes, _READER_FILE_LINES, st.booleans(), st.booleans()),
+                   min_size=2, max_size=2),
+    labeled=st.booleans(),
+    order=st.integers(1, 3),
+    flags=st.fixed_dictionaries({"lexicon": st.booleans(), "emission": st.booleans()}),
+)
+def test_corpus_commands_on_random_files_exit_cleanly(tmp_path_factory, files, labeled,
+                                                      order, flags):
+    # normalize, train, perplexity and analyze, in-process on random corpus
+    # files: each exits 0, or 1 with the oracle's error at the first bad line
+    # (or the empty-corpus error), and writes no nan or inf
+    root = tmp_path_factory.mktemp("commands")
+    lexicon = root / "reader.lex"
+    _READER_LEXICON.save(lexicon)
+    first, second = root / "first.tsv", root / "second.tsv"
+    first.write_bytes(files[0])
+    second.write_bytes(files[1])
+    label = ["--labeled"] if labeled else []
+    model = root / "model.arpa"
+    # perplexity reads this model unless training on the first file replaces it
+    (root / "fallback.tsv").write_text("Time\tat five\nCity\tto rome\n", encoding="utf-8")
+    assert main(["train", "--lexicon", str(lexicon), "--corpus", str(root / "fallback.tsv"),
+                 "--labeled", "--out", str(model)]) == 0
+    runs = [
+        (["normalize", "--lexicon", str(lexicon), "--corpus", str(first), *label,
+          "--out", str(root / "normalized")], _expected_error(first, labeled, None)),
+        (["train", "--lexicon", str(lexicon), "--corpus", str(first), *label,
+          "--order", str(order), "--out", str(model)],
+         _expected_error(first, labeled, "training")),
+        (["perplexity", "--model", str(model), "--corpus", str(second), *label,
+          *(["--lexicon", str(lexicon)] if flags["lexicon"] else []),
+          *(["--emission"] if flags["emission"] else [])],
+         _expected_error(second, labeled, "test")),
+        (["analyze", "--lexicon", str(lexicon), "--corpus", str(first),
+          "--test-corpus", str(second), "--order", str(order),
+          "--emission" if flags["emission"] else "--no-emission", "--out-dir", str(root / "an")],
+         _expected_error(first, True, "training") or _expected_error(second, True, "test")),
+    ]
+    for argv, error in runs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert (code, err.getvalue()) == ((1, f"error: {error}\n") if error else (0, "")), argv
+        written = [out.getvalue()] + [path.read_text(encoding="utf-8")
+                                      for path in sorted(root.glob("an/*.csv"))]
+        assert not any(re.search(r"\b(nan|inf)\b", text, re.I) for text in written), argv
 
 
 def test_read_nus_matches_label_nus_on_the_bundle(tmp_path, world):
@@ -417,8 +498,9 @@ def test_corpus_shares_equal_rows_and_nus(tmp_path):
     path.write_text("City\tat five\nTime\tat five\nTime\tat  Five\nCity\tat five\n",
                     encoding="utf-8")
     for corpus in (read_nus(path, True, _READER_LEXICON),
-                   Corpus([("City", ["at", "HOUR-NUMBER"]), ("Time", ("at", "HOUR-NUMBER")),
-                           ("Time", ("at", "HOUR-NUMBER")), ("City", ["at", "HOUR-NUMBER"])])):
+                   index_rows([("City", ["at", "HOUR-NUMBER"]), ("Time", ("at", "HOUR-NUMBER")),
+                               ("Time", ("at", "HOUR-NUMBER")), ("City", ["at", "HOUR-NUMBER"])])):
+        assert corpus.order == [0, 1, 1, 0]
         city, time, time_again, city_again = corpus.rows
         assert city == ("City", ("at", "HOUR-NUMBER")) and time == ("Time", city[1])
         assert time_again is time and city_again is city and time[1] is city[1]
@@ -426,9 +508,25 @@ def test_corpus_shares_equal_rows_and_nus(tmp_path):
         assert list(corpus.counts.items()) == [(city, 2), (time, 2)]
 
 
+@pytest.mark.parametrize("labeled, text", [
+    (True, "\n  \r\n\t\nDate\t\nCity\t?!\r\nOther\t. ,;\n\n"),
+    (False, "\n  \r\n\t\n...\n. ,;\r\n?!"),
+], ids=["labeled", "plain"])
+def test_a_file_of_skipped_lines_is_an_empty_corpus(tmp_path, labeled, text):
+    # blank lines, punctuation only, a group with no text: no line is an
+    # utterance, so the corpus has no row and no index
+    path = tmp_path / "corpus.tsv"
+    path.write_bytes(("\ufeff" + text).encode("utf-8"))
+    for lexicon in (_READER_LEXICON, None):
+        corpus = read_nus(path, labeled, lexicon)
+        assert corpus.counts == {} and corpus.order == [] and len(corpus) == 0
+        assert corpus.rows == [] and corpus.histogram == {}
+    assert oracle.naive_read_corpus(path, labeled) == []
+
+
 def test_counted_views_build_no_rows(tmp_path):
-    # the counts, the histograms and the size come from the tallies; the
-    # ordered rows are built only when read
+    # the counts, the histograms and the size come from the distinct rows
+    # and their indices; the ordered rows are built only when read
     path = tmp_path / "corpus.tsv"
     path.write_text("City\tto rome\nTime\tat five\n\nCity\tto Naples!\nDate\t...\n"
                     "City\tto new york\nOther\tat <unk>\n", encoding="utf-8")
