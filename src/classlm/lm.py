@@ -62,9 +62,30 @@ class PerplexityReport(NamedTuple):
             pp = 10.0 ** (-total10 / tokens)
         except OverflowError:
             pp = math.inf
-        if not math.isfinite(pp):
+        # a total that is inf or nan, or a perplexity that over- or underflows
+        if not (math.isfinite(total10) and 0.0 < pp < math.inf):
             raise ModelError("perplexity past the float range")
         return cls(pp, total10 * LN10, tokens, oov)
+
+
+def _fsum(terms: list[float]) -> float:
+    """:func:`math.fsum` of ``terms`` without its exceptions: nan where inf
+    meets -inf, and the exact sum rounded once where finite partial sums pass
+    the float range (inf if it is past the range too)."""
+    try:
+        return math.fsum(terms)
+    except ValueError:  # -inf + inf
+        return math.nan
+    except OverflowError:
+        specials = [term for term in terms if not math.isfinite(term)]
+        if specials:
+            return sum(specials)
+        from fractions import Fraction  # loaded only past the float range
+        exact = sum(map(Fraction, terms))
+        try:
+            return float(exact)
+        except OverflowError:
+            return math.inf if exact > 0 else -math.inf
 
 
 class ClassNGramLM:
@@ -107,6 +128,8 @@ class ClassNGramLM:
         weights it passes. The total is :func:`math.fsum` of count times
         score, the token count the sum of the counts, and the oov count the
         summed count of the windows whose last token is mapped to ``<unk>``.
+        A total past the float range comes back inf or nan, never as an
+        exception, for :meth:`PerplexityReport.of` to reject.
         Raises :class:`ValueError` for a window shorter than ``width``, and
         :class:`KeyError` for a token without a unigram (a model lacking the
         ``<unk>`` unigram).
@@ -141,7 +164,7 @@ class ClassNGramLM:
                     score += emit
             terms.append(count * score)
             tokens += count
-        return math.fsum(terms), tokens, oov
+        return _fsum(terms), tokens, oov
 
     # read by the benchmark's tracer, which wraps it by this name and signature
     def score_corpus(self, nus, emission: bool) -> tuple[float, int, int]:
@@ -304,8 +327,8 @@ def import_model(path) -> ClassNGramLM:
     ASCII shape :func:`export_model` writes, non-finite values, log-probs
     above 0, a header that does not declare each order 1..K
     exactly once, a k-gram section the header does not declare, a gram or
-    a class listed twice, a missing ``<s>``, ``</s>`` or ``<unk>``
-    unigram, and a k-gram whose (k-1)-prefix is not stored.
+    a class listed twice, a class of size 0, a missing ``<s>``, ``</s>``
+    or ``<unk>`` unigram, and a k-gram whose (k-1)-prefix is not stored.
     """
     header: dict[int, int] = {}
     probs10: dict[Gram, float] = {}
@@ -366,6 +389,8 @@ def import_model(path) -> ClassNGramLM:
                     raise ModelError(f"{path}:{lineno}: expected 'TAG size'") from exc
                 if tag in class_sizes:
                     raise ModelError(f"{path}:{lineno}: class {tag!r} listed twice")
+                if not size:
+                    raise ModelError(f"{path}:{lineno}: class {tag!r} is empty")
                 class_sizes[tag] = size
             elif isinstance(section, int):
                 fields = line.split("\t")

@@ -20,6 +20,15 @@ weights, the computation ``choices(cum_weights=...)`` performs. It consumes
 the same ``random()`` values and bisects the same float sums as passing
 ``weights=`` on each draw, so any seed gives the same bytes as that per-draw
 form (kept in ``tests/oracle.py:naive_generate_world``).
+
+Each template is filled from a plan built once per run: the fixed text
+before each member slot, the slot's pool with its size ``n`` and bit length
+``k``, and the trailing text. A row draws every slot as ``Random.choice``
+does in CPython 3.10 to 3.13 (``r = getrandbits(k)``, drawn again while
+``r >= n``) and concatenates the pieces, so it makes the same ``random()``
+and ``getrandbits()`` calls in the same order as a ``choice(pool)`` per slot
+and a join over the template's tokens. The oracle and seed-7 digest tests
+hold it to that rule on every Python version the tests run on.
 """
 
 from __future__ import annotations
@@ -292,6 +301,21 @@ def _zipf_weights(count: int, exponent: float) -> list[float]:
     return list(accumulate(1.0 / (rank**exponent) for rank in range(1, count + 1)))
 
 
+def _fill_plan(template: str, members: dict[str, list[str]]) -> tuple[list, str]:
+    """A template as ([(text before, pool, len(pool), its bit length)] per
+    member slot, trailing text); the fixed texts keep their joining spaces."""
+    slots, text = [], ""
+    for i, token in enumerate(template.split()):
+        space = " " if i else ""
+        pool = members.get(token)
+        if pool is None:
+            text += space + token
+        else:
+            slots.append((text + space, pool, len(pool), len(pool).bit_length()))
+            text = ""
+    return slots, text
+
+
 def generate_world(size: int = 5000, seed: int = 7) -> SynthWorld:
     rng = random.Random(seed)
     lexicon = build_lexicon()
@@ -302,12 +326,6 @@ def generate_world(size: int = 5000, seed: int = 7) -> SynthWorld:
     }
     groups = list(GROUP_SAMPLING)
     g_weights = list(accumulate(weight for weight, _ in GROUP_SAMPLING.values()))
-    # each template as (word, members to draw from, or None for a plain word)
-    slots = {
-        g: [[(token, members.get(token)) for token in template.split()]
-            for template in GROUP_TEMPLATES[g]]
-        for g in groups
-    }
     t_weights = {
         g: _zipf_weights(len(GROUP_TEMPLATES[g]), exponent)
         for g, (_, exponent) in GROUP_SAMPLING.items()
@@ -318,24 +336,34 @@ def generate_world(size: int = 5000, seed: int = 7) -> SynthWorld:
     # the body of choices(cum_weights=...), with total and hi taken once
     g_total, g_hi = g_weights[-1] + 0.0, len(groups) - 1
     t_tables = {
-        g: (slots[g], t_weights[g], t_weights[g][-1] + 0.0, len(slots[g]) - 1)
+        g: (
+            [_fill_plan(template, members) for template in GROUP_TEMPLATES[g]],
+            t_weights[g],
+            t_weights[g][-1] + 0.0,
+            len(GROUP_TEMPLATES[g]) - 1,
+        )
         for g in groups
     }
     f_total, f_hi = f_weights[-1] + 0.0, len(FILLERS) - 1
 
     rand = rng.random
-    choice = rng.choice
+    getrandbits = rng.getrandbits
     rows = []
     for _ in range(size):
         group = groups[bisect(g_weights, rand() * g_total, 0, g_hi)]
         if rand() < NOISE_RATE:
-            text = choice(NOISE_UTTERANCES)
+            text = rng.choice(NOISE_UTTERANCES)
         else:
-            templates, weights, total, hi = t_tables[group]
-            template = templates[bisect(weights, rand() * total, 0, hi)]
-            text = " ".join(
-                [word if pool is None else choice(pool) for word, pool in template]
-            )
+            plans, weights, total, hi = t_tables[group]
+            slots, tail = plans[bisect(weights, rand() * total, 0, hi)]
+            text = ""
+            for before, pool, n, k in slots:
+                # the member draw of Random.choice(pool)
+                r = getrandbits(k)
+                while r >= n:
+                    r = getrandbits(k)
+                text += before + pool[r]
+            text += tail
             if rand() < FILLER_RATE:
                 filler = FILLERS[bisect(f_weights, rand() * f_total, 0, f_hi)]
                 text = f"{filler} {text}"

@@ -793,6 +793,24 @@ def test_perplexity_past_float_range_is_data_error(tmp_path, log_prob):
     assert proc.stderr == "error: perplexity past the float range\n"
 
 
+@pytest.mark.parametrize("log_prob", ["-1e+308", "-0.5"], ids=["inf-meets-minus-inf", "total-inf"])
+def test_perplexity_total_past_float_range_is_data_error(tmp_path, log_prob):
+    # a valid model whose backoff weight on a overflows the total: with a at
+    # -1e+308 the fsum of -inf and inf used to raise ValueError in a
+    # traceback, and with a at -0.5 the total was inf and pp=0.0000 was
+    # printed with exit 0
+    model = tmp_path / "far.arpa"
+    model.write_text(
+        "# classlm model format v1\n\n\\data\\\nngram 1=5\nngram 2=0\n\n\\class-sizes:\n\n"
+        "\\1-grams:\n" + "".join(f"-0.5\t{token}\n" for token in ("<s>", "</s>", "<unk>", "b"))
+        + f"{log_prob}\ta\t1e+308\n\n\\end\\\n", encoding="utf-8")
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("a b\na b\n", encoding="utf-8")
+    proc = run_cli("perplexity", "--model", model, "--corpus", corpus)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: perplexity past the float range\n"
+
+
 @pytest.mark.parametrize("command", ["train", "analyze", "generalize"])
 def test_order_above_ceiling_exits_two_before_any_work(tmp_path, workspace, command):
     # train --order 400 on the 5k bundle used to run for 89 s in 5 GB

@@ -1,5 +1,8 @@
+import contextlib
+import io
 import math
 import random
+import re
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -7,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from classlm.cli import main
 from classlm.errors import ModelError
 from classlm.generalize import DEFAULT_GRID, merge_tables
 from classlm.lm import export_model, import_model, log_prob, perplexity, train
@@ -194,6 +198,19 @@ def test_import_rejects_class_listed_twice(tmp_path):
     with pytest.raises(ModelError) as raised:
         import_model(path)
     assert str(raised.value) == f"{path}:8: class 'CITY' listed twice"
+
+
+def test_import_rejects_empty_class(tmp_path):
+    # a class of size 0 used to score as a class of one under --emission
+    path = tmp_path / "model.arpa"
+    path.write_text(
+        "# classlm model format v1\n\n\\data\\\nngram 1=3\n\n\\class-sizes:\nCITY 3\nDAY 0\n\n"
+        "\\1-grams:\n-0.5\t<s>\t-0.3\n-0.5\t</s>\n-0.5\t<unk>\n\n\\end\\\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ModelError) as raised:
+        import_model(path)
+    assert str(raised.value) == f"{path}:8: class 'DAY' is empty"
 
 
 def test_import_rejects_truncated_file(tmp_path, model_small):
@@ -397,3 +414,68 @@ def test_models_of_built_tables_round_trip_random(corpus, sentences, n):
         for table in built_tables(corpus, sentences, n):
             table.validate()
             assert_export_round_trip(train(table, _train_lexicon), Path(directory))
+
+
+_WORDS = ("a", "b", "CITY-NAME")
+
+
+@st.composite
+def _model_files(draw):
+    """The text of a model file that import_model accepts: orders 1 to 3,
+    log-probs in [-1.7e308, 0], backoff weights anywhere in the float range,
+    and class sizes of at least 1."""
+    order = draw(st.integers(1, 3))
+    probs = st.floats(-1.7e308, 0.0)
+    bows = st.none() | st.floats(allow_nan=False, allow_infinity=False)
+    grams = [[(token,) for token in (SENT_START, "</s>", UNK)]]
+    grams[0] += [(word,) for word in _WORDS if draw(st.booleans())]
+    vocab = [gram[0] for gram in grams[0]]
+    for _ in range(1, order):
+        # every k-gram extends a stored (k-1)-gram
+        level = []
+        if grams[-1]:
+            extend = st.tuples(st.sampled_from(grams[-1]), st.sampled_from(vocab))
+            level = draw(st.lists(extend.map(lambda pair: pair[0] + (pair[1],)),
+                                  unique=True, max_size=6))
+        grams.append(level)
+    lines = ["# classlm model format v1", "", "\\data\\"]
+    lines += [f"ngram {k}={len(level)}" for k, level in enumerate(grams, start=1)]
+    lines += ["", "\\class-sizes:"]
+    lines += [f"{tag} {draw(st.integers(1, 10**6))}"
+              for tag in ("CITY-NAME", "DAY") if draw(st.booleans())]
+    for k, level in enumerate(grams, start=1):
+        lines += ["", f"\\{k}-grams:"]
+        for gram in level:
+            bow = draw(bows)
+            lines.append("\t".join([repr(draw(probs)), " ".join(gram)]
+                                    + ([] if bow is None else [repr(bow)])))
+    return "\n".join(lines + ["", "\\end\\", ""])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    model_text=_model_files(),
+    lines=st.lists(st.lists(st.sampled_from(_WORDS + ("x",)), max_size=5), max_size=4),
+    groups=st.lists(st.sampled_from(("City", "Date", "Time", "Other")), min_size=4, max_size=4),
+    labeled=st.booleans(),
+    emission=st.booleans(),
+)
+def test_perplexity_on_random_model_files_exits_cleanly(tmp_path_factory, model_text, lines,
+                                                         groups, labeled, emission):
+    # every model file import_model accepts scores to a finite perplexity
+    # or a data error, whatever its extreme log-probs and backoff weights
+    root = tmp_path_factory.mktemp("models")
+    model, corpus = root / "model.arpa", root / "corpus.txt"
+    model.write_text(model_text, encoding="utf-8")
+    import_model(model)
+    corpus.write_text("".join(
+        (f"{group}\t" if labeled else "") + " ".join(words) + "\n"
+        for group, words in zip(groups, lines)), encoding="utf-8")
+    argv = ["perplexity", "--model", str(model), "--corpus", str(corpus)]
+    argv += ["--labeled"] * labeled + ["--emission"] * emission
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1), err.getvalue()
+    assert err.getvalue().startswith("error: ") if code else not err.getvalue()
+    assert not re.search(r"\b(nan|inf)\b", out.getvalue(), re.I), out.getvalue()

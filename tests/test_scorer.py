@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from classlm.errors import ModelError
 from classlm.lm import LN10, ClassNGramLM, PerplexityReport, log_prob, train
 from classlm.ngrams import extract, window_counts
 from classlm.vocab import SENT_END, SENT_START, ClassLexicon, UNK
@@ -42,6 +43,31 @@ def test_score_corpus_is_the_fsum_of_its_window_scores(model_small, splits, emis
     oov = sum(token not in scorer.vocab for nu in nus for token in nu)
     assert scorer.score_corpus(nus, emission) == (total, tokens, oov)
     assert scorer.score_corpus(Counter(nus), emission) == (total, tokens, oov)
+
+
+def test_a_total_past_the_float_range_is_a_model_error():
+    # fsum raises on -inf + inf and on finite partial sums past the float
+    # range; the scoring loop returns the total instead, and the report
+    # rejects any total that is not finite, or a perplexity that underflows
+    probs10 = {(SENT_START,): 0.0, (SENT_END,): -0.5, (UNK,): -0.5,
+               ("a",): -1e308, ("b",): -1e308}
+    model = ClassNGramLM(2, probs10, {("a",): 1e308}, {})
+    cases = [
+        ({(SENT_START, "a"): 2, ("a", SENT_END): 2}, math.nan),  # -inf + inf
+        ({("a", SENT_END): 2}, math.inf),
+        ({(SENT_START, "a"): 2}, -math.inf),
+        # partial sums past the range, the exact sum within it
+        ({(SENT_START, "a"): 1, (SENT_START, "b"): 1, ("a", SENT_END): 1}, -1e308),
+    ]
+    for windows, expected in cases:
+        total, tokens, _ = model.score_windows(windows, False)
+        assert total == expected or math.isnan(expected) and math.isnan(total)
+        if math.isfinite(total):
+            continue
+        with pytest.raises(ModelError, match="perplexity past the float range"):
+            PerplexityReport.of(total, tokens, 0)
+    with pytest.raises(ModelError, match="perplexity past the float range"):
+        PerplexityReport.of(1e300, 6, 0)  # pp underflows to 0
 
 
 def test_score_windows_rejects_a_window_shorter_than_the_model(model_small):

@@ -89,6 +89,14 @@ def test_generate_world_matches_naive_oracle(size, seed):
     assert world.grammar_text == naive.grammar_text
 
 
+@pytest.mark.parametrize("seed", [11, 13])
+def test_generate_world_matches_naive_oracle_at_full_size(seed):
+    # every member pool, from the 3,000 cities to the 7 week days, is drawn
+    # thousands of times here against the oracle's Random.choice
+    world = generate_world(size=50000, seed=seed)
+    assert world == oracle.naive_generate_world(size=50000, seed=seed)
+
+
 @pytest.mark.parametrize("workload,size", [
     pytest.param("corpus-50k", 50000, id="corpus-50k"),
     pytest.param("grammar-5k", 5000, id="grammar-5k"),
