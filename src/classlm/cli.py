@@ -201,8 +201,7 @@ def cmd_generate(args) -> int:
     # the empty sentence is no corpus line, as in the corpus readers
     lines = [sentence for sentence in sentences if sentence]
     normalize.write_sentences(args.out, lines)
-    # below the sentence cap, only the depth bound truncates (grammar.generate)
-    if sentences.truncated and len(sentences) < max_sentences:
+    if sentences.depth_cut:
         print(f"note: --max-depth {max_depth} cut the expansion")
     flag = " (truncated)" if sentences.truncated else ""
     print(f"generated {len(lines)} sentences{flag} -> {args.out}")

@@ -25,8 +25,9 @@ as ``CITY-NAME`` are terminals, so generated sentences compare directly with
 NUs, and are written as a plain corpus (:func:`classlm.normalize.write_sentences`).
 :mod:`classlm.generalize` reads each terminal through the lexicon before it
 generates, so a class member written inside one terminal becomes its tag.
-Recursion is allowed. Generation is depth-bounded, and ``classlm generate``
-notes when the depth bound cut the expansion.
+Recursion is allowed. Only a cut by the depth bound empties an expansion,
+and a list that fills the sentence cap fills every list it is joined into
+unless a later item is empty, so :func:`generate` records the depth cut once.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .vocab import tokenize
 
 # items are terminals, each its token tuple, or nonterminal names (str)
 Alternative = tuple[tuple[str, ...] | str, ...]
-Expansion = tuple[list[NU], bool]  # distinct strings, whether a bound cut any
 
 
 class Grammar(NamedTuple):
@@ -51,14 +51,15 @@ class Grammar(NamedTuple):
 
 
 class SentenceSet:
-    """Deduplicated terminal sequences, lexicographically sorted, and
-    whether a generation bound cut any."""
+    """Deduplicated terminal sequences, lexicographically sorted, whether a
+    bound cut any, and whether the depth bound did (left out of ``==``)."""
 
-    __slots__ = ("sentences", "truncated")
+    __slots__ = ("sentences", "truncated", "depth_cut")
 
-    def __init__(self, sentences: tuple[NU, ...], truncated: bool):
+    def __init__(self, sentences: tuple[NU, ...], truncated: bool, depth_cut: bool = False):
         self.sentences = sentences
         self.truncated = truncated
+        self.depth_cut = depth_cut
 
     def __len__(self) -> int:
         return len(self.sentences)
@@ -72,7 +73,7 @@ class SentenceSet:
         return (self.sentences, self.truncated) == (other.sentences, other.truncated)
 
     def __repr__(self) -> str:
-        return f"SentenceSet({self.sentences!r}, truncated={self.truncated!r})"
+        return f"SentenceSet({self.sentences!r}, {self.truncated!r}, {self.depth_cut!r})"
 
 
 _TOKEN_RE = re.compile(
@@ -183,10 +184,11 @@ def generate(grammar: Grammar, max_depth: int, max_sentences: int) -> SentenceSe
     nonterminal expansion past max_depth, or a distinct sentence beyond
     max_sentences. Past that bound, the sentences kept are the first
     max_sentences distinct ones in derivation order (leftmost alternative
-    first, leftmost item varying slowest). So a truncated set of fewer than
-    max_sentences was cut by the depth bound: an expansion comes back empty
-    only from past max_depth, and one that fills its cap fills every
-    expansion it is joined into.
+    first, leftmost item varying slowest). depth_cut is set exactly when
+    generation reached an expansion past max_depth, even if the cap also
+    cut. That one record and the root's list give truncated: only a depth
+    cut empties an expansion, and one that fills its cap fills every
+    expansion it is joined into unless a later item comes back empty.
 
     Without recursion, an explicit stack of :func:`_expand` frames expands
     each (nonterminal, depth) the derivation reaches once, and drops it when
@@ -205,9 +207,10 @@ def generate(grammar: Grammar, max_depth: int, max_sentences: int) -> SentenceSe
     for name, used in children.items():
         for child in used:
             parents[child].add(name)
-    done: dict[tuple[str, int], Expansion] = {}
+    done: dict[tuple[str, int], list[NU]] = {}
     stack = [(grammar.start, 1, _expand(grammar.productions[grammar.start], cap))]
-    reply: Expansion | None = None
+    reply: list[NU] | None = None
+    depth_cut = False
     while stack:
         name, depth, frame = stack[-1]
         try:
@@ -219,37 +222,34 @@ def generate(grammar: Grammar, max_depth: int, max_sentences: int) -> SentenceSe
                 if all((parent, depth) in done for parent in parents[child]):
                     done.pop((child, depth + 1), None)
             continue
-        reply = ([], True) if depth == max_depth else done.get((item, depth + 1))
+        depth_cut |= depth == max_depth
+        reply = [] if depth == max_depth else done.get((item, depth + 1))
         if reply is None:
             stack.append((item, depth + 1, _expand(grammar.productions[item], cap)))
-    strings, truncated = reply
-    return SentenceSet(tuple(sorted(strings[:max_sentences])), truncated)
+    return SentenceSet(tuple(sorted(reply[:max_sentences])),
+                       depth_cut or len(reply) > max_sentences, depth_cut)
 
 
-def _expand(alts: tuple[Alternative, ...], cap: int) -> Generator[str, Expansion, Expansion]:
-    """First ``cap`` distinct strings of ``alts``, and whether a bound cut any.
+def _expand(alts: tuple[Alternative, ...], cap: int) -> Generator[str, list[NU], list[NU]]:
+    """First ``cap`` distinct strings of ``alts``.
 
     Yields each nonterminal it reaches and is sent that nonterminal's
     expansion one level deeper. An alternative stops at its first empty item.
     """
     strings: dict[NU, None] = {}
-    truncated = False
     for alt in alts:
         product: list[NU] = [()]
         for item in alt:
             if isinstance(item, tuple):
                 product = [head + item for head in product]
                 continue
-            tails, cut = yield item
-            truncated |= cut
-            product = _concat(product, tails, cap)
+            product = _concat(product, (yield item), cap)
             if not product:
                 break
         strings.update(dict.fromkeys(product))
         if len(strings) >= cap:
             break
-    strings_list = list(strings)[:cap]
-    return strings_list, truncated or len(strings_list) == cap
+    return list(strings)[:cap]
 
 
 def _concat(heads: list[NU], tails: list[NU], cap: int) -> list[NU]:

@@ -434,8 +434,12 @@ _DEEP_CHAIN = "start N0;\n" + "".join(
     ('start S; S -> "a" | "b" | "c";\n', ["--max-sentences", "2"], False, 2, " (truncated)"),
     # the empty derivation is no corpus line, so the file reads back whole
     ('start S; S -> "a" | ;\n', [], False, 1, ""),
+    # the one sentence is the whole language, but the depth bound still pruned
+    ('start S; S -> "a" | S;\n', ["--max-sentences", "1"], True, 1, " (truncated)"),
+    # both bounds cut
+    ('start S; S -> S "a" | "a";\n', ["--max-sentences", "1"], True, 1, " (truncated)"),
 ], ids=["deep-chain", "unreachable-recursion", "left-recursion", "sentence-cap",
-        "empty-derivation"])
+        "empty-derivation", "depth-cut-at-the-cap", "both-bounds"])
 def test_generate_counts_its_lines_and_notes_exactly_a_depth_cut(tmp_path, text, argv, note,
                                                                  count, flag):
     grammar = tmp_path / "g.bnf"

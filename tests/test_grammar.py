@@ -1,8 +1,12 @@
+import contextlib
+import io
+import re
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from classlm.cli import main
 from classlm.errors import GrammarError
 from classlm.grammar import Grammar, SentenceSet, generate, parse_grammar_text
 from classlm.normalize import write_sentences
@@ -192,6 +196,23 @@ def test_generate_matches_naive_enumeration(grammar, max_depth, max_sentences):
     assert result.truncated == expected.truncated
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    _small_grammars(),
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from([1, 2, 3, 10, 1000]),
+)
+def test_depth_cut_is_every_cut_the_sentence_cap_does_not_explain(grammar, max_depth,
+                                                                  max_sentences):
+    result = generate(grammar, max_depth, max_sentences)
+    assert result.truncated or not result.depth_cut
+    assert result.depth_cut or not result.truncated or len(result) == max_sentences
+    # where the cap cannot bind, the depth bound is the only cut
+    whole = generate(grammar, max_depth, 10**6)
+    expected = oracle.naive_generate(grammar, max_depth, 10**6)
+    assert whole.depth_cut == whole.truncated == expected.truncated
+
+
 def _chain(size):
     """Ni -> N(i+1) "a" | "b", for i below size, the last rule "b" alone."""
     return "start N0;\n" + "".join(
@@ -236,3 +257,77 @@ def test_bundled_grammar_covers_most_distinct_nus(sentence_nus, splits):
     coverage = len(distinct & set(sentence_nus)) / len(distinct)
     assert coverage >= 0.80
     assert coverage == pytest.approx(GOLDEN_COVERAGE, abs=1e-12)
+
+
+_FUZZ_TERMINALS = ('""', '"..."', '"new york"', '"new" "york"', '"CITY-NAME"', '"<unk>"',
+                   '"<s>"', '"#"', '"to"', '"rome"')
+_FUZZ_STRAYS = ("# a comment", "->", "|", ";", "start", "start S;", "S ->", '"', "@", "")
+_FUZZ_LINES = ("i want to go to rome", "from naples to new york", "hello", "to",
+               "CITY-NAME", "<unk> rome", "...")
+
+
+@st.composite
+def _grammar_files(draw):
+    """The text of a grammar file over 1-3 nonterminals, with alternatives
+    of 0-3 items, undefined names, odd terminals, and stray tokens."""
+    names = ["S", "A", "B"][: draw(st.integers(1, 3))]
+    item = st.sampled_from(names + ["U"] + list(_FUZZ_TERMINALS))
+    alternative = st.lists(item, max_size=3).map(" ".join)
+    pieces = ["start S;"] + [
+        f"{name} -> {' | '.join(draw(st.lists(alternative, min_size=1, max_size=3)))};"
+        for name in names]
+    for stray in draw(st.lists(st.sampled_from(_FUZZ_STRAYS), max_size=2)):
+        pieces.insert(draw(st.integers(0, len(pieces))), stray)
+    text = pieces[0]
+    for piece in pieces[1:]:
+        text += draw(st.sampled_from((" ", "\n"))) + piece
+    return text + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    text=_grammar_files(),
+    corpora=st.lists(st.lists(st.sampled_from(_FUZZ_LINES), min_size=3, max_size=3),
+                     min_size=3, max_size=3),
+    order=st.integers(1, 3),
+    mode=st.sampled_from(("ngram-injection", "naive-sentences")),
+    emission=st.booleans(),
+    max_depth=st.integers(1, 5),
+    max_sentences=st.integers(1, 50),
+)
+def test_grammar_commands_on_random_grammar_files_exit_cleanly(
+        tmp_path_factory, text, corpora, order, mode, emission, max_depth, max_sentences):
+    # generate and generalize, in-process on random grammar files: each exits
+    # 0, 1 or 2 and writes no nan or inf; generate prints the count of the
+    # lines it writes, or names the grammar file in its error
+    root = tmp_path_factory.mktemp("grammars")
+    grammar, lexicon = root / "g.bnf", root / "city.lex"
+    grammar.write_text(text, encoding="utf-8")
+    lexicon.write_text("CITY-NAME: rome naples new_york\n", encoding="utf-8")
+    train, tune, test = (root / f"{role}.txt" for role in ("train", "tune", "test"))
+    for path, lines in zip((train, tune, test), corpora):
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    bounds = ["--max-depth", str(max_depth), "--max-sentences", str(max_sentences)]
+    sentences = root / "sentences.txt"
+    runs = [
+        ["generate", "--grammar", str(grammar), *bounds, "--out", str(sentences)],
+        ["generalize", "--lexicon", str(lexicon), "--corpus", str(train),
+         "--grammar", str(grammar), "--tune-corpus", str(tune), "--test-corpus", str(test),
+         "--order", str(order), "--mode", mode, *["--emission"] * emission, *bounds,
+         "--out-dir", str(root / "gen")],
+    ]
+    for argv in runs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), (argv, err.getvalue())
+        written = [out.getvalue()] + [path.read_text(encoding="utf-8")
+                                      for path in sorted(root.glob("gen/*.csv"))]
+        assert not any(re.search(r"\b(nan|inf)\b", page, re.I) for page in written), argv
+        if argv[0] != "generate":
+            continue
+        if code == 0:
+            count = int(re.search(r"^generated (\d+) sentences", out.getvalue(), re.M)[1])
+            assert count == len(sentences.read_text(encoding="utf-8").splitlines())
+        elif code == 1:
+            assert str(grammar) in err.getvalue()
